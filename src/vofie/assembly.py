@@ -3,8 +3,12 @@
 Two coefficient families are built per collocation row n:
 
 * history weights h[n][i]: integrals of K_s(t_n, .) against the piecewise
-  linear hat functions, computed by an open Gauss-Legendre rule per cell
-  (the diagonal cell gets geometric sub-panels toward the log singularity);
+  linear hat functions. Integrating by parts against the hats (their slopes
+  are constant per cell) leaves differences of cell averages of the bounded
+  kernel K(t_n, .), which a short Gauss-Legendre rule per cell resolves; the
+  diagonal cell gets geometric sub-panels toward s = t_n, where K has a
+  v ln v corner. The dense triangle is filled in blocks of rows, each a few
+  vectorised kernel sweeps, and every row sum telescopes to 1 - K(t_n, 0);
 * singular moments wL/wR: integrals of the two hat pieces on each cell
   against the weakly singular weight (t_n - s)^{alpha(t_n)-1}/Gamma(alpha(t_n)),
   in closed form (product integration), with a quadrature-based variant
@@ -12,25 +16,32 @@ Two coefficient families are built per collocation row n:
 
 For an affine order on a uniform mesh the history weights are translation
 invariant, h[n][i] = h[n+1][i+1]; the fast path stores just two O(N)
-generating sequences instead of the dense lower triangle.
+generating sequences, taken from the last row's cell averages, instead of
+the dense lower triangle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .kernel import kernel_Ks
+# kernel_Ks is not called here any more; the name stays importable from this
+# module because perfbench's traced run hooks it.
+from .kernel import kernel_Ks  # noqa: F401
 from .mesh import Mesh
 from .order import VariableOrder
 
-# Geometric subdivision of the diagonal cell toward s = t_n: the log
-# singularity is integrable, but a single open panel leaves ~1e-7 errors
-# that the scheme would then inherit.
+# Geometric subdivision of the diagonal cell toward s = t_n: K(t_n, .) has a
+# v ln v corner there (v = t_n - s), which one open panel resolves only to
+# ~1e-7.
 DIAG_PANELS = 6
 DIAG_RATIO = 0.15
+# Kernel evaluations per block of history rows: large enough that numpy call
+# overhead is amortised, small enough that the block's temporaries stay in
+# cache and add nothing measurable to peak memory.
+HISTORY_BLOCK_POINTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -45,19 +56,28 @@ class QuadratureRule:
         return len(self.nodes)
 
 
-def gauss_nodes(count: int = 80) -> QuadratureRule:
-    """Gauss-Legendre rule on (0, 1); exact for degree <= 2*count - 1."""
+def gauss_nodes(count: int = 8) -> QuadratureRule:
+    """Gauss-Legendre rule on (0, 1); exact for degree <= 2*count - 1.
+
+    The default is the per-cell rule of the history assembly: the cell
+    averages of the bounded kernel K it integrates need few nodes.
+    """
     if count < 1:
         raise ValueError(f"need at least one quadrature node, got {count}")
     x, w = np.polynomial.legendre.leggauss(count)
     return QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
 
 
-def _diag_edges(lo: float, hi: float) -> np.ndarray:
-    """Panel edges from lo to hi accumulating geometrically toward hi."""
-    tau = hi - lo
-    inner = hi - tau * DIAG_RATIO ** np.arange(1, DIAG_PANELS, dtype=float)
-    return np.concatenate(([lo], inner, [hi]))
+def _diag_edges(lo, hi) -> np.ndarray:
+    """Panel edges from lo to hi accumulating geometrically toward hi.
+
+    Scalars give DIAG_PANELS + 1 edges; arrays of cells give one such row
+    per cell.
+    """
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    inner = hi - (hi - lo) * DIAG_RATIO ** np.arange(1, DIAG_PANELS, dtype=float)
+    return np.concatenate((lo, inner, hi), axis=-1)
 
 
 def _moment_row(order: VariableOrder, mesh: Mesh, n: int):
@@ -122,61 +142,117 @@ def _moment_row_quadrature(order: VariableOrder, mesh: Mesh, rule: QuadratureRul
     return wl, wr
 
 
-def _half_hat_integrals(order, t_eval, lo, hi, rule, singular_at_hi=False):
-    """(I_left, I_right): K_s(t_eval, .) against the two hat halves on [lo, hi].
+def _kernel_minus_one(da, v):
+    """K - 1 from the order gap da = alpha(t) - alpha(s) and v = t - s > 0.
 
-    I_left carries the descending piece (hi - s)/tau, I_right the ascending
-    piece (s - lo)/tau. With singular_at_hi the cell is split into geometric
-    panels accumulating toward hi (log singularity of K_s at s = t_eval).
+    (t-s)^da / Gamma(1+da) - 1 written as (expm1(da ln v) - (G - 1)) / G,
+    G = Gamma(1 + da): no cancellation against the leading 1, and exactly
+    zero wherever da = 0 (constant order).
     """
-    tau = hi - lo
-    x, w = rule.nodes, rule.weights
-    edges = _diag_edges(lo, hi) if singular_at_hi else np.array([lo, hi])
-    il = ir = 0.0
-    for a_, b_ in zip(edges[:-1], edges[1:]):
-        s = a_ + (b_ - a_) * x
-        vals = kernel_Ks(order, t_eval, s)
-        il += (b_ - a_) * np.sum(w * vals * (hi - s)) / tau
-        ir += (b_ - a_) * np.sum(w * vals * (s - lo)) / tau
-    return il, ir
+    g = special.gamma(1.0 + da)
+    return (np.expm1(da * np.log(v)) - (g - 1.0)) / g
+
+
+@dataclass(frozen=True)
+class _CellQuadrature:
+    """Row-independent quadrature data of cells 1..n for the history rows.
+
+    Cell j = [t_{j-1}, t_j] is row j-1 of `s`/`alpha_s`: the rule's points
+    there and alpha at them, evaluated once per assembly. The diagonal cell
+    of a row gets geometric panels instead, built per row block.
+    """
+
+    order: VariableOrder
+    mesh: Mesh
+    rule: QuadratureRule
+    alpha_t: np.ndarray
+    s: np.ndarray
+    alpha_s: np.ndarray
+
+
+def _cell_quadrature(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: int):
+    """_CellQuadrature for rows up to n (cells 1..n-1 off the diagonal)."""
+    s = mesh.nodes[: n - 1, None] + mesh.steps[: n - 1, None] * rule.nodes
+    return _CellQuadrature(
+        order=order,
+        mesh=mesh,
+        rule=rule,
+        alpha_t=np.asarray(order.alpha(mesh.nodes[: n + 1]), dtype=float),
+        s=s,
+        alpha_s=np.asarray(order.alpha(s), dtype=float),
+    )
+
+
+def _cell_averages(cq: _CellQuadrature, rows: np.ndarray) -> np.ndarray:
+    """B[k, j] = (1/tau_j) int_{cell j} K(t_n, s) ds - 1 for n = rows[k].
+
+    Columns j = 1..n hold the cell averages, column 0 holds K(t_n, 0) - 1
+    and columns past n are zero, over a width of rows[-1] + 2. The
+    off-diagonal cells of all rows are flattened into one sweep.
+    """
+    nodes, steps, x = cq.mesh.nodes, cq.mesh.steps, cq.rule.nodes
+    tn, an = nodes[rows], cq.alpha_t[rows]
+    out = np.zeros((len(rows), rows[-1] + 2))
+
+    counts = rows - 1
+    k = np.repeat(np.arange(len(rows)), counts)
+    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    vals = _kernel_minus_one(an[k, None] - cq.alpha_s[j], tn[k, None] - cq.s[j])
+    out[k, j + 1] = vals @ cq.rule.weights
+
+    # diagonal cell: geometric panels toward the v ln v corner at s = t_n
+    edges = _diag_edges(nodes[rows - 1], tn)
+    width = np.diff(edges, axis=1)[:, :, None]
+    s = (edges[:, :-1, None] + width * x).reshape(len(rows), -1)
+    wgt = (width * cq.rule.weights / steps[rows - 1, None, None]).reshape(len(rows), -1)
+    da = an[:, None] - np.asarray(cq.order.alpha(s), dtype=float)
+    vals = _kernel_minus_one(da, tn[:, None] - s)
+    out[np.arange(len(rows)), rows] = np.sum(vals * wgt, axis=1)
+
+    out[:, 0] = _kernel_minus_one(an - cq.alpha_t[0], tn)
+    return out
+
+
+def _history_rows(cq: _CellQuadrature, rows: np.ndarray):
+    """(h[rows, 0..rows[-1]], h0[rows]) by integration by parts.
+
+    Hat slopes are constant per cell, so int K_s(t_n, s) hat_i(s) ds is
+    A_{i+1} - A_i for i < n, 1 - A_n for i = n, and A_1 - K(t_n, 0) for
+    the u0 hat, with A_j the cell-j average of K(t_n, .). Differencing the
+    zero-padded averages gives all of them at once, and a row's sum plus
+    h0 telescopes to 1 - K(t_n, 0) to rounding. Column 0 of h is zero.
+    """
+    h = np.diff(_cell_averages(cq, rows), axis=1)
+    h0 = h[:, 0].copy()
+    h[:, 0] = 0.0
+    return h, h0
+
+
+def _row_blocks(N: int, rule: QuadratureRule):
+    """Consecutive row ranges of 1..N, each within HISTORY_BLOCK_POINTS
+    kernel evaluations (a row larger than that is a block of its own)."""
+    cost = np.cumsum((np.arange(N) + DIAG_PANELS) * rule.count)
+    lo = 0
+    while lo < N:
+        base = cost[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cost, base + HISTORY_BLOCK_POINTS, "right")))
+        yield np.arange(lo + 1, hi + 1)
+        lo = hi
 
 
 def history_weights(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: int):
     """History row (h[n][1..n], h0[n]) of the K_s term.
 
-    h[n][i] collects the integrals of K_s(t_n, .) against hat_i over its one
-    or two supporting cells; h0[n] is the u0 coefficient from the descending
-    hat on [t_0, t_1]. Returned as (row, h0) with row[0] unused (zero).
+    h[n][i] is the integral of K_s(t_n, .) against hat_i over its one or
+    two supporting cells; h0[n] is the u0 coefficient from the descending
+    hat on [t_0, t_1]. Both come from cell averages of K (_history_rows);
+    `rule` is applied per cell and per diagonal panel. Returned as
+    (row, h0) with row[0] unused (zero).
     """
     if not (1 <= n <= mesh.N):
         raise IndexError(f"need 1 <= n <= N, got n={n}, N={mesh.N}")
-    tn = mesh.nodes[n]
-    x, w = rule.nodes, rule.weights
-    row = np.zeros(n + 1)
-
-    if n > 1:
-        # all non-diagonal cells in one vectorized sweep
-        lo = mesh.nodes[: n - 1]
-        tau = mesh.steps[: n - 1]
-        S = lo[:, None] + tau[:, None] * x[None, :]
-        vals = kernel_Ks(order, tn, S)
-        il = tau * np.sum(vals * ((1.0 - x) * w)[None, :], axis=1)
-        ir = tau * np.sum(vals * (x * w)[None, :], axis=1)
-        h0 = il[0]
-        row[1:n] += ir
-        row[1 : n - 1] += il[1:]
-        il_d, ir_d = _half_hat_integrals(
-            order, tn, mesh.nodes[n - 1], tn, rule, singular_at_hi=True
-        )
-        row[n - 1] += il_d
-        row[n] = ir_d
-    else:
-        il_d, ir_d = _half_hat_integrals(
-            order, tn, 0.0, tn, rule, singular_at_hi=True
-        )
-        h0 = il_d
-        row[1] = ir_d
-    return row, float(h0)
+    h, h0 = _history_rows(_cell_quadrature(order, mesh, rule, n), np.array([n]))
+    return h[0], float(h0[0])
 
 
 @dataclass
@@ -253,9 +329,11 @@ def assemble(
 ) -> WeightTable:
     """Build the full weight table.
 
-    fast_path requires a uniform mesh and a declared-affine order; it
-    computes the O(N) generating sequences of the translation-invariant
-    history weights instead of the dense O(N^2) triangle. f_term selects
+    rule is the Gauss rule applied per mesh cell and per geometric panel of
+    each row's diagonal cell; None means gauss_nodes(), 8 nodes. fast_path
+    requires a uniform mesh and a declared-affine order; it computes the
+    O(N) generating sequences of the translation-invariant history weights
+    instead of the dense O(N^2) triangle. f_term selects
     closed-form singular moments ("moments", default) or the open-rule
     quadrature variant ("quadrature") for the right-hand-side weights.
     """
@@ -280,7 +358,9 @@ def assemble(
             raise ValueError("fast_path requires a uniform mesh (r = 1)")
         if not order.is_linear:
             raise ValueError("fast_path requires a declared-linear order")
-        gen_left, gen_right = _generating_sequences(order, mesh, rule)
+    cq = _cell_quadrature(order, mesh, rule, N)
+    if fast_path:
+        gen_left, gen_right = _generating_sequences(cq)
         return WeightTable(
             N=N,
             invariant_mode=True,
@@ -294,44 +374,29 @@ def assemble(
 
     h = np.zeros((N + 1, N + 1))
     h0 = np.zeros(N + 1)
-    for n in range(1, N + 1):
-        row, h0n = history_weights(order, mesh, rule, n)
-        h[n, : n + 1] = row
-        h0[n] = h0n
+    for rows in _row_blocks(N, rule):
+        lo, hi = rows[0], rows[-1] + 1
+        h[lo:hi, :hi], h0[lo:hi] = _history_rows(cq, rows)
     return WeightTable(
         N=N, invariant_mode=False, wL=wL, wR=wR, h0=h0, h=h, f_term=f_term
     )
 
 
-def _generating_sequences(order: VariableOrder, mesh: Mesh, rule: QuadratureRule):
-    """Half-hat integrals of K_s over cells indexed by gap k = (t_n - s)/tau.
+def _generating_sequences(cq: _CellQuadrature):
+    """gen_left, gen_right from row N's cell averages, indexed by gap k.
 
-    gen_left[k] integrates K_s(T, T - v) (v - k tau)/tau over v in
-    [k tau, (k+1) tau]; gen_right[k] integrates ((k+1) tau - v)/tau there.
-    K_s is a function of the gap alone for affine order, so any evaluation
-    point t works; we use t = T.
+    For an affine order K(t, s) depends on t - s alone, so row N holds
+    every gap: with A_k the average of K(T, .) over cell N - k and
+    K_k = K(T, T - k tau),
+
+        gen_right[k] = K_k - A_k,    gen_left[k] = A_k - K_{k+1},
+
+    which reproduces the dense rows A_{i+1} - A_i, 1 - A_n and
+    A_1 - K(t_n, 0) of _history_rows.
     """
-    N = mesh.N
-    tau = mesh.T / N
-    T = mesh.T
-    x, w = rule.nodes, rule.weights
-    gen_left = np.empty(N)
-    gen_right = np.empty(N)
-
-    # k = 0 cell touches the singularity at v = 0 (s = T)
-    edges = T - _diag_edges(T - tau, T)[::-1]  # panels of [0, tau] toward 0
-    gl = gr = 0.0
-    for a_, b_ in zip(edges[:-1], edges[1:]):
-        v = a_ + (b_ - a_) * x
-        vals = kernel_Ks(order, T, T - v)
-        gl += (b_ - a_) * np.sum(w * vals * (v / tau))
-        gr += (b_ - a_) * np.sum(w * vals * (1.0 - v / tau))
-    gen_left[0], gen_right[0] = gl, gr
-
-    if N > 1:
-        k = np.arange(1, N, dtype=float)
-        V = k[:, None] * tau + tau * x[None, :]
-        vals = kernel_Ks(order, T, T - V)
-        gen_left[1:] = tau * np.sum(vals * (x * w)[None, :], axis=1)
-        gen_right[1:] = tau * np.sum(vals * ((1.0 - x) * w)[None, :], axis=1)
-    return gen_left, gen_right
+    N = cq.mesh.N
+    nodes = cq.mesh.nodes
+    by_gap = _cell_averages(cq, np.array([N]))[0, N:0:-1]
+    nodal = _kernel_minus_one(cq.alpha_t[N] - cq.alpha_t[:N], nodes[N] - nodes[:N])
+    nodal_by_gap = np.append(nodal, 0.0)[::-1]  # K(T, T) - 1 = 0
+    return by_gap - nodal_by_gap[1:], nodal_by_gap[:N] - by_gap

@@ -116,11 +116,13 @@ def solve_node(
     values: np.ndarray,
     fvals: np.ndarray,
     n: int,
+    init: float,
     cfg: NewtonConfig,
 ):
     """Solve the implicit collocation equation at node n.
 
-    values[0..n-1] and fvals[0..n-1] (nodal f evaluations) must be fixed.
+    values[0..n-1] and fvals[0..n-1] (nodal f evaluations) must be fixed;
+    init is the initial-data term initial_coefficient(order, t_n, u0).
     Returns (U(t_n), newton_iterations).
     """
     tn = mesh.nodes[n]
@@ -135,7 +137,7 @@ def solve_node(
     known_f = float(wl @ fvals[:n]) + float(wr[: n - 1] @ fvals[1:n])
     wrnn = wr[n - 1]
 
-    const = hist + known_f + initial_coefficient(problem.order, tn, problem.u0)
+    const = hist + known_f + init
 
     x = values[n - 1] if n > 1 else problem.u0
     iters = 0
@@ -178,7 +180,13 @@ def solve(
 
     U(t_0) = u0 by definition; each later node is a scalar Newton solve.
     A prebuilt WeightTable can be passed to amortize assembly across solves.
+    The mesh, the problem and its order must share one horizon T.
     """
+    if not (mesh.T == problem.T == problem.order.T):
+        raise ValueError(
+            f"horizon mismatch: mesh T = {mesh.T}, problem T = {problem.T}, "
+            f"order T = {problem.order.T}"
+        )
     if rule is None:
         rule = gauss_nodes()
     if cfg is None:
@@ -190,10 +198,13 @@ def solve(
     values = np.empty(N + 1)
     fvals = np.empty(N + 1)
     stats = np.zeros(N + 1, dtype=int)
+    init = initial_coefficient(problem.order, mesh.nodes, problem.u0)
     values[0] = problem.u0
     fvals[0] = problem.f(problem.u0, 0.0)
     for n in range(1, N + 1):
-        values[n], stats[n] = solve_node(problem, weights, mesh, values, fvals, n, cfg)
+        values[n], stats[n] = solve_node(
+            problem, weights, mesh, values, fvals, n, init[n], cfg
+        )
         fvals[n] = problem.f(values[n], mesh.nodes[n])
     return Solution(mesh=mesh, values=values, newton_stats=stats)
 

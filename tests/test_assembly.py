@@ -5,12 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from vofie.assembly import (
+    _row_blocks,
     assemble,
     gauss_nodes,
     history_weights,
     singular_moments,
 )
-from vofie.kernel import kernel_Ks
+from vofie.kernel import kernel_K, kernel_Ks
 from vofie.mesh import make_mesh
 from vofie.order import (
     make_constant_order,
@@ -238,3 +239,83 @@ class TestAssemble:
         lines = path.read_text().splitlines()
         assert lines[0] == "n,i,h,wL,wR"
         assert len(lines) == 1 + 4 * 5 // 2
+
+
+class TestIntegrationByParts:
+    """History weights as differences of cell averages of the bounded K."""
+
+    @pytest.mark.parametrize(
+        "order,r",
+        [
+            (make_sine_order(0.6, 0.1), 1.0),
+            (make_sine_order(0.6, 0.1), 1.0 / 0.6),
+            (make_sine_order(0.3, 0.1), 1.0 / 0.3),
+            (make_linear_order(0.9, 0.4), 1.0),
+        ],
+    )
+    def test_dense_row_sums_telescope(self, order, r):
+        mesh = make_mesh(1.0, 64, r)
+        table = assemble(order, mesh)
+        for n in range(1, 65):
+            expected = 1.0 - kernel_K(order, mesh.nodes[n], 0.0)
+            got = float(np.sum(table.history_row(n))) + table.h0[n]
+            assert abs(got - expected) <= 1e-14
+
+    @pytest.mark.parametrize("rule", [None, gauss_nodes(80)])
+    def test_fast_row_sums_telescope(self, rule):
+        order = make_linear_order(0.9, 0.4)
+        mesh = make_mesh(1.0, 64, 1.0)
+        table = assemble(order, mesh, rule, fast_path=True)
+        for n in range(1, 65):
+            expected = 1.0 - kernel_K(order, mesh.nodes[n], 0.0)
+            got = float(np.sum(table.history_row(n))) + table.h0[n]
+            assert abs(got - expected) <= 1e-14
+
+    def test_constant_order_gives_exact_zeros(self):
+        order = make_constant_order(0.5)
+        dense = assemble(order, make_mesh(1.0, 24, 2.0))
+        fast = assemble(order, make_mesh(1.0, 24, 1.0), fast_path=True)
+        assert np.all(dense.h == 0.0) and np.all(dense.h0 == 0.0)
+        assert np.all(fast.gen_left == 0.0) and np.all(fast.gen_right == 0.0)
+
+    def test_default_rule_against_adaptive_quadrature(self):
+        # oracle integrates K_s against the hat pieces directly, cell by cell
+        order = make_sine_order(0.6, 0.1)
+        mesh = make_mesh(1.0, 12, 1.0 / 0.6)
+        table = assemble(order, mesh)
+        t = mesh.nodes
+
+        def piece(tn, lo, hi, shape):
+            val, _ = quad(
+                lambda s: kernel_Ks(order, tn, s) * shape(s),
+                lo, hi, limit=500, epsabs=1e-14, epsrel=1e-13,
+            )
+            return val
+
+        for n in (1, 2, 5, 12):
+            tn = t[n]
+            for i in range(1, n + 1):
+                up = piece(tn, t[i - 1], t[i], lambda s: (s - t[i - 1]) / (t[i] - t[i - 1]))
+                down = (
+                    piece(tn, t[i], t[i + 1], lambda s: (t[i + 1] - s) / (t[i + 1] - t[i]))
+                    if i < n else 0.0
+                )
+                assert table.h[n, i] == pytest.approx(up + down, abs=1e-9)
+            oracle0 = piece(tn, 0.0, t[1], lambda s: (t[1] - s) / t[1])
+            assert table.h0[n] == pytest.approx(oracle0, abs=1e-9)
+
+    @pytest.mark.parametrize("count", [8, 80])
+    def test_row_blocks_match_single_rows(self, count):
+        order = make_sine_order(0.6, 0.4)
+        mesh = make_mesh(1.0, 200, 1.0 / 0.6)
+        rule = gauss_nodes(count)
+        blocks = list(_row_blocks(mesh.N, rule))
+        assert len(blocks[0]) > 1
+        if count == 80:
+            # the last rows exceed the point budget: one row per block
+            assert len(blocks[-1]) == 1
+        table = assemble(order, mesh, rule)
+        for n in range(1, mesh.N + 1):
+            row, h0 = history_weights(order, mesh, rule, n)
+            np.testing.assert_allclose(table.h[n, : n + 1], row, rtol=0, atol=1e-15)
+            assert abs(table.h0[n] - h0) <= 1e-15

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from vofie.assembly import assemble, gauss_nodes, singular_moments
@@ -223,3 +225,40 @@ class TestVieResidual:
         sol = solve(problem, make_mesh(1.0, 8, 1.0))
         with pytest.raises(ValueError):
             vie_residual(problem, sol, 0.0)
+
+
+class TestHorizonContract:
+    def test_mesh_beyond_order_horizon_raises(self):
+        # the sine order is defined on [0, 1]; a T = 2 mesh used to return
+        # u(2) from alpha evaluated outside its domain
+        problem = Problem(f=f_one, df_du=df_zero, u0=1.0, T=2.0, order=make_sine_order(0.6, 0.4))
+        with pytest.raises(ValueError, match="horizon"):
+            solve(problem, make_mesh(2.0, 16, 1.0))
+
+    def test_mesh_and_problem_disagree(self):
+        problem = problem_one(make_sine_order(0.6, 0.4))
+        with pytest.raises(ValueError, match="horizon"):
+            solve(problem, make_mesh(2.0, 16, 1.0))
+
+    def test_order_and_problem_disagree(self):
+        problem = problem_one(make_constant_order(0.5, T=2.0))
+        with pytest.raises(ValueError, match="horizon"):
+            solve(problem, make_mesh(1.0, 16, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a0=st.floats(0.1, 1.0),
+    a1=st.floats(0.1, 0.9),
+    N=st.integers(1, 200),
+    grading=st.floats(0.0, 1.0),
+    u0=st.floats(0.5, 2.0),
+)
+def test_f_zero_keeps_u0_to_rounding(a0, a1, N, grading, u0):
+    # history rows telescope to 1 - K(t_n, 0), which the initial-data term
+    # cancels, so constants are preserved to rounding on any admissible mesh
+    order = make_sine_order(a0, a1)
+    r = 1.0 + grading * (1.0 / a0 - 1.0)
+    problem = Problem(f=f_zero, df_du=df_zero, u0=u0, T=1.0, order=order)
+    sol = solve(problem, make_mesh(1.0, N, r))
+    assert np.max(np.abs(sol.values - u0)) <= 1e-13
