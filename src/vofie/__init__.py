@@ -44,14 +44,11 @@ from .solver import (
     SingularJacobianError,
     Solution,
     solve,
-    solve_node,
     vie_residual,
 )
 from .specialfns import (
     MLParams,
     MittagLefflerConvergenceError,
-    digamma,
-    gamma,
     mittag_leffler,
 )
 
@@ -73,9 +70,7 @@ __all__ = [
     "VariableOrder",
     "WeightTable",
     "assemble",
-    "digamma",
     "fit_rate",
-    "gamma",
     "gauss_nodes",
     "grading_for_case",
     "history_weights",
@@ -93,7 +88,6 @@ __all__ = [
     "singular_moments",
     "singularity_exponent",
     "solve",
-    "solve_node",
     "validate_assumption_a",
     "vie_residual",
 ]

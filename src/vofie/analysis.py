@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import QuadratureRule, gauss_nodes
-from .mesh import Mesh, grading_for_case, make_mesh
+from .assembly import QuadratureRule
+from .mesh import grading_for_case, make_mesh
 from .solver import NewtonConfig, Problem, Solution, solve
 
 
@@ -62,12 +61,6 @@ def fit_rate(errors, Ns) -> np.ndarray:
     return np.log(errors[:-1] / errors[1:]) / np.log(Ns[1:] / Ns[:-1])
 
 
-def _solve_at(args):
-    problem, N, r, rule, cfg = args
-    mesh = make_mesh(problem.T, N, r)
-    return solve(problem, mesh, rule, cfg)
-
-
 def run_convergence(
     problem: Problem,
     case: str,
@@ -76,7 +69,6 @@ def run_convergence(
     rule: QuadratureRule | None = None,
     cfg: NewtonConfig | None = None,
     config_id: str = "",
-    workers: int = 1,
 ) -> ConvergenceReport:
     """Solve at each N and at ref_N on the same grading; report nodal errors.
 
@@ -88,20 +80,8 @@ def run_convergence(
         if ref_N % N != 0:
             raise ValueError(f"N = {N} does not divide ref_N = {ref_N}")
     r = grading_for_case(problem.order, case)
-    if rule is None:
-        rule = gauss_nodes()
-    if cfg is None:
-        cfg = NewtonConfig()
-
-    jobs = [(problem, N, r, rule, cfg) for N in N_list]
-    if workers > 1:
-        # threads, not processes: assembly is numpy-bound (GIL released) and
-        # problems may carry closures that do not pickle
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            coarse = list(pool.map(_solve_at, jobs))
-    else:
-        coarse = [_solve_at(j) for j in jobs]
-    ref = _solve_at((problem, ref_N, r, rule, cfg))
+    coarse = [solve(problem, make_mesh(problem.T, N, r), rule, cfg) for N in N_list]
+    ref = solve(problem, make_mesh(problem.T, ref_N, r), rule, cfg)
 
     errors = np.empty(len(N_list))
     for j, (N, sol) in enumerate(zip(N_list, coarse)):

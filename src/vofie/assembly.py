@@ -2,22 +2,23 @@
 
 Two coefficient families are built per collocation row n:
 
-* history weights h[n][i]: integrals of K_s(t_n, .) against the piecewise
-  linear hat functions. Integrating by parts against the hats (their slopes
-  are constant per cell) leaves differences of cell averages of the bounded
-  kernel K(t_n, .), which a short Gauss-Legendre rule per cell resolves; the
-  diagonal cell gets geometric sub-panels toward s = t_n, where K has a
-  v ln v corner. The dense triangle is filled in blocks of rows, each a few
-  vectorised kernel sweeps, and every row sum telescopes to 1 - K(t_n, 0);
+* cell averages B[n][j] = (1/tau_j) int_{cell j} K(t_n, s) ds - 1 of the
+  bounded kernel K, with B[n][0] = K(t_n, 0) - 1. Summation by parts
+  against the hats (their slopes are constant per cell) turns the K_s
+  history term of row n into U_n - u0 + sum_j B[n][j] (U_j - U_{j-1}),
+  which is the increment form the march solves. A short Gauss-Legendre
+  rule per cell resolves the averages; the diagonal cell gets geometric
+  sub-panels toward s = t_n, where K has a v ln v corner. The dense table
+  is filled in blocks of rows, each a few vectorised kernel sweeps;
 * singular moments wL/wR: integrals of the two hat pieces on each cell
   against the weakly singular weight (t_n - s)^{alpha(t_n)-1}/Gamma(alpha(t_n)),
-  in closed form (product integration), with a quadrature-based variant
-  behind a flag for comparison.
+  in closed form (product integration).
 
-For an affine order on a uniform mesh the history weights are translation
-invariant, h[n][i] = h[n+1][i+1]; the fast path stores just two O(N)
-generating sequences, taken from the last row's cell averages, instead of
-the dense lower triangle.
+The hat-basis history weights h[n][i] = B[n][i+1] - B[n][i], h[n][n] =
+-B[n][n] and the u0 coefficient h0[n] = B[n][1] - B[n][0] are derived views
+of the same table. For an affine order on a uniform mesh K depends on t - s
+alone; the fast path stores one gap-indexed sequence of cell averages and the
+nodal K - 1 instead of the dense table.
 """
 
 from __future__ import annotations
@@ -113,35 +114,6 @@ def singular_moments(order: VariableOrder, mesh: Mesh, n: int, i: int):
     return float(wl[i - 1]), float(wr[i - 1])
 
 
-def _moment_row_quadrature(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: int):
-    """Quadrature variant of the hat moments (comparison path).
-
-    Applies the open rule to hat * weight on every smooth cell; the diagonal
-    cell's algebraic singularity is removed first by the substitution
-    v = (t_n - s), u = v^alpha, after which the rule sees a smooth integrand.
-    """
-    tn = mesh.nodes[n]
-    al = float(order.alpha(tn))
-    g = special.gamma(al)
-    x, w = rule.nodes, rule.weights
-    wl = np.empty(n)
-    wr = np.empty(n)
-    for i in range(1, n):
-        lo, hi = mesh.nodes[i - 1], mesh.nodes[i]
-        tau = hi - lo
-        s = lo + tau * x
-        wgt = (tn - s) ** (al - 1.0) / g
-        wl[i - 1] = tau * np.sum(w * wgt * (hi - s)) / tau
-        wr[i - 1] = tau * np.sum(w * wgt * (s - lo)) / tau
-    # diagonal cell: v^{al-1} dv = du/al with u = v^al, integrand smooth in u
-    tau = mesh.steps[n - 1]
-    umax = tau**al
-    v = (umax * x) ** (1.0 / al)
-    wl[n - 1] = umax * np.sum(w * v / tau) / (al * g)
-    wr[n - 1] = umax * np.sum(w * (1.0 - v / tau)) / (al * g)
-    return wl, wr
-
-
 def _kernel_minus_one(da, v):
     """K - 1 from the order gap da = alpha(t) - alpha(s) and v = t - s > 0.
 
@@ -187,12 +159,12 @@ def _cell_averages(cq: _CellQuadrature, rows: np.ndarray) -> np.ndarray:
     """B[k, j] = (1/tau_j) int_{cell j} K(t_n, s) ds - 1 for n = rows[k].
 
     Columns j = 1..n hold the cell averages, column 0 holds K(t_n, 0) - 1
-    and columns past n are zero, over a width of rows[-1] + 2. The
+    and columns past n are zero, over a width of rows[-1] + 1. The
     off-diagonal cells of all rows are flattened into one sweep.
     """
     nodes, steps, x = cq.mesh.nodes, cq.mesh.steps, cq.rule.nodes
     tn, an = nodes[rows], cq.alpha_t[rows]
-    out = np.zeros((len(rows), rows[-1] + 2))
+    out = np.zeros((len(rows), rows[-1] + 1))
 
     counts = rows - 1
     k = np.repeat(np.arange(len(rows)), counts)
@@ -213,18 +185,17 @@ def _cell_averages(cq: _CellQuadrature, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _history_rows(cq: _CellQuadrature, rows: np.ndarray):
-    """(h[rows, 0..rows[-1]], h0[rows]) by integration by parts.
+def _hat_weights(averages: np.ndarray):
+    """(h[n][0..n], h0[n]) from cell averages B[n][0..n] along the last axis.
 
     Hat slopes are constant per cell, so int K_s(t_n, s) hat_i(s) ds is
-    A_{i+1} - A_i for i < n, 1 - A_n for i = n, and A_1 - K(t_n, 0) for
-    the u0 hat, with A_j the cell-j average of K(t_n, .). Differencing the
-    zero-padded averages gives all of them at once, and a row's sum plus
-    h0 telescopes to 1 - K(t_n, 0) to rounding. Column 0 of h is zero.
+    B_{i+1} - B_i for i < n, -B_n for i = n, and B_1 - B_0 for the u0 hat.
+    Entry 0 of h is zero; the row sum plus h0 telescopes to -B_0 =
+    1 - K(t_n, 0) to rounding.
     """
-    h = np.diff(_cell_averages(cq, rows), axis=1)
-    h0 = h[:, 0].copy()
-    h[:, 0] = 0.0
+    h = np.diff(averages, axis=-1, append=0.0)
+    h0 = h[..., 0].copy()
+    h[..., 0] = 0.0
     return h, h0
 
 
@@ -245,66 +216,92 @@ def history_weights(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: i
 
     h[n][i] is the integral of K_s(t_n, .) against hat_i over its one or
     two supporting cells; h0[n] is the u0 coefficient from the descending
-    hat on [t_0, t_1]. Both come from cell averages of K (_history_rows);
-    `rule` is applied per cell and per diagonal panel. Returned as
-    (row, h0) with row[0] unused (zero).
+    hat on [t_0, t_1]. Both are differences of the row's cell averages of
+    K (_hat_weights); `rule` is applied per cell and per diagonal panel.
+    Returned as (row, h0) with row[0] unused (zero).
     """
     if not (1 <= n <= mesh.N):
         raise IndexError(f"need 1 <= n <= N, got n={n}, N={mesh.N}")
-    h, h0 = _history_rows(_cell_quadrature(order, mesh, rule, n), np.array([n]))
-    return h[0], float(h0[0])
+    h, h0 = _hat_weights(_cell_averages(_cell_quadrature(order, mesh, rule, n), np.array([n]))[0])
+    return h, float(h0)
 
 
 @dataclass
 class WeightTable:
     """All collocation coefficients for one (order, mesh, rule) triple.
 
-    Dense mode stores the full lower-triangular history table h[n][i] plus
-    h0[n]; invariant mode (fast path) stores the two generating sequences
-    gen_left[k], gen_right[k] with
+    Dense mode stores the cell-average table B[n][j], j = 0..n (see the
+    module docstring). Invariant mode (fast path) stores two sequences
+    indexed by the gap k = n - j,
 
-        h[n][i] = gen_right[n-i] + gen_left[n-i-1]  (1 <= i < n),
-        h[n][n] = gen_right[0],      h0[n] = gen_left[n-1],
+        B[n][j] = gap_avg[n-j]  (1 <= j <= n),   B[n][0] = gap_nodal[n-1],
 
-    valid because K_s depends on t - s only for affine order on a uniform
-    mesh. Singular moments wL/wR are always dense (they depend on
-    alpha(t_n) row by row).
+    with gap_nodal[k-1] = K(t, t - k tau) - 1, valid because K depends on
+    t - s only for affine order on a uniform mesh. Singular moments wL/wR
+    are always dense (they depend on alpha(t_n) row by row). The hat-basis
+    history weights (h, h0, history_row, h_entry, gen_left, gen_right) are
+    derived from these on request; the march reads `averages` alone.
     """
 
     N: int
     invariant_mode: bool
     wL: np.ndarray
     wR: np.ndarray
-    h0: np.ndarray
-    h: np.ndarray | None = None
-    gen_left: np.ndarray | None = None
-    gen_right: np.ndarray | None = None
-    f_term: str = "moments"
+    B: np.ndarray | None = None
+    gap_avg: np.ndarray | None = None
+    gap_nodal: np.ndarray | None = None
+
+    def averages(self, n: int) -> np.ndarray:
+        """B[n][1..n], the increment coefficients of row n, as a view."""
+        if self.invariant_mode:
+            return self.gap_avg[n - 1 :: -1]
+        return self.B[n, 1 : n + 1]
+
+    @property
+    def h(self) -> np.ndarray | None:
+        """Dense history table h[n][i], column 0 zero (None on the fast path)."""
+        return None if self.invariant_mode else _hat_weights(self.B)[0]
+
+    @property
+    def h0(self) -> np.ndarray:
+        """u0 coefficients h0[n] = B[n][1] - B[n][0]; entry 0 is zero."""
+        if self.invariant_mode:
+            diff = self.gap_avg - self.gap_nodal
+        else:
+            diff = self.B[1:, 1] - self.B[1:, 0]
+        return np.concatenate(([0.0], diff))
+
+    @property
+    def gen_right(self) -> np.ndarray | None:
+        """K_k - A_k by gap k, with A_k = gap_avg[k] + 1 the cell average and
+        K_k the nodal kernel k steps back; h[n][n] = gen_right[0] and
+        h[n][i] = gen_right[n-i] + gen_left[n-i-1]. Fast path only."""
+        if not self.invariant_mode:
+            return None
+        return np.concatenate(([0.0], self.gap_nodal[:-1])) - self.gap_avg
+
+    @property
+    def gen_left(self) -> np.ndarray | None:
+        """A_k - K_{k+1} by gap k (see gen_right); h0[n] = gen_left[n-1]."""
+        if not self.invariant_mode:
+            return None
+        return self.gap_avg - self.gap_nodal
 
     def history_row(self, n: int) -> np.ndarray:
         """Row h[n][0..n] (entry 0 is zero; the u0 hat lives in h0)."""
-        if self.invariant_mode:
-            row = np.zeros(n + 1)
-            if n >= 1:
-                k = n - np.arange(1, n)
-                row[1:n] = self.gen_right[k] + self.gen_left[k - 1]
-                row[n] = self.gen_right[0]
-            return row
-        return self.h[n, : n + 1].copy()
+        first = self.gap_nodal[n - 1 : n] if self.invariant_mode else self.B[n, :1]
+        return _hat_weights(np.concatenate((first, self.averages(n))))[0]
 
     def h_entry(self, n: int, i: int) -> float:
         if not (1 <= i <= n <= self.N):
             raise IndexError(f"need 1 <= i <= n <= N, got i={i}, n={n}")
-        if self.invariant_mode:
-            if i == n:
-                return float(self.gen_right[0])
-            return float(self.gen_right[n - i] + self.gen_left[n - i - 1])
-        return float(self.h[n, i])
+        b = self.averages(n)
+        return float((b[i] if i < n else 0.0) - b[i - 1])
 
     def history_storage_entries(self) -> int:
         """Number of stored history coefficients (structural footprint)."""
         if self.invariant_mode:
-            return len(self.gen_left) + len(self.gen_right)
+            return len(self.gap_avg) + len(self.gap_nodal)
         return self.N * (self.N + 1) // 2
 
     def dump_csv(self, path) -> None:
@@ -325,78 +322,45 @@ def assemble(
     mesh: Mesh,
     rule: QuadratureRule | None = None,
     fast_path: bool = False,
-    f_term: str = "moments",
 ) -> WeightTable:
     """Build the full weight table.
 
     rule is the Gauss rule applied per mesh cell and per geometric panel of
     each row's diagonal cell; None means gauss_nodes(), 8 nodes. fast_path
-    requires a uniform mesh and a declared-affine order; it computes the
-    O(N) generating sequences of the translation-invariant history weights
-    instead of the dense O(N^2) triangle. f_term selects
-    closed-form singular moments ("moments", default) or the open-rule
-    quadrature variant ("quadrature") for the right-hand-side weights.
+    requires a uniform mesh and a declared-affine order; it stores the O(N)
+    gap-indexed cell averages and nodal kernel values of the translation-
+    invariant history instead of the dense O(N^2) table.
     """
-    if rule is None:
-        rule = gauss_nodes()
-    if f_term not in ("moments", "quadrature"):
-        raise ValueError(f"f_term must be 'moments' or 'quadrature', got {f_term!r}")
-    N = mesh.N
-
-    wL = np.zeros((N + 1, N + 1))
-    wR = np.zeros((N + 1, N + 1))
-    for n in range(1, N + 1):
-        if f_term == "moments":
-            wl, wr = _moment_row(order, mesh, n)
-        else:
-            wl, wr = _moment_row_quadrature(order, mesh, rule, n)
-        wL[n, 1 : n + 1] = wl
-        wR[n, 1 : n + 1] = wr
-
     if fast_path:
         if not mesh.is_uniform:
             raise ValueError("fast_path requires a uniform mesh (r = 1)")
         if not order.is_linear:
             raise ValueError("fast_path requires a declared-linear order")
+    if rule is None:
+        rule = gauss_nodes()
+    N = mesh.N
+
+    wL = np.zeros((N + 1, N + 1))
+    wR = np.zeros((N + 1, N + 1))
+    for n in range(1, N + 1):
+        wL[n, 1 : n + 1], wR[n, 1 : n + 1] = _moment_row(order, mesh, n)
+
     cq = _cell_quadrature(order, mesh, rule, N)
     if fast_path:
-        gen_left, gen_right = _generating_sequences(cq)
+        # row N holds every gap: cell N - k and node N - k lie k steps behind t_N
+        behind = slice(N - 1, None, -1)
         return WeightTable(
             N=N,
             invariant_mode=True,
             wL=wL,
             wR=wR,
-            h0=np.concatenate(([0.0], gen_left)),
-            gen_left=gen_left,
-            gen_right=gen_right,
-            f_term=f_term,
+            gap_avg=_cell_averages(cq, np.array([N]))[0, N:0:-1],
+            gap_nodal=_kernel_minus_one(
+                cq.alpha_t[N] - cq.alpha_t[behind], mesh.nodes[N] - mesh.nodes[behind]
+            ),
         )
 
-    h = np.zeros((N + 1, N + 1))
-    h0 = np.zeros(N + 1)
+    B = np.zeros((N + 1, N + 1))
     for rows in _row_blocks(N, rule):
-        lo, hi = rows[0], rows[-1] + 1
-        h[lo:hi, :hi], h0[lo:hi] = _history_rows(cq, rows)
-    return WeightTable(
-        N=N, invariant_mode=False, wL=wL, wR=wR, h0=h0, h=h, f_term=f_term
-    )
-
-
-def _generating_sequences(cq: _CellQuadrature):
-    """gen_left, gen_right from row N's cell averages, indexed by gap k.
-
-    For an affine order K(t, s) depends on t - s alone, so row N holds
-    every gap: with A_k the average of K(T, .) over cell N - k and
-    K_k = K(T, T - k tau),
-
-        gen_right[k] = K_k - A_k,    gen_left[k] = A_k - K_{k+1},
-
-    which reproduces the dense rows A_{i+1} - A_i, 1 - A_n and
-    A_1 - K(t_n, 0) of _history_rows.
-    """
-    N = cq.mesh.N
-    nodes = cq.mesh.nodes
-    by_gap = _cell_averages(cq, np.array([N]))[0, N:0:-1]
-    nodal = _kernel_minus_one(cq.alpha_t[N] - cq.alpha_t[:N], nodes[N] - nodes[:N])
-    nodal_by_gap = np.append(nodal, 0.0)[::-1]  # K(T, T) - 1 = 0
-    return by_gap - nodal_by_gap[1:], nodal_by_gap[:N] - by_gap
+        B[rows[0] : rows[-1] + 1, : rows[-1] + 1] = _cell_averages(cq, rows)
+    return WeightTable(N=N, invariant_mode=False, wL=wL, wR=wR, B=B)

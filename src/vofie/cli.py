@@ -126,7 +126,7 @@ def build_run(config: dict):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    rule = gauss_nodes(int(config.get("quad_nodes", 80)))
+    rule = gauss_nodes(int(config["quad_nodes"])) if "quad_nodes" in config else gauss_nodes()
     nspec = dict(config.get("newton", {}))
     _reject_unknown(nspec, _NEWTON_KEYS, "newton")
     try:
@@ -243,7 +243,6 @@ def cmd_converge(args) -> int:
         rule=rule,
         cfg=cfg,
         config_id=args.preset or args.config or "",
-        workers=args.workers,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -294,7 +293,6 @@ def main(argv=None) -> int:
         p.add_argument("--quad-nodes", type=int, default=None)
         p.add_argument("--newton-tol", type=float, default=None)
         p.add_argument("--fast-path", action="store_true")
-        p.add_argument("--workers", type=int, default=1)
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
     try:

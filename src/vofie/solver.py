@@ -1,14 +1,21 @@
 """Nonlinear time march for the collocation equations.
 
-Each node t_n yields one scalar implicit equation in U(t_n); the history and
-right-hand-side sums over earlier nodes are known, so the march is a sequence
-of scalar Newton solves seeded with the previous nodal value.
+Summation by parts turns collocation row n into the increment form
+
+    U_n - u0 + sum_{j<=n} B[n][j] (U_j - U_{j-1}) = sum_j (wL, wR) . f,
+
+with B[n][j] the cell-j average of K(t_n, .) minus 1 (see assembly). Every
+term but the node's own increment and f(U_n) is known once the earlier nodes
+are, so the march is a sequence of scalar Newton solves for the increment
+U_n - U_{n-1}, started from zero. The initial-data term and the u0 history
+coefficient cancel out of this form, and f = 0 gives zero increments, so
+u = u0 is kept exactly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,11 +28,14 @@ from .order import VariableOrder
 
 
 class NewtonDivergedError(RuntimeError):
-    """Newton failed at a node; carries the node index and last residual."""
+    """Newton failed at a node; carries the node index, the last residual
+    and, when raised by `solve`, the partial Solution: nodal values and
+    Newton counts up to node - 1, NaN and 0 from the failing node on."""
 
     def __init__(self, node: int, residual: float, message: str = ""):
         self.node = node
         self.residual = residual
+        self.partial: Solution | None = None
         super().__init__(
             message or f"Newton diverged at node {node} (last residual {residual:.3e})"
         )
@@ -109,62 +119,35 @@ class Solution:
             fh.write("\n")
 
 
-def solve_node(
-    problem: Problem,
-    weights: WeightTable,
-    mesh: Mesh,
-    values: np.ndarray,
-    fvals: np.ndarray,
-    n: int,
-    init: float,
-    cfg: NewtonConfig,
-):
-    """Solve the implicit collocation equation at node n.
+def _newton_increment(problem: Problem, u_prev: float, tn: float, diag: float,
+                      wrnn: float, known: float, cfg: NewtonConfig, n: int):
+    """Root d of diag * d - wrnn * f(u_prev + d, t_n) = known, from d = 0.
 
-    values[0..n-1] and fvals[0..n-1] (nodal f evaluations) must be fixed;
-    init is the initial-data term initial_coefficient(order, t_n, u0).
-    Returns (U(t_n), newton_iterations).
+    Returns (d, newton_iterations). The step test is relative to the nodal
+    value u_prev + d.
     """
-    tn = mesh.nodes[n]
-    row = weights.history_row(n)
-    hist = float(row[1:n] @ values[1:n]) + weights.h0[n] * problem.u0
-    hnn = row[n]
 
-    # known part of the product-integrated f term: coefficient of f_j is
-    # wR[n, j] (+ wL[n, j+1] for j < n); the j = n piece stays implicit
-    wl = weights.wL[n, 1 : n + 1]
-    wr = weights.wR[n, 1 : n + 1]
-    known_f = float(wl @ fvals[:n]) + float(wr[: n - 1] @ fvals[1:n])
-    wrnn = wr[n - 1]
+    def g(d):
+        return diag * d - wrnn * problem.f(u_prev + d, tn) - known
 
-    const = hist + known_f + init
-
-    x = values[n - 1] if n > 1 else problem.u0
-    iters = 0
-    for _ in range(cfg.max_iter):
-        iters += 1
-        g = x - hnn * x - wrnn * problem.f(x, tn) - const
-        gp = 1.0 - hnn - wrnn * problem.df_du(x, tn)
-        if not np.isfinite(g) or not np.isfinite(gp):
-            raise NewtonDivergedError(n, float(g) if np.isfinite(g) else np.inf)
+    d = 0.0
+    for it in range(1, cfg.max_iter + 1):
+        gd = g(d)
+        gp = diag - wrnn * problem.df_du(u_prev + d, tn)
+        if not np.isfinite(gd) or not np.isfinite(gp):
+            raise NewtonDivergedError(n, float(gd) if np.isfinite(gd) else np.inf)
         if abs(gp) < 1e-14:
             raise SingularJacobianError(f"|g'(x)| < 1e-14 at node {n}")
-        step = g / gp
+        step = gd / gp
+        lam = 1.0
         if cfg.damping:
-            lam = 1.0
-            while lam > 2**-20:
-                xn = x - lam * step
-                gn = xn - hnn * xn - wrnn * problem.f(xn, tn) - const
-                if abs(gn) <= abs(g):
-                    break
+            while lam > 2**-20 and abs(g(d - lam * step)) > abs(gd):
                 lam *= 0.5
-            x_new = x - lam * step
-        else:
-            x_new = x - step
-        if abs(x_new - x) <= cfg.tol * (1.0 + abs(x_new)):
-            return float(x_new), iters
-        x = x_new
-    raise NewtonDivergedError(n, abs(g), f"no convergence in {cfg.max_iter} iterations at node {n}")
+        d_new = d - lam * step
+        if abs(d_new - d) <= cfg.tol * (1.0 + abs(u_prev + d_new)):
+            return float(d_new), it
+        d = d_new
+    raise NewtonDivergedError(n, abs(gd), f"no convergence in {cfg.max_iter} iterations at node {n}")
 
 
 def solve(
@@ -174,38 +157,50 @@ def solve(
     cfg: NewtonConfig | None = None,
     weights: WeightTable | None = None,
     fast_path: bool = False,
-    f_term: str = "moments",
 ) -> Solution:
     """March the collocation scheme over the whole mesh.
 
-    U(t_0) = u0 by definition; each later node is a scalar Newton solve.
-    A prebuilt WeightTable can be passed to amortize assembly across solves.
-    The mesh, the problem and its order must share one horizon T.
+    U(t_0) = u0 by definition; each later node is a scalar Newton solve for
+    its increment. A prebuilt WeightTable can be passed to amortize assembly
+    across solves. The mesh, the problem and its order must share one
+    horizon T. A NewtonDivergedError carries the values solved so far.
     """
     if not (mesh.T == problem.T == problem.order.T):
         raise ValueError(
             f"horizon mismatch: mesh T = {mesh.T}, problem T = {problem.T}, "
             f"order T = {problem.order.T}"
         )
-    if rule is None:
-        rule = gauss_nodes()
     if cfg is None:
         cfg = NewtonConfig()
     if weights is None:
-        weights = assemble(problem.order, mesh, rule, fast_path=fast_path, f_term=f_term)
+        weights = assemble(problem.order, mesh, rule, fast_path=fast_path)
 
-    N = mesh.N
-    values = np.empty(N + 1)
+    N, u0 = mesh.N, problem.u0
+    values = np.full(N + 1, np.nan)
     fvals = np.empty(N + 1)
+    incs = np.empty(N + 1)
     stats = np.zeros(N + 1, dtype=int)
-    init = initial_coefficient(problem.order, mesh.nodes, problem.u0)
-    values[0] = problem.u0
-    fvals[0] = problem.f(problem.u0, 0.0)
+    values[0] = u0
+    fvals[0] = problem.f(u0, 0.0)
     for n in range(1, N + 1):
-        values[n], stats[n] = solve_node(
-            problem, weights, mesh, values, fvals, n, init[n], cfg
+        tn = mesh.nodes[n]
+        b = weights.averages(n)
+        wl = weights.wL[n, 1 : n + 1]
+        wr = weights.wR[n, 1 : n + 1]
+        # coefficient of f_j is wR[n, j] (+ wL[n, j+1] for j < n); f_n stays implicit
+        known = (
+            float(wl @ fvals[:n]) + float(wr[: n - 1] @ fvals[1:n])
+            - (values[n - 1] - u0) - float(b[: n - 1] @ incs[1:n])
         )
-        fvals[n] = problem.f(values[n], mesh.nodes[n])
+        try:
+            incs[n], stats[n] = _newton_increment(
+                problem, values[n - 1], tn, 1.0 + b[n - 1], wr[n - 1], known, cfg, n
+            )
+        except NewtonDivergedError as exc:
+            exc.partial = Solution(mesh=mesh, values=values, newton_stats=stats)
+            raise
+        values[n] = values[n - 1] + incs[n]
+        fvals[n] = problem.f(values[n], tn)
     return Solution(mesh=mesh, values=values, newton_stats=stats)
 
 

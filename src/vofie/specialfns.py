@@ -1,9 +1,6 @@
-"""Gamma-family special functions and the Mittag-Leffler series.
+"""The Mittag-Leffler series.
 
-Everything here is pure and stateless. Gamma and digamma are thin wrappers
-around scipy.special with argument validation matching the solver's needs
-(kernel arguments stay inside (0, 2), where these routines are accurate to
-machine precision). The Mittag-Leffler function is summed directly from its
+Pure and stateless. The Mittag-Leffler function is summed directly from its
 defining series; it is only used as an analytic oracle at moderate arguments.
 """
 
@@ -20,30 +17,6 @@ class MittagLefflerConvergenceError(RuntimeError):
 
 
 ML_MAX_TERMS = 10_000
-
-
-def gamma(x):
-    """Gamma function. Rejects the poles at non-positive integers.
-
-    Accepts scalars or arrays.
-    """
-    xa = np.asarray(x, dtype=float)
-    if np.any((xa <= 0) & (xa == np.floor(xa))):
-        raise ValueError("gamma is undefined at non-positive integers")
-    out = special.gamma(xa)
-    return float(out) if np.isscalar(x) or xa.ndim == 0 else out
-
-
-def digamma(x):
-    """Digamma function psi(x) = Gamma'(x)/Gamma(x) for x > 0.
-
-    Accepts scalars or arrays.
-    """
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0):
-        raise ValueError("digamma requires x > 0")
-    out = special.psi(xa)
-    return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
 @dataclass(frozen=True)

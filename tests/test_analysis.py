@@ -89,12 +89,6 @@ class TestRunConvergence:
         assert len(lines) == 3
         assert report.format_table()  # renders without error
 
-    def test_workers_match_sequential(self):
-        problem = sin4_problem(make_sine_order(0.6, 0.4))
-        seq = run_convergence(problem, "III", N_list=[12, 24], ref_N=120)
-        par = run_convergence(problem, "III", N_list=[12, 24], ref_N=120, workers=2)
-        np.testing.assert_array_equal(seq.errors, par.errors)
-
 
 class TestSingularityExponent:
     def test_constant_order_oracle(self):

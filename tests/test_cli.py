@@ -26,7 +26,7 @@ class TestConfigResolution:
         for name, preset in PRESETS.items():
             problem, mesh, rule, cfg, conv = build_run(json.loads(json.dumps(preset)))
             assert mesh.N >= 48, name
-            assert rule.count == 80
+            assert rule.count == 8  # the library rule, gauss_nodes()
             assert cfg.tol == 1e-10
 
     def test_unknown_keys_rejected(self, tmp_path, capsys):

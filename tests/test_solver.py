@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from vofie.assembly import assemble, gauss_nodes, singular_moments
 from vofie.kernel import initial_coefficient
 from vofie.mesh import make_mesh
-from vofie.order import make_constant_order, make_sine_order
+from vofie.order import make_constant_order, make_linear_order, make_sine_order
 from vofie.solver import (
     NewtonConfig,
     NewtonDivergedError,
@@ -52,6 +52,35 @@ class TestConstantPreservation:
         problem = problem_zero(make_sine_order(0.6, 0.1))
         sol = solve(problem, make_mesh(1.0, 8, 1.0))
         assert sol.values[0] == 1.0
+
+    @pytest.mark.parametrize(
+        "order,r,fast_path",
+        [
+            (make_sine_order(0.6, 0.1), 1.0, False),
+            (make_sine_order(0.6, 0.1), 1.0 / 0.6, False),
+            (make_linear_order(0.6, 0.1), 1.0, True),
+        ],
+    )
+    def test_f_zero_keeps_u0_exactly(self, order, r, fast_path):
+        # increment form: f = 0 gives zero increments, not rounding-sized ones
+        problem = Problem(f=f_zero, df_du=df_zero, u0=1.3, T=1.0, order=order)
+        sol = solve(problem, make_mesh(1.0, 512, r), fast_path=fast_path)
+        assert np.all(sol.values == 1.3)
+
+
+class TestFastPath:
+    def test_fast_march_matches_dense(self):
+        # one march loop reads the dense table or the gap sequences
+        problem = Problem(
+            f=lambda u, t: 0.5 * np.sin(u) ** 4,
+            df_du=lambda u, t: 2.0 * np.sin(u) ** 3 * np.cos(u),
+            u0=1.0, T=1.0, order=make_linear_order(0.9, 0.4),
+        )
+        mesh = make_mesh(1.0, 200, 1.0)
+        dense = solve(problem, mesh)
+        fast = solve(problem, mesh, fast_path=True)
+        np.testing.assert_allclose(fast.values, dense.values, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(fast.newton_stats, dense.newton_stats)
 
 
 class TestAnalyticOracles:
@@ -118,6 +147,28 @@ class TestNewtonBehavior:
         with pytest.raises(NewtonDivergedError) as err:
             solve(problem, make_mesh(1.0, 4, 1.0), cfg=NewtonConfig(max_iter=1))
         assert err.value.node >= 1
+
+    def test_diverged_error_carries_partial_solution(self):
+        # u' ~ u^2 from u0 = 2 blows up before T = 1
+        order = make_constant_order(0.8)
+        problem = Problem(
+            f=lambda u, t: u**2, df_du=lambda u, t: 2.0 * u, u0=2.0, T=1.0, order=order
+        )
+        mesh = make_mesh(1.0, 64, 1.0)
+        with pytest.raises(NewtonDivergedError) as err:
+            solve(problem, mesh)
+        node, partial = err.value.node, err.value.partial
+        assert node == 16
+        assert np.all(np.isfinite(partial.values[:node]))
+        assert np.all(np.isnan(partial.values[node:]))
+        assert np.all(partial.newton_stats[1:node] >= 1) and not partial.newton_stats[node:].any()
+        # the march is causal: a solve that stops at t_{node-1} gives the same values
+        T = mesh.nodes[node - 1]
+        short = Problem(f=problem.f, df_du=problem.df_du, u0=2.0, T=T,
+                        order=make_constant_order(0.8, T=T))
+        truncated = solve(short, make_mesh(T, node - 1, 1.0))
+        np.testing.assert_allclose(partial.values[:node], truncated.values, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(partial.newton_stats[:node], truncated.newton_stats)
 
     def test_singular_jacobian(self):
         order = make_constant_order(0.5)

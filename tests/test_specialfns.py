@@ -6,63 +6,8 @@ import pytest
 from vofie.specialfns import (
     MLParams,
     MittagLefflerConvergenceError,
-    digamma,
-    gamma,
     mittag_leffler,
 )
-
-
-class TestGamma:
-    def test_integer_values(self):
-        assert gamma(1.0) == pytest.approx(1.0, abs=1e-14)
-        assert gamma(4.0) == pytest.approx(6.0, rel=1e-14)
-
-    def test_half_squared_is_pi(self):
-        # cross-check identity Gamma(1/2)^2 = pi
-        assert gamma(0.5) ** 2 == pytest.approx(math.pi, abs=1e-12)
-
-    def test_pole_rejected(self):
-        for x in (0.0, -1.0, -7.0):
-            with pytest.raises(ValueError):
-                gamma(x)
-
-    def test_recurrence(self):
-        rng = np.random.default_rng(42)
-        xs = rng.uniform(0.1, 20.0, 100)
-        for x in xs:
-            assert abs(gamma(x + 1.0) - x * gamma(x)) <= 1e-11 * gamma(x + 1.0)
-
-    def test_vectorized(self):
-        xs = np.array([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_allclose(gamma(xs), [1.0, 1.0, 2.0, 6.0], rtol=1e-14)
-
-
-class TestDigamma:
-    def test_recurrence_at_two(self):
-        assert digamma(2.0) == pytest.approx(digamma(1.0) + 1.0, abs=1e-13)
-
-    def test_euler_mascheroni(self):
-        # oracle: -gamma_E = lim (sum 1/k - ln n), accelerated by the midpoint shift
-        n = 2_000_000
-        harmonic = np.sum(1.0 / np.arange(1, n + 1))
-        gamma_e = harmonic - math.log(n + 0.5)
-        assert digamma(1.0) == pytest.approx(-gamma_e, abs=1e-7)
-        assert digamma(1.0) == pytest.approx(-0.5772156649015329, abs=1e-12)
-
-    def test_duplication_at_half(self):
-        assert digamma(0.5) == pytest.approx(digamma(1.0) - 2 * math.log(2), abs=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            digamma(0.0)
-        with pytest.raises(ValueError):
-            digamma(-1.5)
-
-    def test_recurrence_random(self):
-        rng = np.random.default_rng(7)
-        xs = rng.uniform(0.1, 20.0, 100)
-        for x in xs:
-            assert abs(digamma(x + 1.0) - digamma(x) - 1.0 / x) <= 1e-11
 
 
 class TestMittagLeffler:
