@@ -40,6 +40,7 @@ from .order import (
 from .solver import (
     NewtonConfig,
     NewtonDivergedError,
+    NewtonError,
     Problem,
     SingularJacobianError,
     Solution,
@@ -62,6 +63,7 @@ __all__ = [
     "MittagLefflerConvergenceError",
     "NewtonConfig",
     "NewtonDivergedError",
+    "NewtonError",
     "OrderValidationReport",
     "Problem",
     "QuadratureRule",

@@ -8,17 +8,23 @@ Two coefficient families are built per collocation row n:
   history term of row n into U_n - u0 + sum_j B[n][j] (U_j - U_{j-1}),
   which is the increment form the march solves. A short Gauss-Legendre
   rule per cell resolves the averages; the diagonal cell gets geometric
-  sub-panels toward s = t_n, where K has a v ln v corner. The dense table
-  is filled in blocks of rows, each a few vectorised kernel sweeps;
+  sub-panels toward s = t_n, where K has a v ln v corner;
 * singular moments wL/wR: integrals of the two hat pieces on each cell
   against the weakly singular weight (t_n - s)^{alpha(t_n)-1}/Gamma(alpha(t_n)),
-  in closed form (product integration).
+  in closed form (product integration), with wL + wR equal to the cell's
+  singular mass by construction.
 
-The hat-basis history weights h[n][i] = B[n][i+1] - B[n][i], h[n][n] =
--B[n][n] and the u0 coefficient h0[n] = B[n][1] - B[n][0] are derived views
-of the same table. For an affine order on a uniform mesh K depends on t - s
-alone; the fast path stores one gap-indexed sequence of cell averages and the
-nodal K - 1 instead of the dense table.
+`coefficient_rows` streams the rows: it builds both families for one block
+of rows at a time in a few vectorised sweeps and drops the block once its
+rows are consumed, so a solve holds O(N) memory. For an affine order on a
+uniform mesh K depends on t - s alone; the fast path then keeps one
+gap-indexed sequence of cell averages and skips the per-block kernel sweeps,
+streaming only the moments.
+
+`assemble` collects the same rows into a dense WeightTable, the cache that
+coefficient dumps and the tests read. The hat-basis history weights
+h[n][i] = B[n][i+1] - B[n][i], h[n][n] = -B[n][n] and the u0 coefficient
+h0[n] = B[n][1] - B[n][0] are derived views of its averages.
 """
 
 from __future__ import annotations
@@ -81,37 +87,39 @@ def _diag_edges(lo, hi) -> np.ndarray:
     return np.concatenate((lo, inner, hi), axis=-1)
 
 
-def _moment_row(order: VariableOrder, mesh: Mesh, n: int):
-    """Closed-form hat moments for all cells i = 1..n of row n.
+def _moments(mesh: Mesh, rows: np.ndarray, al: np.ndarray):
+    """Closed-form hat moments (wL, wR) of cells 1..rows[-1] for each row n
+    in `rows`, with al = alpha(t_n) per row; columns past n are zero.
 
     Substituting v = t_n - s with a = t_n - t_i, b = t_n - t_{i-1} and
-    writing al = alpha(t_n):
+    writing G = Gamma(al), the cell's singular mass and left moment are
 
+        m  = (b^al - a^al) / (al G),
         wL = [(b^{al+1} - a^{al+1})/(al+1) - a (b^al - a^al)/al] / (tau_i G),
-        wR = [b (b^al - a^al)/al - (b^{al+1} - a^{al+1})/(al+1)] / (tau_i G),
 
-    with G = Gamma(al). wL multiplies the nodal value at t_{i-1}, wR the
-    one at t_i; both are nonnegative and sum to the cell's singular mass.
+    and wR = m - wL, so wL + wR is the cell's mass to one rounding. wL
+    multiplies the nodal value at t_{i-1}, wR the one at t_i; both are
+    nonnegative. One power per point: with v_k = t_n - t_k and P_k = v_k^al,
+    b^al - a^al and b^{al+1} - a^{al+1} are differences of P and v P along k.
     """
-    tn = mesh.nodes[n]
-    al = float(order.alpha(tn))
-    a = tn - mesh.nodes[1 : n + 1]
-    b = tn - mesh.nodes[:n]
-    tau = mesh.steps[:n]
-    pa = b**al - a**al
-    pa1 = b ** (al + 1.0) - a ** (al + 1.0)
+    width = rows[-1] + 1
+    v = np.maximum(mesh.nodes[rows, None] - mesh.nodes[:width], 0.0)
+    al = al[:, None]
+    p = v**al
+    pa = p[:, :-1] - p[:, 1:]
+    p *= v
+    pa1 = p[:, :-1] - p[:, 1:]
     g = special.gamma(al)
-    wl = (pa1 / (al + 1.0) - a * pa / al) / (tau * g)
-    wr = (b * pa / al - pa1 / (al + 1.0)) / (tau * g)
-    return wl, wr
+    wl = (pa1 / (al + 1.0) - v[:, 1:] * pa / al) / (mesh.steps[: width - 1] * g)
+    return wl, pa / (al * g) - wl
 
 
 def singular_moments(order: VariableOrder, mesh: Mesh, n: int, i: int):
-    """Closed-form (wL, wR) for cell i of row n; see _moment_row."""
+    """Closed-form (wL, wR) for cell i of row n; see _moments."""
     if not (1 <= i <= n <= mesh.N):
         raise IndexError(f"need 1 <= i <= n <= N, got i={i}, n={n}, N={mesh.N}")
-    wl, wr = _moment_row(order, mesh, n)
-    return float(wl[i - 1]), float(wr[i - 1])
+    wl, wr = _moments(mesh, np.array([n]), np.array([order.alpha(mesh.nodes[n])], dtype=float))
+    return float(wl[0, i - 1]), float(wr[0, i - 1])
 
 
 def _kernel_minus_one(da, v):
@@ -238,9 +246,10 @@ class WeightTable:
 
     with gap_nodal[k-1] = K(t, t - k tau) - 1, valid because K depends on
     t - s only for affine order on a uniform mesh. Singular moments wL/wR
-    are always dense (they depend on alpha(t_n) row by row). The hat-basis
-    history weights (h, h0, history_row, h_entry, gen_left, gen_right) are
-    derived from these on request; the march reads `averages` alone.
+    are dense in both modes (they depend on alpha(t_n) row by row). The
+    hat-basis history weights (h, h0, history_row, h_entry, gen_left,
+    gen_right) are derived from these on request. `solve` does not build
+    this table; it streams the same rows from `coefficient_rows`.
     """
 
     N: int
@@ -317,50 +326,68 @@ class WeightTable:
                     )
 
 
-def assemble(
+def coefficient_rows(
     order: VariableOrder,
     mesh: Mesh,
     rule: QuadratureRule | None = None,
     fast_path: bool = False,
-) -> WeightTable:
-    """Build the full weight table.
+):
+    """Yield the collocation rows (n, wL[n][1..n], wR[n][1..n], B[n][1..n])
+    for n = 1..N.
 
-    rule is the Gauss rule applied per mesh cell and per geometric panel of
-    each row's diagonal cell; None means gauss_nodes(), 8 nodes. fast_path
-    requires a uniform mesh and a declared-affine order; it stores the O(N)
-    gap-indexed cell averages and nodal kernel values of the translation-
-    invariant history instead of the dense O(N^2) table.
+    Each block of _row_blocks gets its moments and, in dense mode, its cell
+    averages in one go; both are dropped once its rows are consumed, so
+    memory stays O(N) plus one block of HISTORY_BLOCK_POINTS kernel points,
+    whatever N is. On the fast path the B rows are views of row N, which
+    holds every gap. `rule` and `fast_path` are as for `assemble`; the
+    fast-path preconditions are checked when iteration starts.
     """
     if fast_path:
         if not mesh.is_uniform:
             raise ValueError("fast_path requires a uniform mesh (r = 1)")
         if not order.is_linear:
             raise ValueError("fast_path requires a declared-linear order")
-    if rule is None:
-        rule = gauss_nodes()
     N = mesh.N
+    cq = _cell_quadrature(order, mesh, gauss_nodes() if rule is None else rule, N)
+    # B[n][j] = B[N][N - n + j]: cell j lies n - j steps behind t_n
+    last = _cell_averages(cq, np.array([N]))[0, 1:] if fast_path else None
+    for rows in _row_blocks(N, cq.rule):
+        wl, wr = _moments(mesh, rows, cq.alpha_t[rows])
+        b = None if fast_path else _cell_averages(cq, rows)
+        for k, n in enumerate(rows.tolist()):
+            yield n, wl[k, :n], wr[k, :n], last[N - n :] if fast_path else b[k, 1 : n + 1]
 
+
+def assemble(
+    order: VariableOrder,
+    mesh: Mesh,
+    rule: QuadratureRule | None = None,
+    fast_path: bool = False,
+) -> WeightTable:
+    """Build the full weight table from the rows of `coefficient_rows`.
+
+    rule is the Gauss rule applied per mesh cell and per geometric panel of
+    each row's diagonal cell; None means gauss_nodes(), 8 nodes. fast_path
+    requires a uniform mesh and a declared-affine order; it stores the O(N)
+    gap-indexed cell averages and nodal kernel values of the translation-
+    invariant history instead of the dense O(N^2) table. The moments are
+    dense in both modes: this table is a cache for inspection, not what a
+    solve holds.
+    """
+    N = mesh.N
     wL = np.zeros((N + 1, N + 1))
     wR = np.zeros((N + 1, N + 1))
-    for n in range(1, N + 1):
-        wL[n, 1 : n + 1], wR[n, 1 : n + 1] = _moment_row(order, mesh, n)
-
-    cq = _cell_quadrature(order, mesh, rule, N)
+    B = None if fast_path else np.zeros((N + 1, N + 1))
+    for n, wl, wr, b in coefficient_rows(order, mesh, rule, fast_path):
+        wL[n, 1 : n + 1] = wl
+        wR[n, 1 : n + 1] = wr
+        if B is not None:
+            B[n, 1 : n + 1] = b
+    alpha_t = np.asarray(order.alpha(mesh.nodes), dtype=float)
+    nodal = _kernel_minus_one(alpha_t[1:] - alpha_t[0], mesh.nodes[1:])  # K(t_n, 0) - 1
     if fast_path:
-        # row N holds every gap: cell N - k and node N - k lie k steps behind t_N
-        behind = slice(N - 1, None, -1)
-        return WeightTable(
-            N=N,
-            invariant_mode=True,
-            wL=wL,
-            wR=wR,
-            gap_avg=_cell_averages(cq, np.array([N]))[0, N:0:-1],
-            gap_nodal=_kernel_minus_one(
-                cq.alpha_t[N] - cq.alpha_t[behind], mesh.nodes[N] - mesh.nodes[behind]
-            ),
-        )
-
-    B = np.zeros((N + 1, N + 1))
-    for rows in _row_blocks(N, rule):
-        B[rows[0] : rows[-1] + 1, : rows[-1] + 1] = _cell_averages(cq, rows)
+        # b is row N: gap k = N - j
+        return WeightTable(N=N, invariant_mode=True, wL=wL, wR=wR,
+                           gap_avg=b[::-1], gap_nodal=nodal)
+    B[1:, 0] = nodal
     return WeightTable(N=N, invariant_mode=False, wL=wL, wR=wR, B=B)

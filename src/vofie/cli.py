@@ -23,7 +23,7 @@ from .order import (
     make_linear_order,
     make_sine_order,
 )
-from .solver import NewtonConfig, Problem, solve
+from .solver import NewtonConfig, NewtonError, Problem, solve
 
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
@@ -205,9 +205,16 @@ def load_config(args) -> dict:
 def cmd_solve(args) -> int:
     config = load_config(args)
     problem, mesh, rule, cfg, _ = build_run(config)
-    solution = solve(problem, mesh, rule, cfg, fast_path=args.fast_path)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    try:
+        solution = solve(problem, mesh, rule, cfg, fast_path=args.fast_path)
+    except NewtonError as exc:
+        # where the march stopped, for callers that only read the outputs
+        with open(out / "summary.json", "w") as fh:
+            json.dump(exc.summary(), fh, indent=2)
+            fh.write("\n")
+        raise
     if args.format == "csv":
         solution.to_csv(out / "solution.csv")
     else:
@@ -261,9 +268,8 @@ def cmd_coeffs(args) -> int:
     if args.fast_path:
         fast = assemble(problem.order, mesh, rule, fast_path=True)
         disc = max(
-            abs(dense.h_entry(n, i) - fast.h_entry(n, i))
+            float(np.max(np.abs(dense.history_row(n) - fast.history_row(n))))
             for n in range(1, mesh.N + 1)
-            for i in range(1, n + 1)
         )
         np.savetxt(
             out / "generating_sequence.csv",

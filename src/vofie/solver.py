@@ -10,6 +10,10 @@ are, so the march is a sequence of scalar Newton solves for the increment
 U_n - U_{n-1}, started from zero. The initial-data term and the u0 history
 coefficient cancel out of this form, and f = 0 gives zero increments, so
 u = u0 is kept exactly.
+
+The march reads row n of (wL, wR, B) only while it solves node n, so it
+consumes the rows as `assembly.coefficient_rows` streams them, one block at
+a time, and never holds an (N+1)^2 table: memory is O(N) for every solve.
 """
 
 from __future__ import annotations
@@ -21,28 +25,56 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .assembly import QuadratureRule, WeightTable, assemble, gauss_nodes, _diag_edges
+# assemble is not called here any more; the name stays importable from this
+# module because perfbench's traced run hooks it.
+from .assembly import assemble  # noqa: F401
+from .assembly import QuadratureRule, coefficient_rows, gauss_nodes, _diag_edges
 from .kernel import initial_coefficient, kernel_Ks
 from .mesh import Mesh
 from .order import VariableOrder
 
 
-class NewtonDivergedError(RuntimeError):
-    """Newton failed at a node; carries the node index, the last residual
-    and, when raised by `solve`, the partial Solution: nodal values and
+class NewtonError(RuntimeError):
+    """Newton failed at a node. Carries the node index, the last residual
+    |g| and, when raised by `solve`, the partial Solution: nodal values and
     Newton counts up to node - 1, NaN and 0 from the failing node on."""
 
-    def __init__(self, node: int, residual: float, message: str = ""):
+    def __init__(self, node: int, residual: float, message: str):
         self.node = node
         self.residual = residual
         self.partial: Solution | None = None
+        super().__init__(message)
+
+    def summary(self) -> dict:
+        """Failure record: the error class, the failing node, the last
+        residual (None when not finite) and t_reached, the time of the last
+        solved node (None without a partial Solution)."""
+        t_reached = None
+        if self.partial is not None:
+            t_reached = float(self.partial.mesh.nodes[self.node - 1])
+        return {
+            "error": type(self).__name__,
+            "failed_node": self.node,
+            "last_residual": float(self.residual) if np.isfinite(self.residual) else None,
+            "t_reached": t_reached,
+        }
+
+
+class NewtonDivergedError(NewtonError):
+    """Newton produced a non-finite value or ran out of iterations."""
+
+    def __init__(self, node: int, residual: float, message: str = ""):
         super().__init__(
-            message or f"Newton diverged at node {node} (last residual {residual:.3e})"
+            node, residual,
+            message or f"Newton diverged at node {node} (last residual {residual:.3e})",
         )
 
 
-class SingularJacobianError(RuntimeError):
+class SingularJacobianError(NewtonError):
     """The scalar Jacobian g'(x) vanished during a Newton solve."""
+
+    def __init__(self, node: int, residual: float):
+        super().__init__(node, residual, f"|g'(x)| < 1e-14 at node {node}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +169,7 @@ def _newton_increment(problem: Problem, u_prev: float, tn: float, diag: float,
         if not np.isfinite(gd) or not np.isfinite(gp):
             raise NewtonDivergedError(n, float(gd) if np.isfinite(gd) else np.inf)
         if abs(gp) < 1e-14:
-            raise SingularJacobianError(f"|g'(x)| < 1e-14 at node {n}")
+            raise SingularJacobianError(n, abs(gd))
         step = gd / gp
         lam = 1.0
         if cfg.damping:
@@ -155,15 +187,15 @@ def solve(
     mesh: Mesh,
     rule: QuadratureRule | None = None,
     cfg: NewtonConfig | None = None,
-    weights: WeightTable | None = None,
     fast_path: bool = False,
 ) -> Solution:
     """March the collocation scheme over the whole mesh.
 
     U(t_0) = u0 by definition; each later node is a scalar Newton solve for
-    its increment. A prebuilt WeightTable can be passed to amortize assembly
-    across solves. The mesh, the problem and its order must share one
-    horizon T. A NewtonDivergedError carries the values solved so far.
+    its increment. The coefficient rows are streamed in blocks
+    (`coefficient_rows`), so memory is O(N) in both modes. The mesh, the
+    problem and its order must share one horizon T. A NewtonError carries
+    the values solved so far.
     """
     if not (mesh.T == problem.T == problem.order.T):
         raise ValueError(
@@ -172,8 +204,6 @@ def solve(
         )
     if cfg is None:
         cfg = NewtonConfig()
-    if weights is None:
-        weights = assemble(problem.order, mesh, rule, fast_path=fast_path)
 
     N, u0 = mesh.N, problem.u0
     values = np.full(N + 1, np.nan)
@@ -182,11 +212,8 @@ def solve(
     stats = np.zeros(N + 1, dtype=int)
     values[0] = u0
     fvals[0] = problem.f(u0, 0.0)
-    for n in range(1, N + 1):
+    for n, wl, wr, b in coefficient_rows(problem.order, mesh, rule, fast_path):
         tn = mesh.nodes[n]
-        b = weights.averages(n)
-        wl = weights.wL[n, 1 : n + 1]
-        wr = weights.wR[n, 1 : n + 1]
         # coefficient of f_j is wR[n, j] (+ wL[n, j+1] for j < n); f_n stays implicit
         known = (
             float(wl @ fvals[:n]) + float(wr[: n - 1] @ fvals[1:n])
@@ -196,7 +223,7 @@ def solve(
             incs[n], stats[n] = _newton_increment(
                 problem, values[n - 1], tn, 1.0 + b[n - 1], wr[n - 1], known, cfg, n
             )
-        except NewtonDivergedError as exc:
+        except NewtonError as exc:
             exc.partial = Solution(mesh=mesh, values=values, newton_stats=stats)
             raise
         values[n] = values[n - 1] + incs[n]

@@ -70,6 +70,24 @@ class TestCmdSolve:
         assert main(["solve", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
 
+    def test_newton_failure_writes_summary(self, tmp_path, capsys):
+        config = {
+            "problem": {"f": "sin4", "u0": 1.0, "T": 1.0},
+            "order": {"family": "sine", "a0": 0.6, "a1": 0.4},
+            "mesh": {"N": 16, "r": 1.0},
+            "newton": {"max_iter": 1},
+        }
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", write_config(tmp_path, config), "--out", str(out)])
+        assert rc == 2
+        assert "node 1" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["error"] == "NewtonDivergedError"
+        assert summary["failed_node"] == 1
+        assert summary["t_reached"] == 0.0
+        assert summary["last_residual"] > 0.0
+        assert not (out / "solution.csv").exists()
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "out"
         rc = main([

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from vofie.assembly import assemble, gauss_nodes, singular_moments
+from vofie.assembly import _moments, singular_moments
 from vofie.kernel import initial_coefficient
 from vofie.mesh import make_mesh
 from vofie.order import make_constant_order, make_linear_order, make_sine_order
@@ -81,6 +82,65 @@ class TestFastPath:
         fast = solve(problem, mesh, fast_path=True)
         np.testing.assert_allclose(fast.values, dense.values, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(fast.newton_stats, dense.newton_stats)
+
+
+def sin4_problem(order):
+    return Problem(
+        f=lambda u, t: 0.5 * np.sin(u) ** 4,
+        df_du=lambda u, t: 2.0 * np.sin(u) ** 3 * np.cos(u),
+        u0=1.0, T=1.0, order=order,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    start=st.floats(0.3, 1.0),
+    frac=st.floats(0.0, 1.0),
+    N=st.integers(1, 200),
+    grading=st.floats(0.0, 1.0),
+)
+def test_affine_orders_fast_equals_dense(start, frac, N, grading):
+    order = make_linear_order(start, 0.1 + frac * (start - 0.1))
+    problem = sin4_problem(order)
+    mesh = make_mesh(1.0, N, 1.0)
+    dense = solve(problem, mesh)
+    fast = solve(problem, mesh, fast_path=True)
+    np.testing.assert_allclose(fast.values, dense.values, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(fast.newton_stats, dense.newton_stats)
+    # block moments of every row: nonnegative, and each cell's pair sums to
+    # its closed-form singular mass (b^al - a^al) / (al Gamma(al))
+    mesh = make_mesh(1.0, N, 1.0 + grading * (1.0 / start - 1.0))
+    rows = np.arange(1, N + 1)
+    al = order.alpha(mesh.nodes[rows])
+    wl, wr = _moments(mesh, rows, al)
+    assert np.all(wl >= 0.0) and np.all(wr >= 0.0)
+    t = mesh.nodes
+    for k, n in enumerate(rows):
+        a, b = t[n] - t[1 : n + 1], t[n] - t[:n]
+        mass = (b ** al[k] - a ** al[k]) / (al[k] * math.gamma(al[k]))
+        np.testing.assert_allclose(wl[k, :n] + wr[k, :n], mass, rtol=1e-14, atol=0)
+        assert not wl[k, n:].any() and not wr[k, n:].any()
+
+
+class TestMemory:
+    @pytest.mark.parametrize(
+        "order,N,r,fast_path",
+        [
+            (make_linear_order(0.9, 0.4), 4000, 1.0, True),
+            (make_sine_order(0.6, 0.4), 1440, 1.0 / 0.6, False),
+        ],
+    )
+    def test_solve_peak_stays_linear(self, order, N, r, fast_path):
+        # rows are streamed in blocks; an (N+1)^2 table would be 128 MB at
+        # N = 4000 and 17 MB at N = 1440
+        problem, mesh = sin4_problem(order), make_mesh(1.0, N, r)
+        tracemalloc.start()
+        try:
+            solve(problem, mesh, fast_path=fast_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestAnalyticOracles:
@@ -179,8 +239,12 @@ class TestNewtonBehavior:
             f=lambda u, t: lam * u, df_du=lambda u, t: lam + 0.0 * u,
             u0=1.0, T=1.0, order=order,
         )
-        with pytest.raises(SingularJacobianError):
+        with pytest.raises(SingularJacobianError) as err:
             solve(problem, mesh)
+        # like NewtonDivergedError: where the march stopped and what it solved
+        assert err.value.node == 1
+        assert err.value.partial.values[0] == problem.u0
+        assert np.all(np.isnan(err.value.partial.values[1:]))
 
     def test_damping_flag_still_converges(self):
         order = make_sine_order(0.6, 0.1)
