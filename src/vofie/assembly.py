@@ -92,26 +92,39 @@ def _moments(mesh: Mesh, rows: np.ndarray, al: np.ndarray):
     in `rows`, with al = alpha(t_n) per row; columns past n are zero.
 
     Substituting v = t_n - s with a = t_n - t_i, b = t_n - t_{i-1} and
-    writing G = Gamma(al), the cell's singular mass and left moment are
+    writing G = Gamma(al), the cell's singular mass is
 
-        m  = (b^al - a^al) / (al G),
-        wL = [(b^{al+1} - a^{al+1})/(al+1) - a (b^al - a^al)/al] / (tau_i G),
+        m = (b^al - a^al) / (al G),
 
-    and wR = m - wL, so wL + wR is the cell's mass to one rounding. wL
-    multiplies the nodal value at t_{i-1}, wR the one at t_i; both are
-    nonnegative. One power per point: with v_k = t_n - t_k and P_k = v_k^al,
-    b^al - a^al and b^{al+1} - a^{al+1} are differences of P and v P along k.
+    taken as a difference of P_k = v_k^al (one power per point), so the
+    masses of a row telescope to t_n^al / Gamma(al + 1). wL multiplies the
+    nodal value at t_{i-1}, wR the one at t_i; wL = theta m and wR = m - wL,
+    so both are nonnegative and wL + wR is m to one rounding. With
+    q = (b - a)/b and D = 1 - (a/b)^al = -expm1(al log1p(-q)),
+
+        theta = (al q - (1 - q) D) / ((al + 1) q D),
+
+    which runs from 1/2 (q -> 0, far cells) to al/(al + 1) (q = 1, the
+    diagonal cell). The direct form of wL, [(b^{al+1} - a^{al+1})/(al+1)
+    - a (b^al - a^al)/al] / (tau G), has a relative error of about
+    eps (b/tau)^2 and goes negative on far cells of a graded mesh; theta's
+    is about eps b/tau, as m's, and theta is clipped to its range against
+    rounding as q -> 0.
     """
     width = rows[-1] + 1
     v = np.maximum(mesh.nodes[rows, None] - mesh.nodes[:width], 0.0)
     al = al[:, None]
-    p = v**al
-    pa = p[:, :-1] - p[:, 1:]
-    p *= v
-    pa1 = p[:, :-1] - p[:, 1:]
-    g = special.gamma(al)
-    wl = (pa1 / (al + 1.0) - v[:, 1:] * pa / al) / (mesh.steps[: width - 1] * g)
-    return wl, pa / (al * g) - wl
+    m = v**al
+    m = (m[:, :-1] - m[:, 1:]) / (al * special.gamma(al))
+    b, a = v[:, :-1], v[:, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = (b - a) / b
+        e = np.expm1(al * np.log1p(-q))  # -D
+        theta = (q * (al - e) + e) / (q * e) * (-1.0 / (al + 1.0))
+    # fmax/fmin also map the NaN of the zero columns past n (q = 0/0)
+    # into range, where m = 0
+    wl = np.fmin(np.fmax(theta, al / (al + 1.0), out=theta), 0.5, out=theta) * m
+    return wl, m - wl
 
 
 def singular_moments(order: VariableOrder, mesh: Mesh, n: int, i: int):

@@ -112,6 +112,26 @@ class TestSingularMoments:
                 assert abs(wl - float(oracle_l)) <= 1e-12, i
                 assert abs(wr - float(oracle_r)) <= 1e-12, i
 
+    def test_far_cells_keep_relative_accuracy(self):
+        # far cells of a strongly graded row have tau_i / (t_n - t_i) down to
+        # 1e-5; against 40-digit closed forms both pieces must stay accurate
+        # relative to their own size (a direct wL formula is off by 1e-6)
+        order = make_sine_order(0.6, 0.4)
+        mesh = make_mesh(1.0, 1440, 1.0 / 0.6)
+        n = mesh.N
+        with mpmath.workdps(40):
+            tn = mpmath.mpf(mesh.nodes[n])
+            al = mpmath.mpf(float(order.alpha(mesh.nodes[n])))
+            g = mpmath.gamma(al)
+            for i in (1, 2, 3, 10, 100):
+                a, b = tn - mpmath.mpf(mesh.nodes[i]), tn - mpmath.mpf(mesh.nodes[i - 1])
+                mass = (b**al - a**al) / (al * g)
+                oracle_l = ((b ** (al + 1) - a ** (al + 1)) / (al + 1) - a * mass * g) / ((b - a) * g)
+                oracle_r = mass - oracle_l
+                wl, wr = singular_moments(order, mesh, n, i)
+                assert abs(wl / float(oracle_l) - 1.0) <= 1e-9, i
+                assert abs(wr / float(oracle_r) - 1.0) <= 1e-9, i
+
     def test_index_errors(self):
         order = make_constant_order(0.5)
         mesh = make_mesh(1.0, 4, 1.0)
