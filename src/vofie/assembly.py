@@ -21,6 +21,22 @@ uniform mesh K depends on t - s alone; the fast path then keeps one
 gap-indexed sequence of cell averages and skips the per-block kernel sweeps,
 streaming only the moments.
 
+Far field. Consecutive blocks form row groups t_lo..t_hi of about
+sqrt(FAR_POINTS n) rows. Cells that end FAR_SEPARATION (t_hi - t_lo) or more
+before t_lo are far from every row of the group, and t -> K(t, s) is
+analytic there, so their averages are a short Chebyshev interpolant in t:
+the group evaluates them once at FAR_POINTS Chebyshev times (with alpha at
+those times) and each row takes its barycentric combination of them. That
+cuts the kernel points of a dense solve about threefold at N = 1440 and
+makes the cost per row O(sqrt(N)) instead of O(N). The near cells, the
+diagonal cell and column 0 stay on direct quadrature. A group keeps all
+its cells direct when interpolation would save little (every solve with
+N <= 192 and the 8-node rule is fully direct) or when its interpolant
+misses its first row's direct far averages by more than FAR_CHECK_TOL,
+which happens where alpha varies on the scale of the group. Interpolated
+averages agree with direct ones to about 2e-15. The moments are not
+interpolated: see _moments for their far-cell cancellation.
+
 `assemble` collects the same rows into a dense WeightTable, the cache that
 coefficient dumps and the tests read. The hat-basis history weights
 h[n][i] = B[n][i+1] - B[n][i], h[n][n] = -B[n][n] and the u0 coefficient
@@ -49,6 +65,16 @@ DIAG_RATIO = 0.15
 # overhead is amortised, small enough that the block's temporaries stay in
 # cache and add nothing measurable to peak memory.
 HISTORY_BLOCK_POINTS = 2**14
+# Far field of a row group t_lo..t_hi: the cells that end at least
+# FAR_SEPARATION * (t_hi - t_lo) before t_lo. Their averages are analytic in
+# t_n there and are interpolated from FAR_POINTS first-kind Chebyshev times.
+FAR_POINTS = 16
+FAR_SEPARATION = 1.0
+# Kernel evaluations a group must save for its far field to be used.
+FAR_MIN_SAVED_POINTS = HISTORY_BLOCK_POINTS
+# Largest deviation of a group's interpolant from the direct far averages of
+# its first row (the one nearest the far cells) for the far field to be used.
+FAR_CHECK_TOL = 2e-15
 
 
 @dataclass(frozen=True)
@@ -152,7 +178,7 @@ class _CellQuadrature:
 
     Cell j = [t_{j-1}, t_j] is row j-1 of `s`/`alpha_s`: the rule's points
     there and alpha at them, evaluated once per assembly. The diagonal cell
-    of a row gets geometric panels instead, built per row block.
+    of a row gets geometric panels instead, built per row group.
     """
 
     order: VariableOrder
@@ -176,33 +202,118 @@ def _cell_quadrature(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: 
     )
 
 
-def _cell_averages(cq: _CellQuadrature, rows: np.ndarray) -> np.ndarray:
-    """B[k, j] = (1/tau_j) int_{cell j} K(t_n, s) ds - 1 for n = rows[k].
+@dataclass(frozen=True)
+class _GroupData:
+    """What the rows lo..hi of one row group share, built once per group.
 
-    Columns j = 1..n hold the cell averages, column 0 holds K(t_n, 0) - 1
-    and columns past n are zero, over a width of rows[-1] + 1. The
-    off-diagonal cells of all rows are flattened into one sweep.
+    col0 and diag hold K(t_n, 0) - 1 and the diagonal cell's average B[n][n]
+    of each row, by direct quadrature. far_avg[c, j - 1] is the direct
+    cell-j average at the c-th Chebyshev time of [t_lo, t_hi], for the far
+    cells 1..far; a row takes those cells as lagrange[n - lo] @ far_avg,
+    the barycentric Chebyshev interpolant in t at t_n. With far = 0,
+    far_avg is empty and lagrange is None.
     """
-    nodes, steps, x = cq.mesh.nodes, cq.mesh.steps, cq.rule.nodes
-    tn, an = nodes[rows], cq.alpha_t[rows]
-    out = np.zeros((len(rows), rows[-1] + 1))
 
-    counts = rows - 1
-    k = np.repeat(np.arange(len(rows)), counts)
-    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    vals = _kernel_minus_one(an[k, None] - cq.alpha_s[j], tn[k, None] - cq.s[j])
-    out[k, j + 1] = vals @ cq.rule.weights
+    lo: int
+    col0: np.ndarray
+    diag: np.ndarray
+    far_avg: np.ndarray
+    lagrange: np.ndarray | None
+
+    @property
+    def far(self) -> int:
+        return self.far_avg.shape[1]
+
+
+def _group_data(cq: _CellQuadrature, lo: int, hi: int, far: int = 0) -> _GroupData:
+    """_GroupData of rows lo..hi with far cells 1..far. The far averages are
+    evaluated at FAR_POINTS first-kind Chebyshev times with alpha at those
+    times, and at t_lo, in chunks of at most HISTORY_BLOCK_POINTS / 2 kernel
+    points. Where the interpolant misses row lo's direct far averages by
+    more than FAR_CHECK_TOL, the group is direct (far = 0): alpha varies on
+    the scale of the group there, as in the wide last groups of a strongly
+    graded mesh."""
+    nodes, x, w = cq.mesh.nodes, cq.rule.nodes, cq.rule.weights
+    rows = np.arange(lo, hi + 1)
+    tn, an = nodes[rows], cq.alpha_t[rows]
 
     # diagonal cell: geometric panels toward the v ln v corner at s = t_n
     edges = _diag_edges(nodes[rows - 1], tn)
     width = np.diff(edges, axis=1)[:, :, None]
     s = (edges[:, :-1, None] + width * x).reshape(len(rows), -1)
-    wgt = (width * cq.rule.weights / steps[rows - 1, None, None]).reshape(len(rows), -1)
+    wgt = (width * w / cq.mesh.steps[rows - 1, None, None]).reshape(len(rows), -1)
     da = an[:, None] - np.asarray(cq.order.alpha(s), dtype=float)
-    vals = _kernel_minus_one(da, tn[:, None] - s)
-    out[np.arange(len(rows)), rows] = np.sum(vals * wgt, axis=1)
+    diag = np.sum(_kernel_minus_one(da, tn[:, None] - s) * wgt, axis=1)
+    col0 = _kernel_minus_one(an - cq.alpha_t[0], tn)
 
-    out[:, 0] = _kernel_minus_one(an - cq.alpha_t[0], tn)
+    direct = _GroupData(lo, col0, diag, np.empty((0, 0)), None)
+    if not far:
+        return direct
+    angle = (2 * np.arange(FAR_POINTS) + 1) * np.pi / (2 * FAR_POINTS)
+    times = np.append((tn[0] + tn[-1]) / 2 + (tn[-1] - tn[0]) / 2 * np.cos(angle), tn[0])
+    alpha = np.asarray(cq.order.alpha(times), dtype=float)[:, None, None]
+    avg = np.empty((FAR_POINTS + 1, far))
+    # half a block per chunk: this group's averages and the previous one's
+    # are alive too, and the solve's memory peak stays where blocks put it
+    step = max(1, HISTORY_BLOCK_POINTS // (2 * (FAR_POINTS + 1) * cq.rule.count))
+    for j in range(0, far, step):
+        cells = slice(j, min(j + step, far))
+        vals = _kernel_minus_one(alpha - cq.alpha_s[cells], times[:, None, None] - cq.s[cells])
+        avg[:, cells] = vals @ w
+
+    # barycentric weights of first-kind Chebyshev points; a row on a point
+    # takes that point's value
+    d = tn[:, None] - times[:-1]
+    hit = d == 0.0
+    q = (-1.0) ** np.arange(FAR_POINTS) * np.sin(angle) / np.where(hit, 1.0, d)
+    on_point = hit.any(axis=1)
+    q[on_point] = hit[on_point]
+    lagrange = q / q.sum(axis=1, keepdims=True)
+    if np.max(np.abs(lagrange[0] @ avg[:-1] - avg[-1])) > FAR_CHECK_TOL:
+        return direct
+    return _GroupData(lo, col0, diag, avg[:-1], lagrange)
+
+
+def _cell_averages(cq: _CellQuadrature, rows: np.ndarray, group: _GroupData | None = None) -> np.ndarray:
+    """B[k, j] = (1/tau_j) int_{cell j} K(t_n, s) ds - 1 for n = rows[k].
+
+    Columns j = 1..n hold the cell averages, column 0 holds K(t_n, 0) - 1
+    and columns past n are zero, over a width of rows[-1] + 1. `group` is
+    the _GroupData of a row group holding `rows` (None: a direct one of
+    these rows alone); its far cells are interpolated, one dot per row. The
+    other off-diagonal cells of all rows are one (rows x cells) sweep up to
+    cell rows[-1] - 1 when that stays within HISTORY_BLOCK_POINTS kernel
+    points; entries a row gets at or past its diagonal are overwritten or
+    zeroed. A block whose sweep would exceed that, because its rows span
+    many cells they do not share (the first blocks of a solve), gathers its
+    cells point by point instead.
+    """
+    if group is None:
+        group = _group_data(cq, int(rows[0]), int(rows[-1]))
+    nodes, w = cq.mesh.nodes, cq.rule.weights
+    tn, an = nodes[rows], cq.alpha_t[rows]
+    out = np.zeros((len(rows), rows[-1] + 1))
+    first = group.far
+
+    if len(rows) * (rows[-1] - 1 - first) * cq.rule.count <= HISTORY_BLOCK_POINTS:
+        cells = slice(first, rows[-1] - 1)
+        # |t_n - s| keeps the entries past the diagonal finite; they are dropped
+        vals = _kernel_minus_one(an[:, None, None] - cq.alpha_s[cells],
+                                 np.abs(tn[:, None, None] - cq.s[cells]))
+        sweep = out[:, first + 1 : rows[-1]]
+        sweep[...] = vals @ w
+        sweep[np.arange(first + 1, rows[-1]) > rows[:, None]] = 0.0
+    else:
+        counts = rows - 1 - first
+        k = np.repeat(np.arange(len(rows)), counts)
+        j = first + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        out[k, j + 1] = _kernel_minus_one(an[k, None] - cq.alpha_s[j], tn[k, None] - cq.s[j]) @ w
+    if first:
+        for row, lagrange in zip(out, group.lagrange[rows - group.lo]):
+            np.dot(lagrange, group.far_avg, out=row[1 : first + 1])
+
+    out[np.arange(len(rows)), rows] = group.diag[rows - group.lo]
+    out[:, 0] = group.col0[rows - group.lo]
     return out
 
 
@@ -232,6 +343,31 @@ def _row_blocks(N: int, rule: QuadratureRule):
         lo = hi
 
 
+def _row_groups(mesh: Mesh, rule: QuadratureRule):
+    """Consecutive _row_blocks merged into far-field groups.
+
+    Yields (blocks, far): the blocks cover rows lo..hi, at least
+    sqrt(FAR_POINTS lo / (1 + FAR_SEPARATION)) of them (the last group may
+    be shorter), and cells 1..far end at least FAR_SEPARATION (t_hi - t_lo)
+    before t_lo. far is 0, so every cell is direct, unless the group has
+    more than FAR_POINTS rows and interpolation saves at least
+    FAR_MIN_SAVED_POINTS kernel points.
+    """
+    nodes = mesh.nodes
+    blocks = []
+    for rows in _row_blocks(mesh.N, rule):
+        blocks.append(rows)
+        lo, hi = int(blocks[0][0]), int(rows[-1])
+        size = hi - lo + 1
+        if size**2 * (1 + FAR_SEPARATION) < FAR_POINTS * lo and hi < mesh.N:
+            continue
+        edge = nodes[lo] - FAR_SEPARATION * (nodes[hi] - nodes[lo])
+        far = int(np.searchsorted(nodes, edge, "right")) - 1
+        saved = far * (size - FAR_POINTS) * rule.count
+        yield blocks, far if size > FAR_POINTS and saved >= FAR_MIN_SAVED_POINTS else 0
+        blocks = []
+
+
 def history_weights(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: int):
     """History row (h[n][1..n], h0[n]) of the K_s term.
 
@@ -239,11 +375,15 @@ def history_weights(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: i
     two supporting cells; h0[n] is the u0 coefficient from the descending
     hat on [t_0, t_1]. Both are differences of the row's cell averages of
     K (_hat_weights); `rule` is applied per cell and per diagonal panel.
-    Returned as (row, h0) with row[0] unused (zero).
+    The row is the one a solve reads: its far cells come from the far field
+    of its row group. Returned as (row, h0) with row[0] unused (zero).
     """
     if not (1 <= n <= mesh.N):
         raise IndexError(f"need 1 <= n <= N, got n={n}, N={mesh.N}")
-    h, h0 = _hat_weights(_cell_averages(_cell_quadrature(order, mesh, rule, n), np.array([n]))[0])
+    lo, hi, far = next((int(b[0][0]), int(b[-1][-1]), far)
+                       for b, far in _row_groups(mesh, rule) if b[-1][-1] >= n)
+    cq = _cell_quadrature(order, mesh, rule, hi)
+    h, h0 = _hat_weights(_cell_averages(cq, np.array([n]), _group_data(cq, lo, hi, far))[0])
     return h, float(h0)
 
 
@@ -349,10 +489,11 @@ def coefficient_rows(
     for n = 1..N.
 
     Each block of _row_blocks gets its moments and, in dense mode, its cell
-    averages in one go; both are dropped once its rows are consumed, so
-    memory stays O(N) plus one block of HISTORY_BLOCK_POINTS kernel points,
-    whatever N is. On the fast path the B rows are views of row N, which
-    holds every gap. `rule` and `fast_path` are as for `assemble`; the
+    averages in one go; both are dropped once its rows are consumed. In
+    dense mode each row group (_row_groups) first builds its _GroupData,
+    the far field included. Memory stays O(N) plus one block of
+    HISTORY_BLOCK_POINTS kernel points, whatever N is. On the fast path the
+    B rows are views of row N, which holds every gap. `rule` and `fast_path` are as for `assemble`; the
     fast-path preconditions are checked when iteration starts.
     """
     if fast_path:
@@ -364,11 +505,13 @@ def coefficient_rows(
     cq = _cell_quadrature(order, mesh, gauss_nodes() if rule is None else rule, N)
     # B[n][j] = B[N][N - n + j]: cell j lies n - j steps behind t_n
     last = _cell_averages(cq, np.array([N]))[0, 1:] if fast_path else None
-    for rows in _row_blocks(N, cq.rule):
-        wl, wr = _moments(mesh, rows, cq.alpha_t[rows])
-        b = None if fast_path else _cell_averages(cq, rows)
-        for k, n in enumerate(rows.tolist()):
-            yield n, wl[k, :n], wr[k, :n], last[N - n :] if fast_path else b[k, 1 : n + 1]
+    for blocks, far in _row_groups(mesh, cq.rule):
+        group = None if fast_path else _group_data(cq, int(blocks[0][0]), int(blocks[-1][-1]), far)
+        for rows in blocks:
+            wl, wr = _moments(mesh, rows, cq.alpha_t[rows])
+            b = None if fast_path else _cell_averages(cq, rows, group)
+            for k, n in enumerate(rows.tolist()):
+                yield n, wl[k, :n], wr[k, :n], last[N - n :] if fast_path else b[k, 1 : n + 1]
 
 
 def assemble(

@@ -82,16 +82,23 @@ def _reject_unknown(d: dict, allowed: set, where: str):
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+_ORDER_FAMILIES = {
+    "sine": (make_sine_order, ("a0", "a1")),
+    "constant": (make_constant_order, ("value",)),
+    "linear": (make_linear_order, ("start", "end")),
+}
+
+
 def build_order(spec: dict) -> VariableOrder:
     _reject_unknown(spec, _ORDER_KEYS, "order")
     family = spec.get("family")
-    if family == "sine":
-        return make_sine_order(float(spec["a0"]), float(spec["a1"]))
-    if family == "constant":
-        return make_constant_order(float(spec["value"]))
-    if family == "linear":
-        return make_linear_order(float(spec["start"]), float(spec["end"]))
-    raise ConfigError(f"unknown order family: {family!r} (use sine/constant/linear)")
+    if not isinstance(family, str) or family not in _ORDER_FAMILIES:
+        raise ConfigError(f"unknown order family: {family!r} (use sine/constant/linear)")
+    make, keys = _ORDER_FAMILIES[family]
+    missing = [key for key in keys if key not in spec]
+    if missing:
+        raise ConfigError(f"order family {family!r} needs keys {missing}")
+    return make(*(float(spec[key]) for key in keys))
 
 
 def build_run(config: dict):

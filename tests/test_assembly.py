@@ -3,10 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from vofie import assembly
 from vofie.assembly import (
     _row_blocks,
+    _row_groups,
     assemble,
     gauss_nodes,
     history_weights,
@@ -348,3 +352,81 @@ class TestIntegrationByParts:
             row, h0 = history_weights(order, mesh, rule, n)
             np.testing.assert_allclose(table.h[n, : n + 1], row, rtol=0, atol=1e-15)
             assert abs(table.h0[n] - h0) <= 1e-15
+
+
+def direct_averages(order, mesh, rule):
+    """Dense B table with every cell of every row by direct quadrature."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "FAR_MIN_SAVED_POINTS", math.inf)
+        return assemble(order, mesh, rule).B
+
+
+def far_fields(order, mesh, rule):
+    """(planned, used): row groups given far cells by the grouping, and
+    those whose interpolant passed the check against its first row."""
+    cq = assembly._cell_quadrature(order, mesh, rule, mesh.N)
+    planned = used = 0
+    for blocks, far in _row_groups(mesh, rule):
+        if far:
+            planned += 1
+            used += assembly._group_data(cq, blocks[0][0], blocks[-1][-1], far).far > 0
+    return planned, used
+
+
+class TestFarField:
+    @pytest.mark.parametrize(
+        "order,N,r,count",
+        [
+            (make_sine_order(0.6, 0.4), 1440, 1.0 / 0.6, 8),
+            (make_sine_order(1.0, 0.1), 1440, 1.0, 8),
+            (make_sine_order(0.6, 0.4), 400, 1.0 / 0.6, 80),
+            # the last group is too wide for alpha's scale and stays direct;
+            # interpolated, its rows were off by 7.7e-14
+            (make_sine_order(0.3, 0.9), 401, 1.0 / 0.3, 8),
+        ],
+    )
+    def test_interpolated_rows_match_direct_quadrature(self, order, N, r, count):
+        mesh, rule = make_mesh(1.0, N, r), gauss_nodes(count)
+        assert far_fields(order, mesh, rule)[1] > 0
+        B = assemble(order, mesh, rule).B
+        np.testing.assert_allclose(B, direct_averages(order, mesh, rule), rtol=0, atol=5e-15)
+
+    def test_constant_order_stays_exactly_zero(self):
+        order, mesh, rule = make_constant_order(0.5), make_mesh(1.0, 400, 2.0), gauss_nodes()
+        assert far_fields(order, mesh, rule)[1] > 0
+        dense = assemble(order, mesh, rule)
+        assert np.all(dense.B == 0.0) and np.all(dense.h == 0.0)
+
+    def test_small_solves_stay_direct(self):
+        # the far field engages only where it saves a block's worth of points
+        rule = gauss_nodes()
+        for r in (1.0, 1.0 / 0.6, 1.0 / 0.3):
+            assert far_fields(make_sine_order(0.6, 0.4), make_mesh(1.0, 192, r), rule) == (0, 0)
+
+    def test_unresolved_far_field_stays_direct(self):
+        planned, used = far_fields(make_sine_order(0.3, 0.9), make_mesh(1.0, 401, 1.0 / 0.3), gauss_nodes())
+        assert 0 < used < planned
+
+    def test_far_cells_end_before_the_group(self):
+        mesh, rule = make_mesh(1.0, 1440, 1.0 / 0.6), gauss_nodes()
+        t = mesh.nodes
+        for blocks, far in _row_groups(mesh, rule):
+            lo, hi = blocks[0][0], blocks[-1][-1]
+            assert np.array_equal(np.concatenate(blocks), np.arange(lo, hi + 1))
+            if far:
+                assert hi - lo + 1 > assembly.FAR_POINTS
+                assert t[far] <= t[lo] - assembly.FAR_SEPARATION * (t[hi] - t[lo]) < t[far + 1]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    a0=st.floats(0.3, 1.0),
+    a1=st.floats(0.1, 0.9),
+    grading=st.floats(0.0, 1.0),
+    N=st.integers(400, 600),
+)
+def test_sine_orders_far_field_matches_direct(a0, a1, grading, N):
+    order = make_sine_order(a0, a1)
+    mesh, rule = make_mesh(1.0, N, 1.0 + grading * (1.0 / a0 - 1.0)), gauss_nodes()
+    B = assemble(order, mesh, rule).B
+    np.testing.assert_allclose(B, direct_averages(order, mesh, rule), rtol=0, atol=5e-15)

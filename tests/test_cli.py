@@ -50,6 +50,22 @@ class TestConfigResolution:
         rc = main(["solve", "--preset", "table9_col9", "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "order,missing",
+        [
+            ({"family": "sine", "a0": 0.6}, "a1"),
+            ({"family": "linear", "end": 0.4}, "start"),
+            ({"family": "constant"}, "value"),
+        ],
+    )
+    def test_missing_order_key_is_a_config_error(self, tmp_path, capsys, order, missing):
+        config = zero_config()
+        config["order"] = order
+        rc = main(["solve", "--config", write_config(tmp_path, config), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(missing) in err
+
 
 class TestCmdSolve:
     def test_zero_rhs_preserves_u0(self, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from vofie import assembly
 from vofie.assembly import _moments, singular_moments
 from vofie.kernel import initial_coefficient
 from vofie.mesh import make_mesh
@@ -147,6 +148,27 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+        if N == 1440:
+            # the far field adds a group's FAR_POINTS x far averages
+            assert peak <= 2.5 * 2**20
+
+
+class TestFarField:
+    def direct_solve(self, problem, mesh):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assembly, "FAR_MIN_SAVED_POINTS", math.inf)
+            return solve(problem, mesh)
+
+    def test_matches_direct_solve(self):
+        problem, mesh = sin4_problem(make_sine_order(0.6, 0.4)), make_mesh(1.0, 1440, 1.0 / 0.6)
+        far, direct = solve(problem, mesh), self.direct_solve(problem, mesh)
+        np.testing.assert_allclose(far.values, direct.values, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(far.newton_stats, direct.newton_stats)
+
+    def test_small_solve_is_bitwise_direct(self):
+        problem, mesh = sin4_problem(make_sine_order(0.6, 0.4)), make_mesh(1.0, 96, 1.0 / 0.6)
+        np.testing.assert_array_equal(solve(problem, mesh).values,
+                                      self.direct_solve(problem, mesh).values)
 
 
 class TestAnalyticOracles:
