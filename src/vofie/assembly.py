@@ -253,8 +253,9 @@ def _group_data(cq: _CellQuadrature, lo: int, hi: int, far: int = 0) -> _GroupDa
     times = np.append((tn[0] + tn[-1]) / 2 + (tn[-1] - tn[0]) / 2 * np.cos(angle), tn[0])
     alpha = np.asarray(cq.order.alpha(times), dtype=float)[:, None, None]
     avg = np.empty((FAR_POINTS + 1, far))
-    # half a block per chunk: this group's averages and the previous one's
-    # are alive too, and the solve's memory peak stays where blocks put it
+    # half a block per chunk: the group's averages, up to FAR_POINTS + 1
+    # rows of N, are alive beside the chunk's temporaries, and a full block
+    # there would raise the solve's memory peak above what a block sets
     step = max(1, HISTORY_BLOCK_POINTS // (2 * (FAR_POINTS + 1) * cq.rule.count))
     for j in range(0, far, step):
         cells = slice(j, min(j + step, far))
@@ -280,13 +281,9 @@ def _cell_averages(cq: _CellQuadrature, rows: np.ndarray, group: _GroupData | No
     Columns j = 1..n hold the cell averages, column 0 holds K(t_n, 0) - 1
     and columns past n are zero, over a width of rows[-1] + 1. `group` is
     the _GroupData of a row group holding `rows` (None: a direct one of
-    these rows alone); its far cells are interpolated, one dot per row. The
-    other off-diagonal cells of all rows are one (rows x cells) sweep up to
-    cell rows[-1] - 1 when that stays within HISTORY_BLOCK_POINTS kernel
-    points; entries a row gets at or past its diagonal are overwritten or
-    zeroed. A block whose sweep would exceed that, because its rows span
-    many cells they do not share (the first blocks of a solve), gathers its
-    cells point by point instead.
+    these rows alone); its far cells are interpolated, one dot per row, and
+    its near off-diagonal cells are gathered point by point, the rule's
+    points of all rows in one sweep.
     """
     if group is None:
         group = _group_data(cq, int(rows[0]), int(rows[-1]))
@@ -295,19 +292,10 @@ def _cell_averages(cq: _CellQuadrature, rows: np.ndarray, group: _GroupData | No
     out = np.zeros((len(rows), rows[-1] + 1))
     first = group.far
 
-    if len(rows) * (rows[-1] - 1 - first) * cq.rule.count <= HISTORY_BLOCK_POINTS:
-        cells = slice(first, rows[-1] - 1)
-        # |t_n - s| keeps the entries past the diagonal finite; they are dropped
-        vals = _kernel_minus_one(an[:, None, None] - cq.alpha_s[cells],
-                                 np.abs(tn[:, None, None] - cq.s[cells]))
-        sweep = out[:, first + 1 : rows[-1]]
-        sweep[...] = vals @ w
-        sweep[np.arange(first + 1, rows[-1]) > rows[:, None]] = 0.0
-    else:
-        counts = rows - 1 - first
-        k = np.repeat(np.arange(len(rows)), counts)
-        j = first + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        out[k, j + 1] = _kernel_minus_one(an[k, None] - cq.alpha_s[j], tn[k, None] - cq.s[j]) @ w
+    counts = rows - 1 - first
+    k = np.repeat(np.arange(len(rows)), counts)
+    j = first + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    out[k, j + 1] = _kernel_minus_one(an[k, None] - cq.alpha_s[j], tn[k, None] - cq.s[j]) @ w
     if first:
         for row, lagrange in zip(out, group.lagrange[rows - group.lo]):
             np.dot(lagrange, group.far_avg, out=row[1 : first + 1])
@@ -512,6 +500,8 @@ def coefficient_rows(
             b = None if fast_path else _cell_averages(cq, rows, group)
             for k, n in enumerate(rows.tolist()):
                 yield n, wl[k, :n], wr[k, :n], last[N - n :] if fast_path else b[k, 1 : n + 1]
+        # drop this group's data before the next group builds its own
+        group = b = None
 
 
 def assemble(
