@@ -15,9 +15,6 @@ class InsufficientDataError(RuntimeError):
     """Not enough resolved nodes near t = 0 to fit an exponent."""
 
 
-PREDICTED_RATES = {"I": 2.0, "II": 2.0}  # case III: 2*alpha(0), set per order
-
-
 @dataclass
 class ConvergenceReport:
     """Errors against a fine reference and fitted rates between N levels."""

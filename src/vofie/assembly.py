@@ -16,10 +16,10 @@ Two coefficient families are built per collocation row n:
 
 `coefficient_rows` streams the rows: it builds both families for one block
 of rows at a time in a few vectorised sweeps and drops the block once its
-rows are consumed, so a solve holds O(N) memory. For an affine order on a
-uniform mesh K depends on t - s alone; the fast path then keeps one
-gap-indexed sequence of cell averages and skips the per-block kernel sweeps,
-streaming only the moments.
+rows are consumed, so a solve holds O(N) memory. For an order declared
+affine on a uniform mesh K depends on t - s alone (translation_invariant);
+every solve on such inputs then keeps one gap-indexed sequence of cell
+averages and skips the per-block kernel sweeps, streaming only the moments.
 
 Far field. Consecutive blocks form row groups t_lo..t_hi of about
 sqrt(FAR_POINTS n) rows. Cells that end FAR_SEPARATION (t_hi - t_lo) or more
@@ -37,15 +37,15 @@ which happens where alpha varies on the scale of the group. Interpolated
 averages agree with direct ones to about 2e-15. The moments are not
 interpolated: see _moments for their far-cell cancellation.
 
-`assemble` collects the same rows into a dense WeightTable, the cache that
-coefficient dumps and the tests read. The hat-basis history weights
-h[n][i] = B[n][i+1] - B[n][i], h[n][n] = -B[n][n] and the u0 coefficient
-h0[n] = B[n][1] - B[n][0] are derived views of its averages.
+`assemble` collects rows into a WeightTable, the cache that coefficient
+dumps and the tests read, dense by default and gap-indexed with fast_path.
+Its hat-basis history weights h[n][i] = B[n][i+1] - B[n][i], h[n][n] =
+-B[n][n] and u0 coefficient h0[n] = B[n][1] - B[n][0] are derived views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -467,39 +467,45 @@ class WeightTable:
                     )
 
 
-def coefficient_rows(
-    order: VariableOrder,
-    mesh: Mesh,
-    rule: QuadratureRule | None = None,
-    fast_path: bool = False,
-):
+def translation_invariant(order: VariableOrder, mesh: Mesh, require: bool = False) -> bool:
+    """Whether K(t_n, s) depends on t_n - s alone: the order is declared
+    affine (order.is_linear) and the mesh is uniform. With require, inputs
+    that do not qualify raise ValueError naming why."""
+    if require and not mesh.is_uniform:
+        raise ValueError(f"the fast path needs a uniform mesh (r = 1), got r = {mesh.r:g}")
+    if require and not order.is_linear:
+        raise ValueError("the fast path needs an order declared affine (is_linear)")
+    return mesh.is_uniform and order.is_linear
+
+
+def coefficient_rows(order: VariableOrder, mesh: Mesh, rule: QuadratureRule | None = None):
     """Yield the collocation rows (n, wL[n][1..n], wR[n][1..n], B[n][1..n])
     for n = 1..N.
 
-    Each block of _row_blocks gets its moments and, in dense mode, its cell
-    averages in one go; both are dropped once its rows are consumed. In
-    dense mode each row group (_row_groups) first builds its _GroupData,
-    the far field included. Memory stays O(N) plus one block of
-    HISTORY_BLOCK_POINTS kernel points, whatever N is. On the fast path the
-    B rows are views of row N, which holds every gap. `rule` and `fast_path` are as for `assemble`; the
-    fast-path preconditions are checked when iteration starts.
+    Each block of _row_blocks gets its moments and its cell averages in one
+    go; both are dropped once its rows are consumed. Each row group
+    (_row_groups) first builds its _GroupData, the far field included.
+    Memory stays O(N) plus one block of HISTORY_BLOCK_POINTS kernel points,
+    whatever N is. Where translation_invariant holds, the B rows are views
+    of row N, which holds every gap. `rule` is as for `assemble`.
     """
-    if fast_path:
-        if not mesh.is_uniform:
-            raise ValueError("fast_path requires a uniform mesh (r = 1)")
-        if not order.is_linear:
-            raise ValueError("fast_path requires a declared-linear order")
     N = mesh.N
     cq = _cell_quadrature(order, mesh, gauss_nodes() if rule is None else rule, N)
-    # B[n][j] = B[N][N - n + j]: cell j lies n - j steps behind t_n
-    last = _cell_averages(cq, np.array([N]))[0, 1:] if fast_path else None
+    if translation_invariant(order, mesh):
+        # B[n][j] = B[N][N - n + j]: cell j lies n - j steps behind t_n
+        last = _cell_averages(cq, np.array([N]))[0, 1:]
+        for rows in _row_blocks(N, cq.rule):
+            wl, wr = _moments(mesh, rows, cq.alpha_t[rows])
+            for k, n in enumerate(rows.tolist()):
+                yield n, wl[k, :n], wr[k, :n], last[N - n :]
+        return
     for blocks, far in _row_groups(mesh, cq.rule):
-        group = None if fast_path else _group_data(cq, int(blocks[0][0]), int(blocks[-1][-1]), far)
+        group = _group_data(cq, int(blocks[0][0]), int(blocks[-1][-1]), far)
         for rows in blocks:
             wl, wr = _moments(mesh, rows, cq.alpha_t[rows])
-            b = None if fast_path else _cell_averages(cq, rows, group)
+            b = _cell_averages(cq, rows, group)
             for k, n in enumerate(rows.tolist()):
-                yield n, wl[k, :n], wr[k, :n], last[N - n :] if fast_path else b[k, 1 : n + 1]
+                yield n, wl[k, :n], wr[k, :n], b[k, 1 : n + 1]
         # drop this group's data before the next group builds its own
         group = b = None
 
@@ -513,18 +519,21 @@ def assemble(
     """Build the full weight table from the rows of `coefficient_rows`.
 
     rule is the Gauss rule applied per mesh cell and per geometric panel of
-    each row's diagonal cell; None means gauss_nodes(), 8 nodes. fast_path
-    requires a uniform mesh and a declared-affine order; it stores the O(N)
-    gap-indexed cell averages and nodal kernel values of the translation-
-    invariant history instead of the dense O(N^2) table. The moments are
-    dense in both modes: this table is a cache for inspection, not what a
-    solve holds.
+    each row's diagonal cell; None means gauss_nodes(), 8 nodes. The default
+    table is dense, by direct quadrature on every input (a reference for the
+    gap-indexed rows). fast_path stores the O(N) gap-indexed cell averages
+    and nodal kernel values a solve reads where translation_invariant holds,
+    and raises ValueError elsewhere. The moments are dense in both modes:
+    this table is a cache for inspection, not what a solve holds.
     """
+    translation_invariant(order, mesh, require=fast_path)
+    if not fast_path:
+        order = replace(order, is_linear=False)
     N = mesh.N
     wL = np.zeros((N + 1, N + 1))
     wR = np.zeros((N + 1, N + 1))
     B = None if fast_path else np.zeros((N + 1, N + 1))
-    for n, wl, wr, b in coefficient_rows(order, mesh, rule, fast_path):
+    for n, wl, wr, b in coefficient_rows(order, mesh, rule):
         wL[n, 1 : n + 1] = wl
         wR[n, 1 : n + 1] = wr
         if B is not None:

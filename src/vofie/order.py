@@ -17,15 +17,14 @@ import numpy as np
 class VariableOrder:
     """The order function alpha(t) on [0, T] with its derivative.
 
-    is_linear declares that alpha is an affine function of t; it gates the
-    translation-invariant fast assembly path and is never inferred.
+    is_linear declares that alpha is an affine function of t; it is never
+    inferred. On a uniform mesh every solve then reads the gap-indexed
+    coefficient rows (assembly.translation_invariant).
     """
 
     alpha: Callable
     dalpha: Callable
     alpha0: float
-    alphaT: float
-    lower_bound: float
     T: float = 1.0
     is_linear: bool = False
 
@@ -59,8 +58,6 @@ def make_sine_order(a0: float, a1: float, T: float = 1.0) -> VariableOrder:
         alpha=alpha,
         dalpha=dalpha,
         alpha0=a0,
-        alphaT=a1,
-        lower_bound=min(a0, a1),
         T=1.0,
     )
 
@@ -80,8 +77,6 @@ def make_constant_order(value: float, T: float = 1.0) -> VariableOrder:
         alpha=alpha,
         dalpha=dalpha,
         alpha0=value,
-        alphaT=value,
-        lower_bound=value,
         T=T,
         is_linear=True,
     )
@@ -105,8 +100,6 @@ def make_linear_order(start: float, end: float, T: float = 1.0) -> VariableOrder
         alpha=alpha,
         dalpha=dalpha,
         alpha0=start,
-        alphaT=end,
-        lower_bound=min(start, end),
         T=T,
         is_linear=True,
     )
@@ -117,7 +110,6 @@ def make_custom_order(
     dalpha: Callable,
     alpha0: float,
     T: float = 1.0,
-    lower_bound: float | None = None,
     is_linear: bool = False,
 ) -> VariableOrder:
     """Wrap user-supplied (alpha, alpha') callables.
@@ -127,15 +119,10 @@ def make_custom_order(
     a0 = float(alpha(0.0))
     if abs(a0 - alpha0) > 1e-14:
         raise ValueError(f"declared alpha0={alpha0} but alpha(0)={a0}")
-    if lower_bound is None:
-        ts = np.linspace(0.0, T, 1001)
-        lower_bound = float(np.min(alpha(ts)))
     return VariableOrder(
         alpha=alpha,
         dalpha=dalpha,
         alpha0=alpha0,
-        alphaT=float(alpha(T)),
-        lower_bound=lower_bound,
         T=T,
         is_linear=is_linear,
     )

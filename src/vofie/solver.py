@@ -14,6 +14,7 @@ u = u0 is kept exactly.
 The march reads row n of (wL, wR, B) only while it solves node n, so it
 consumes the rows as `assembly.coefficient_rows` streams them, one block at
 a time, and never holds an (N+1)^2 table: memory is O(N) for every solve.
+The inputs alone pick the rows (`assembly.translation_invariant`).
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class Problem:
     T: float
     order: VariableOrder
 
-    def check_derivative(self, n_samples: int = 25, tol: float = 1e-5) -> float:
+    def check_derivative(self, n_samples: int = 25) -> float:
         """Max discrepancy between df_du and central differences (advisory)."""
         rng = np.random.default_rng(0)
         us = rng.uniform(-2, 2, n_samples)
@@ -187,13 +188,12 @@ def solve(
     mesh: Mesh,
     rule: QuadratureRule | None = None,
     cfg: NewtonConfig | None = None,
-    fast_path: bool = False,
 ) -> Solution:
     """March the collocation scheme over the whole mesh.
 
     U(t_0) = u0 by definition; each later node is a scalar Newton solve for
     its increment. The coefficient rows are streamed in blocks
-    (`coefficient_rows`), so memory is O(N) in both modes. The mesh, the
+    (`coefficient_rows`), so memory is O(N) on every input. The mesh, the
     problem and its order must share one horizon T. A NewtonError carries
     the values solved so far.
     """
@@ -212,7 +212,7 @@ def solve(
     stats = np.zeros(N + 1, dtype=int)
     values[0] = u0
     fvals[0] = problem.f(u0, 0.0)
-    for n, wl, wr, b in coefficient_rows(problem.order, mesh, rule, fast_path):
+    for n, wl, wr, b in coefficient_rows(problem.order, mesh, rule):
         tn = mesh.nodes[n]
         # coefficient of f_j is wR[n, j] (+ wL[n, j+1] for j < n); f_n stays implicit
         known = (

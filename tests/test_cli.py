@@ -132,6 +132,37 @@ class TestCmdConverge:
         rate = float(lines[2].split(",")[2])
         assert rate == pytest.approx(2.0, abs=0.3)
 
+    @pytest.mark.parametrize(
+        "mesh,message",
+        [
+            ({"N": 48, "r": 3.0}, "grading of case II"),
+            ({"N": 48, "case": "II", "r": 1.0 / 0.6}, "case or r"),
+        ],
+    )
+    def test_grading_other_than_the_case_is_a_config_error(self, tmp_path, capsys, mesh, message):
+        config = {
+            "problem": {"f": "sin4", "u0": 1.0, "T": 1.0},
+            "order": {"family": "sine", "a0": 0.6, "a1": 0.4},
+            "mesh": mesh,
+            "convergence": {"N_list": [24, 48], "ref_N": 240},
+        }
+        out = tmp_path / "out"
+        rc = main(["converge", "--config", write_config(tmp_path, config), "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "convergence.csv").exists()
+
+    def test_configured_grading_of_case_ii_runs(self, tmp_path, capsys):
+        config = {
+            "problem": {"f": "sin4", "u0": 1.0, "T": 1.0},
+            "order": {"family": "sine", "a0": 0.6, "a1": 0.4},
+            "mesh": {"N": 48, "r": 1.0 / 0.6},
+            "convergence": {"N_list": [24, 48], "ref_N": 240},
+        }
+        rc = main(["converge", "--config", write_config(tmp_path, config), "--out", str(tmp_path)])
+        assert rc == 0
+        assert "case II, r = 1.66667" in capsys.readouterr().out
+
     def test_non_nesting_n_list(self, tmp_path):
         config = {
             "problem": {"f": "sin4", "u0": 1.0, "T": 1.0},
@@ -175,14 +206,15 @@ class TestCmdCoeffs:
         h_values = np.array([float(r.split(",")[2]) for r in rows])
         np.testing.assert_allclose(h_values, 0.0, atol=1e-15)
 
-    def test_fast_path_on_graded_mesh_fails(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["coeffs", "solve"])
+    def test_fast_path_on_graded_mesh_fails(self, tmp_path, capsys, command):
         config = {
             "problem": {"f": "zero", "u0": 1.0, "T": 1.0},
             "order": {"family": "linear", "start": 0.9, "end": 0.4},
             "mesh": {"N": 8, "r": 2.0},
         }
         rc = main([
-            "coeffs", "--config", write_config(tmp_path, config),
+            command, "--config", write_config(tmp_path, config),
             "--out", str(tmp_path), "--fast-path",
         ])
         assert rc == 1

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,12 +62,15 @@ class TestConstantPreservation:
             (make_sine_order(0.6, 0.1), 1.0, False),
             (make_sine_order(0.6, 0.1), 1.0 / 0.6, False),
             (make_linear_order(0.6, 0.1), 1.0, True),
+            (make_linear_order(0.6, 0.1), 1.0, False),
         ],
     )
     def test_f_zero_keeps_u0_exactly(self, order, r, fast_path):
         # increment form: f = 0 gives zero increments, not rounding-sized ones
+        if not fast_path:
+            order = replace(order, is_linear=False)
         problem = Problem(f=f_zero, df_du=df_zero, u0=1.3, T=1.0, order=order)
-        sol = solve(problem, make_mesh(1.0, 512, r), fast_path=fast_path)
+        sol = solve(problem, make_mesh(1.0, 512, r))
         assert np.all(sol.values == 1.3)
 
 
@@ -79,10 +83,35 @@ class TestFastPath:
             u0=1.0, T=1.0, order=make_linear_order(0.9, 0.4),
         )
         mesh = make_mesh(1.0, 200, 1.0)
-        dense = solve(problem, mesh)
-        fast = solve(problem, mesh, fast_path=True)
+        dense = solve(replace(problem, order=replace(problem.order, is_linear=False)), mesh)
+        fast = solve(problem, mesh)
         np.testing.assert_allclose(fast.values, dense.values, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(fast.newton_stats, dense.newton_stats)
+
+    @pytest.mark.parametrize(
+        "order,r,gap_rows",
+        [
+            (make_linear_order(0.9, 0.4), 1.0, True),
+            (make_constant_order(0.5), 1.0, True),
+            (make_linear_order(0.9, 0.4), 2.0, False),
+            (replace(make_linear_order(0.9, 0.4), is_linear=False), 1.0, False),
+        ],
+    )
+    def test_plain_solve_picks_rows_from_inputs(self, monkeypatch, order, r, gap_rows):
+        # gap rows are views of row N: one _cell_averages call per solve
+        calls = []
+        cell_averages = assembly._cell_averages
+
+        def counted(cq, rows, group=None):
+            calls.append(rows.tolist())
+            return cell_averages(cq, rows, group)
+
+        monkeypatch.setattr(assembly, "_cell_averages", counted)
+        solve(sin4_problem(order), make_mesh(1.0, 200, r))
+        if gap_rows:
+            assert calls == [[200]]
+        else:
+            assert len(calls) > 1
 
 
 def sin4_problem(order):
@@ -106,8 +135,8 @@ def test_affine_orders_fast_equals_dense(start, frac, N, grading):
     order = make_linear_order(start, 0.1 + frac * (start - 0.1))
     problem = sin4_problem(order)
     mesh = make_mesh(1.0, N, 1.0)
-    dense = solve(problem, mesh)
-    fast = solve(problem, mesh, fast_path=True)
+    dense = solve(sin4_problem(replace(order, is_linear=False)), mesh)
+    fast = solve(problem, mesh)
     np.testing.assert_allclose(fast.values, dense.values, rtol=0, atol=1e-13)
     np.testing.assert_array_equal(fast.newton_stats, dense.newton_stats)
     # block moments of every row: nonnegative, and each cell's pair sums to
@@ -140,10 +169,12 @@ class TestMemory:
     def test_solve_peak_stays_linear(self, order, N, r, fast_path):
         # rows are streamed in blocks; an (N+1)^2 table would be 128 MB at
         # N = 4000 and 17 MB at N = 1440
+        if not fast_path:
+            order = replace(order, is_linear=False)
         problem, mesh = sin4_problem(order), make_mesh(1.0, N, r)
         tracemalloc.start()
         try:
-            solve(problem, mesh, fast_path=fast_path)
+            solve(problem, mesh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
