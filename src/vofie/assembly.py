@@ -16,10 +16,11 @@ Two coefficient families are built per collocation row n:
 
 `coefficient_rows` streams the rows: it builds both families for one block
 of rows at a time in a few vectorised sweeps and drops the block once its
-rows are consumed, so a solve holds O(N) memory. For an order declared
-affine on a uniform mesh K depends on t - s alone (translation_invariant);
-every solve on such inputs then keeps one gap-indexed sequence of cell
-averages and skips the per-block kernel sweeps, streaming only the moments.
+rows are consumed, so a solve holds O(N) memory. For an affine order on a
+uniform mesh K depends on t - s alone; translation_invariant works that out
+from the mesh and alpha's values (nothing is declared). A solve on such
+inputs keeps one gap-indexed sequence of cell averages and skips the
+per-block kernel sweeps, streaming only the moments.
 
 Far field. Consecutive blocks form row groups t_lo..t_hi of about
 sqrt(FAR_POINTS n) rows. Cells that end FAR_SEPARATION (t_hi - t_lo) or more
@@ -45,7 +46,7 @@ Its hat-basis history weights h[n][i] = B[n][i+1] - B[n][i], h[n][n] =
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -75,6 +76,11 @@ FAR_MIN_SAVED_POINTS = HISTORY_BLOCK_POINTS
 # Largest deviation of a group's interpolant from the direct far averages of
 # its first row (the one nearest the far cells) for the far field to be used.
 FAR_CHECK_TOL = 2e-15
+# Largest departure of alpha from its chord for the order to count as affine
+# (translation_invariant): 8 ulp of 1. Affine orders in any algebraic form
+# (start + slope t, end t/T + start (1 - t/T), ...) stay within 1.5 ulp;
+# the sine and quadratic orders miss by 3e-2 or more.
+AFFINE_TOL = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -467,47 +473,84 @@ class WeightTable:
                     )
 
 
-def translation_invariant(order: VariableOrder, mesh: Mesh, require: bool = False) -> bool:
-    """Whether K(t_n, s) depends on t_n - s alone: the order is declared
-    affine (order.is_linear) and the mesh is uniform. With require, inputs
-    that do not qualify raise ValueError naming why."""
-    if require and not mesh.is_uniform:
-        raise ValueError(f"the fast path needs a uniform mesh (r = 1), got r = {mesh.r:g}")
-    if require and not order.is_linear:
-        raise ValueError("the fast path needs an order declared affine (is_linear)")
-    return mesh.is_uniform and order.is_linear
+def translation_invariant(order: VariableOrder, mesh: Mesh, rule: QuadratureRule | None = None,
+                          require: bool = False) -> bool:
+    """Whether K(t_n, s) depends on t_n - s alone at every point a solve
+    reads it: the mesh is uniform and alpha is affine (_affine) at the nodes
+    and the off-diagonal points of `rule` (None: gauss_nodes()). A graded
+    mesh is refused before alpha is sampled. With require, inputs that do
+    not qualify raise ValueError naming why."""
+    if not mesh.is_uniform:
+        if require:
+            raise ValueError(f"the fast path needs a uniform mesh (r = 1), got r = {mesh.r:g}")
+        return False
+    return _affine(_cell_quadrature(order, mesh, gauss_nodes() if rule is None else rule, mesh.N),
+                   require)
+
+
+def _affine(cq: _CellQuadrature, require: bool = False) -> bool:
+    """Whether alpha stays within AFFINE_TOL of its chord
+    alpha(0) + (alpha(T) - alpha(0)) t / T at the nodes and the rule points
+    of cq. The nodes are checked first, so most non-affine orders are
+    refused on N + 1 values. With require, a departure raises ValueError
+    naming its size and the t where it is largest."""
+    a, T = cq.alpha_t, cq.mesh.T
+    worst, where = 0.0, 0.0
+    for t, alpha in ((cq.mesh.nodes, a), (cq.s, cq.alpha_s)):
+        if not t.size:
+            continue
+        gap = np.abs(alpha - (a[0] + (a[-1] - a[0]) * (t / T)))
+        k = int(np.argmax(gap))
+        worst, where = float(gap.flat[k]), float(t.flat[k])
+        if worst > AFFINE_TOL:
+            break
+    if require and worst > AFFINE_TOL:
+        raise ValueError(
+            f"the fast path needs an affine order: alpha departs from its chord "
+            f"by {worst:.3g} at t = {where:.6g}"
+        )
+    return worst <= AFFINE_TOL
+
+
+def _gap_rows(cq: _CellQuadrature):
+    """coefficient_rows for translation-invariant inputs: the B rows are
+    views of row N, which holds every gap; only the moments are streamed."""
+    N = cq.mesh.N
+    # B[n][j] = B[N][N - n + j]: cell j lies n - j steps behind t_n
+    last = _cell_averages(cq, np.array([N]))[0, 1:]
+    for rows in _row_blocks(N, cq.rule):
+        wl, wr = _moments(cq.mesh, rows, cq.alpha_t[rows])
+        for k, n in enumerate(rows.tolist()):
+            yield n, wl[k, :n], wr[k, :n], last[N - n :]
+
+
+def _direct_rows(cq: _CellQuadrature):
+    """coefficient_rows by quadrature of every row, on any inputs: each row
+    group (_row_groups) builds its _GroupData, the far field included, and
+    each of its blocks gets its moments and cell averages in one go."""
+    for blocks, far in _row_groups(cq.mesh, cq.rule):
+        group = _group_data(cq, int(blocks[0][0]), int(blocks[-1][-1]), far)
+        for rows in blocks:
+            wl, wr = _moments(cq.mesh, rows, cq.alpha_t[rows])
+            b = _cell_averages(cq, rows, group)
+            for k, n in enumerate(rows.tolist()):
+                yield n, wl[k, :n], wr[k, :n], b[k, 1 : n + 1]
+        # drop this group's data before the next group builds its own
+        group = b = None
 
 
 def coefficient_rows(order: VariableOrder, mesh: Mesh, rule: QuadratureRule | None = None):
     """Yield the collocation rows (n, wL[n][1..n], wR[n][1..n], B[n][1..n])
     for n = 1..N.
 
-    Each block of _row_blocks gets its moments and its cell averages in one
-    go; both are dropped once its rows are consumed. Each row group
-    (_row_groups) first builds its _GroupData, the far field included.
-    Memory stays O(N) plus one block of HISTORY_BLOCK_POINTS kernel points,
-    whatever N is. Where translation_invariant holds, the B rows are views
-    of row N, which holds every gap. `rule` is as for `assemble`.
+    Rows are built a _row_blocks block at a time and dropped once consumed,
+    so memory stays O(N) plus one block of HISTORY_BLOCK_POINTS kernel
+    points, whatever N is. Where translation_invariant holds (checked on
+    the alpha values the rows are built from) they are _gap_rows, elsewhere
+    _direct_rows. `rule` is as for `assemble`.
     """
-    N = mesh.N
-    cq = _cell_quadrature(order, mesh, gauss_nodes() if rule is None else rule, N)
-    if translation_invariant(order, mesh):
-        # B[n][j] = B[N][N - n + j]: cell j lies n - j steps behind t_n
-        last = _cell_averages(cq, np.array([N]))[0, 1:]
-        for rows in _row_blocks(N, cq.rule):
-            wl, wr = _moments(mesh, rows, cq.alpha_t[rows])
-            for k, n in enumerate(rows.tolist()):
-                yield n, wl[k, :n], wr[k, :n], last[N - n :]
-        return
-    for blocks, far in _row_groups(mesh, cq.rule):
-        group = _group_data(cq, int(blocks[0][0]), int(blocks[-1][-1]), far)
-        for rows in blocks:
-            wl, wr = _moments(mesh, rows, cq.alpha_t[rows])
-            b = _cell_averages(cq, rows, group)
-            for k, n in enumerate(rows.tolist()):
-                yield n, wl[k, :n], wr[k, :n], b[k, 1 : n + 1]
-        # drop this group's data before the next group builds its own
-        group = b = None
+    cq = _cell_quadrature(order, mesh, gauss_nodes() if rule is None else rule, mesh.N)
+    yield from (_gap_rows if mesh.is_uniform and _affine(cq) else _direct_rows)(cq)
 
 
 def assemble(
@@ -516,30 +559,31 @@ def assemble(
     rule: QuadratureRule | None = None,
     fast_path: bool = False,
 ) -> WeightTable:
-    """Build the full weight table from the rows of `coefficient_rows`.
+    """Build the full weight table from the collocation rows.
 
     rule is the Gauss rule applied per mesh cell and per geometric panel of
     each row's diagonal cell; None means gauss_nodes(), 8 nodes. The default
-    table is dense, by direct quadrature on every input (a reference for the
+    table is dense, from _direct_rows on every input (a reference for the
     gap-indexed rows). fast_path stores the O(N) gap-indexed cell averages
     and nodal kernel values a solve reads where translation_invariant holds,
     and raises ValueError elsewhere. The moments are dense in both modes:
     this table is a cache for inspection, not what a solve holds.
     """
-    translation_invariant(order, mesh, require=fast_path)
-    if not fast_path:
-        order = replace(order, is_linear=False)
+    rule = gauss_nodes() if rule is None else rule
+    if fast_path:
+        translation_invariant(order, mesh, rule, require=True)
     N = mesh.N
+    cq = _cell_quadrature(order, mesh, rule, N)
     wL = np.zeros((N + 1, N + 1))
     wR = np.zeros((N + 1, N + 1))
     B = None if fast_path else np.zeros((N + 1, N + 1))
-    for n, wl, wr, b in coefficient_rows(order, mesh, rule):
+    for n, wl, wr, b in (_gap_rows if fast_path else _direct_rows)(cq):
         wL[n, 1 : n + 1] = wl
         wR[n, 1 : n + 1] = wr
         if B is not None:
             B[n, 1 : n + 1] = b
-    alpha_t = np.asarray(order.alpha(mesh.nodes), dtype=float)
-    nodal = _kernel_minus_one(alpha_t[1:] - alpha_t[0], mesh.nodes[1:])  # K(t_n, 0) - 1
+    a = cq.alpha_t
+    nodal = _kernel_minus_one(a[1:] - a[0], mesh.nodes[1:])  # K(t_n, 0) - 1
     if fast_path:
         # b is row N: gap k = N - j
         return WeightTable(N=N, invariant_mode=True, wL=wL, wR=wR,

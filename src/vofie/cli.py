@@ -216,7 +216,7 @@ def cmd_solve(args) -> int:
     problem, mesh, rule, cfg, _ = build_run(config)
     if args.fast_path:
         # a check only: solve takes the fast path whenever the inputs qualify
-        translation_invariant(problem.order, mesh, require=True)
+        translation_invariant(problem.order, mesh, rule, require=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -298,8 +298,17 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors exit with EXIT_CONFIG, not 2, which
+    is the code of solver failures."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vofie",
         description="Collocation solver for variable-order fractional Cauchy problems",
     )
@@ -309,10 +318,12 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="path to a JSON config")
         p.add_argument("--preset", help=f"bundled config, one of {sorted(PRESETS)}")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--quad-nodes", type=int, default=None)
         p.add_argument("--newton-tol", type=float, default=None)
-        p.add_argument("--fast-path", action="store_true")
+        if name == "solve":
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if name in ("solve", "coeffs"):
+            p.add_argument("--fast-path", action="store_true")
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
     try:

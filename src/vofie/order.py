@@ -17,16 +17,15 @@ import numpy as np
 class VariableOrder:
     """The order function alpha(t) on [0, T] with its derivative.
 
-    is_linear declares that alpha is an affine function of t; it is never
-    inferred. On a uniform mesh every solve then reads the gap-indexed
-    coefficient rows (assembly.translation_invariant).
+    Nothing is declared about the shape of alpha: whether a solve may read
+    gap-indexed coefficient rows is worked out from alpha's values
+    (assembly.translation_invariant).
     """
 
     alpha: Callable
     dalpha: Callable
     alpha0: float
     T: float = 1.0
-    is_linear: bool = False
 
     def __call__(self, t):
         return self.alpha(t)
@@ -78,7 +77,6 @@ def make_constant_order(value: float, T: float = 1.0) -> VariableOrder:
         dalpha=dalpha,
         alpha0=value,
         T=T,
-        is_linear=True,
     )
 
 
@@ -101,7 +99,6 @@ def make_linear_order(start: float, end: float, T: float = 1.0) -> VariableOrder
         dalpha=dalpha,
         alpha0=start,
         T=T,
-        is_linear=True,
     )
 
 
@@ -110,11 +107,12 @@ def make_custom_order(
     dalpha: Callable,
     alpha0: float,
     T: float = 1.0,
-    is_linear: bool = False,
 ) -> VariableOrder:
     """Wrap user-supplied (alpha, alpha') callables.
 
-    The derivative is required explicitly; alpha0 must equal alpha(0).
+    The derivative is required explicitly; alpha0 must equal alpha(0). An
+    affine alpha needs no declaration: on a uniform mesh a solve finds it
+    from alpha's values and reads the gap-indexed rows.
     """
     a0 = float(alpha(0.0))
     if abs(a0 - alpha0) > 1e-14:
@@ -124,7 +122,6 @@ def make_custom_order(
         dalpha=dalpha,
         alpha0=alpha0,
         T=T,
-        is_linear=is_linear,
     )
 
 

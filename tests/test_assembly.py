@@ -15,11 +15,13 @@ from vofie.assembly import (
     gauss_nodes,
     history_weights,
     singular_moments,
+    translation_invariant,
 )
 from vofie.kernel import kernel_K, kernel_Ks
 from vofie.mesh import make_mesh
 from vofie.order import (
     make_constant_order,
+    make_custom_order,
     make_linear_order,
     make_sine_order,
 )
@@ -272,6 +274,57 @@ class TestAssemble:
         lines = path.read_text().splitlines()
         assert lines[0] == "n,i,h,wL,wR"
         assert len(lines) == 1 + 4 * 5 // 2
+
+
+def custom_order(alpha, dalpha, T=1.0):
+    return make_custom_order(alpha, dalpha, alpha0=float(alpha(0.0)), T=T)
+
+
+class TestTranslationInvariant:
+    """Gap rows follow from alpha's values; nothing is declared."""
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            make_linear_order(0.7, 0.3, T=2.0),
+            custom_order(lambda t: 0.2 * np.asarray(t) / 0.7 + 0.8 * (1 - np.asarray(t) / 0.7),
+                         lambda t: np.full_like(np.asarray(t, dtype=float), -0.6 / 0.7), T=0.7),
+        ],
+    )
+    def test_affine_orders_qualify(self, order):
+        mesh = make_mesh(order.T, 64, 1.0)
+        assert translation_invariant(order, mesh)
+        assert translation_invariant(order, mesh, gauss_nodes(20), require=True)
+
+    def test_quadratic_order_names_its_largest_departure(self):
+        order = custom_order(lambda t: 0.6 - 0.3 * np.asarray(t) ** 2, lambda t: -0.6 * np.asarray(t))
+        mesh = make_mesh(1.0, 8, 1.0)
+        assert not translation_invariant(order, mesh)
+        assert not translation_invariant(make_sine_order(0.6, 0.4), mesh)
+        # 0.3 (t - t^2) from the chord 0.6 - 0.3 t, largest at the node t = 0.5
+        with pytest.raises(ValueError, match=r"chord by 0\.075 at t = 0\.5$"):
+            translation_invariant(order, mesh, require=True)
+
+    def test_rule_points_are_checked_between_affine_nodes(self):
+        # on the chord at every node of N = 16, off it inside each cell
+        order = custom_order(lambda t: 0.6 - 0.3 * np.asarray(t) + 1e-3 * np.sin(32 * np.pi * np.asarray(t)),
+                             lambda t: -0.3 + 32e-3 * np.pi * np.cos(32 * np.pi * np.asarray(t)))
+        mesh = make_mesh(1.0, 16, 1.0)
+        assert not translation_invariant(order, mesh)
+        with pytest.raises(ValueError) as exc:
+            translation_invariant(order, mesh, require=True)
+        t = float(str(exc.value).split("at t = ")[1])
+        assert np.min(np.abs(mesh.nodes - t)) > 1e-3
+
+    def test_graded_mesh_is_refused_before_sampling(self):
+        calls = []
+        line = make_linear_order(0.9, 0.4)
+        order = custom_order(lambda t: calls.append(1) or line.alpha(t), line.dalpha)
+        calls.clear()
+        assert not translation_invariant(order, make_mesh(1.0, 16, 2.0))
+        with pytest.raises(ValueError, match="uniform"):
+            translation_invariant(order, make_mesh(1.0, 16, 2.0), require=True)
+        assert calls == []
 
 
 class TestIntegrationByParts:

@@ -67,6 +67,36 @@ class TestConfigResolution:
         assert err.startswith("config error:") and repr(missing) in err
 
 
+class TestUsage:
+    def test_unknown_flag_is_a_config_error(self, tmp_path, capsys):
+        # exit 2 is reserved for solver failures
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--preset", "fig1_casei", "--out", str(tmp_path), "--bogus"])
+        assert exc.value.code == 1
+        assert "--bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("converge", ["--format", "json"]),
+            ("converge", ["--fast-path"]),
+            ("coeffs", ["--format", "json"]),
+        ],
+    )
+    def test_flag_the_subcommand_does_not_take(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "table2_col1", "--out", str(tmp_path), *flag])
+        assert exc.value.code == 1
+        assert flag[0] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--fast-path" in capsys.readouterr().out
+
+
 class TestCmdSolve:
     def test_zero_rhs_preserves_u0(self, tmp_path):
         out = tmp_path / "out"
@@ -219,3 +249,20 @@ class TestCmdCoeffs:
         ])
         assert rc == 1
         assert "uniform" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["coeffs", "solve"])
+    def test_fast_path_on_sine_order_names_the_departure(self, tmp_path, capsys, command):
+        config = {
+            "problem": {"f": "zero", "u0": 1.0, "T": 1.0},
+            "order": {"family": "sine", "a0": 0.6, "a1": 0.4},
+            "mesh": {"N": 8, "r": 1.0},
+        }
+        out = tmp_path / "out"
+        rc = main([
+            command, "--config", write_config(tmp_path, config),
+            "--out", str(out), "--fast-path",
+        ])
+        assert rc == 1
+        assert "departs from its chord by" in capsys.readouterr().err
+        if command == "solve":
+            assert not out.exists()

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,12 @@ from vofie import assembly
 from vofie.assembly import _moments, singular_moments
 from vofie.kernel import initial_coefficient
 from vofie.mesh import make_mesh
-from vofie.order import make_constant_order, make_linear_order, make_sine_order
+from vofie.order import (
+    make_constant_order,
+    make_custom_order,
+    make_linear_order,
+    make_sine_order,
+)
 from vofie.solver import (
     NewtonConfig,
     NewtonDivergedError,
@@ -44,6 +48,14 @@ def problem_one(order, u0=1.0):
     return Problem(f=f_one, df_du=df_zero, u0=u0, T=1.0, order=order)
 
 
+def solve_on_direct_rows(problem, mesh):
+    """solve on the direct rows whatever the inputs, by refusing every order
+    as affine: the reference the gap rows are compared with."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "_affine", lambda cq, require=False: False)
+        return solve(problem, mesh)
+
+
 class TestConstantPreservation:
     @pytest.mark.parametrize("N,r", [(16, 1.0), (64, 1.0), (100, 2.0), (256, 1.0 / 0.6)])
     def test_f_zero_stays_at_u0(self, N, r):
@@ -67,10 +79,8 @@ class TestConstantPreservation:
     )
     def test_f_zero_keeps_u0_exactly(self, order, r, fast_path):
         # increment form: f = 0 gives zero increments, not rounding-sized ones
-        if not fast_path:
-            order = replace(order, is_linear=False)
         problem = Problem(f=f_zero, df_du=df_zero, u0=1.3, T=1.0, order=order)
-        sol = solve(problem, make_mesh(1.0, 512, r))
+        sol = (solve if fast_path else solve_on_direct_rows)(problem, make_mesh(1.0, 512, r))
         assert np.all(sol.values == 1.3)
 
 
@@ -83,7 +93,7 @@ class TestFastPath:
             u0=1.0, T=1.0, order=make_linear_order(0.9, 0.4),
         )
         mesh = make_mesh(1.0, 200, 1.0)
-        dense = solve(replace(problem, order=replace(problem.order, is_linear=False)), mesh)
+        dense = solve_on_direct_rows(problem, mesh)
         fast = solve(problem, mesh)
         np.testing.assert_allclose(fast.values, dense.values, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(fast.newton_stats, dense.newton_stats)
@@ -94,19 +104,16 @@ class TestFastPath:
             (make_linear_order(0.9, 0.4), 1.0, True),
             (make_constant_order(0.5), 1.0, True),
             (make_linear_order(0.9, 0.4), 2.0, False),
-            (replace(make_linear_order(0.9, 0.4), is_linear=False), 1.0, False),
+            # alpha on no line: reading gap rows moved the values by 1.5e-2
+            (make_custom_order(lambda t: 0.6 - 0.3 * np.asarray(t) ** 2,
+                               lambda t: -0.6 * np.asarray(t), alpha0=0.6), 1.0, False),
+            (make_custom_order(lambda t: 0.9 - 0.5 * np.asarray(t),
+                               lambda t: np.full_like(np.asarray(t, dtype=float), -0.5),
+                               alpha0=0.9), 1.0, True),
         ],
     )
     def test_plain_solve_picks_rows_from_inputs(self, monkeypatch, order, r, gap_rows):
-        # gap rows are views of row N: one _cell_averages call per solve
-        calls = []
-        cell_averages = assembly._cell_averages
-
-        def counted(cq, rows, group=None):
-            calls.append(rows.tolist())
-            return cell_averages(cq, rows, group)
-
-        monkeypatch.setattr(assembly, "_cell_averages", counted)
+        calls = count_cell_averages(monkeypatch)
         solve(sin4_problem(order), make_mesh(1.0, 200, r))
         if gap_rows:
             assert calls == [[200]]
@@ -118,8 +125,23 @@ def sin4_problem(order):
     return Problem(
         f=lambda u, t: 0.5 * np.sin(u) ** 4,
         df_du=lambda u, t: 2.0 * np.sin(u) ** 3 * np.cos(u),
-        u0=1.0, T=1.0, order=order,
+        u0=1.0, T=order.T, order=order,
     )
+
+
+def count_cell_averages(mp):
+    """The rows of every _cell_averages call, patched in through mp. Gap
+    rows are views of row N, so a solve that reads them makes one call, for
+    row N."""
+    calls = []
+    cell_averages = assembly._cell_averages
+
+    def counted(cq, rows, group=None):
+        calls.append(rows.tolist())
+        return cell_averages(cq, rows, group)
+
+    mp.setattr(assembly, "_cell_averages", counted)
+    return calls
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,7 +157,7 @@ def test_affine_orders_fast_equals_dense(start, frac, N, grading):
     order = make_linear_order(start, 0.1 + frac * (start - 0.1))
     problem = sin4_problem(order)
     mesh = make_mesh(1.0, N, 1.0)
-    dense = solve(sin4_problem(replace(order, is_linear=False)), mesh)
+    dense = solve_on_direct_rows(problem, mesh)
     fast = solve(problem, mesh)
     np.testing.assert_allclose(fast.values, dense.values, rtol=0, atol=1e-13)
     np.testing.assert_array_equal(fast.newton_stats, dense.newton_stats)
@@ -158,6 +180,31 @@ def test_affine_orders_fast_equals_dense(start, frac, N, grading):
         assert not wl[k, n:].any() and not wr[k, n:].any()
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    start=st.floats(0.3, 1.0),
+    frac=st.floats(0.0, 1.0),
+    T=st.sampled_from([0.7, 1.0, 2.0]),
+    N=st.integers(2, 200),
+)
+def test_custom_affine_orders_take_gap_rows(start, frac, T, N):
+    # an affine order written as a user might, with nothing declared
+    end = 0.1 + frac * (start - 0.1)
+    order = make_custom_order(
+        lambda t: end * np.asarray(t) / T + start * (1.0 - np.asarray(t) / T),
+        lambda t: np.full_like(np.asarray(t, dtype=float), (end - start) / T),
+        alpha0=start, T=T,
+    )
+    problem, mesh = sin4_problem(order), make_mesh(T, N, 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_cell_averages(mp)
+        fast = solve(problem, mesh)
+    assert calls == [[N]]
+    dense = solve_on_direct_rows(problem, mesh)
+    np.testing.assert_allclose(fast.values, dense.values, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(fast.newton_stats, dense.newton_stats)
+
+
 class TestMemory:
     @pytest.mark.parametrize(
         "order,N,r,fast_path",
@@ -169,12 +216,10 @@ class TestMemory:
     def test_solve_peak_stays_linear(self, order, N, r, fast_path):
         # rows are streamed in blocks; an (N+1)^2 table would be 128 MB at
         # N = 4000 and 17 MB at N = 1440
-        if not fast_path:
-            order = replace(order, is_linear=False)
         problem, mesh = sin4_problem(order), make_mesh(1.0, N, r)
         tracemalloc.start()
         try:
-            solve(problem, mesh)
+            (solve if fast_path else solve_on_direct_rows)(problem, mesh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
