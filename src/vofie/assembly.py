@@ -22,30 +22,37 @@ from the mesh and alpha's values (nothing is declared). A solve on such
 inputs keeps one gap-indexed sequence of cell averages and skips the
 per-block kernel sweeps, streaming only the moments.
 
-Far field. Consecutive blocks form row groups t_lo..t_hi of about
-sqrt(FAR_POINTS n) rows. Cells that end FAR_SEPARATION (t_hi - t_lo) or more
-before t_lo are far from every row of the group, and t -> K(t, s) is
-analytic there, so their averages are a short Chebyshev interpolant in t:
-the group evaluates them once at FAR_POINTS Chebyshev times (with alpha at
-those times) and each row takes its barycentric combination of them. That
-cuts the kernel points of a dense solve about threefold at N = 1440 and
-makes the cost per row O(sqrt(N)) instead of O(N). The near cells, the
-diagonal cell and column 0 stay on direct quadrature. A group keeps all
-its cells direct when interpolation would save little (every solve with
-N <= 192 and the 8-node rule is fully direct) or when its interpolant
-misses its first row's direct far averages by more than FAR_CHECK_TOL,
-which happens where alpha varies on the scale of the group. Interpolated
-averages agree with direct ones to about 2e-15. The moments are not
-interpolated: see _moments for their far-cell cancellation.
+Far field. Rows are grouped in runs t_lo..t_hi of about
+sqrt(FAR_POINTS n / (1 + FAR_SEPARATION)) rows. Cells 1..far, which end
+FAR_SEPARATION (t_hi - t_lo) or more before t_lo, are far from every row of
+the group, and the march has solved every value they multiply before it
+reaches row lo. Their whole contribution to row n is then one number,
+
+    F(t_n) = sum_{j <= far} wL(t_n, j) f_{j-1} + wR(t_n, j) f_j
+             - B(t_n, j) (U_j - U_{j-1}),
+
+and F is analytic in t over the group. The group evaluates its moment term
+(closed forms with alpha at each time) and its B term (the cells' Gauss
+averages) at FAR_POINTS first-kind Chebyshev times, and each row takes the
+barycentric interpolant at t_n: a row builds moments and averages of its
+near cells far+1..n only. On the gap rows the B term stays an exact dot of
+row N. A group keeps every cell near when its far field would save little
+(every solve with N <= 192 and the 8-node rule) or when, at t_lo, either
+interpolated term misses its direct value by more than FAR_CHECK_TOL times
+the sum of that term's absolute contributions, which happens where alpha
+varies on the scale of the group. With f = 0 both terms are exactly zero.
 
 `assemble` collects rows into a WeightTable, the cache that coefficient
 dumps and the tests read, dense by default and gap-indexed with fast_path.
-Its hat-basis history weights h[n][i] = B[n][i+1] - B[n][i], h[n][n] =
--B[n][n] and u0 coefficient h0[n] = B[n][1] - B[n][0] are derived views.
+It has no far field: every cell of every row is direct, so the table is an
+independent reference for the solve. Its hat-basis history weights
+h[n][i] = B[n][i+1] - B[n][i], h[n][n] = -B[n][n] and u0 coefficient
+h0[n] = B[n][1] - B[n][0] are derived views.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,20 +69,32 @@ from .order import VariableOrder
 # ~1e-7.
 DIAG_PANELS = 6
 DIAG_RATIO = 0.15
-# Kernel evaluations per block of history rows: large enough that numpy call
-# overhead is amortised, small enough that the block's temporaries stay in
-# cache and add nothing measurable to peak memory.
+# Kernel evaluations per block of history rows, and moments per block where
+# no kernel points come with them (the gap rows, the far sums): large enough
+# that numpy call overhead is amortised, small enough that the block's
+# temporaries stay in cache and add nothing measurable to peak memory.
 HISTORY_BLOCK_POINTS = 2**14
 # Far field of a row group t_lo..t_hi: the cells that end at least
-# FAR_SEPARATION * (t_hi - t_lo) before t_lo. Their averages are analytic in
-# t_n there and are interpolated from FAR_POINTS first-kind Chebyshev times.
+# FAR_SEPARATION * (t_hi - t_lo) before t_lo. Their contribution to a row is
+# analytic in t_n there and is interpolated from FAR_POINTS first-kind
+# Chebyshev times. At 1.5 group widths the far cells end 4 half-widths from
+# the group's centre, where 16 points converge like 7.9^-16 (5e-15); at one
+# width (5.8^-16, 6e-13) far sums of sine orders missed direct quadrature by
+# up to 7.9e-15.
 FAR_POINTS = 16
-FAR_SEPARATION = 1.0
-# Kernel evaluations a group must save for its far field to be used.
-FAR_MIN_SAVED_POINTS = HISTORY_BLOCK_POINTS
-# Largest deviation of a group's interpolant from the direct far averages of
-# its first row (the one nearest the far cells) for the far field to be used.
-FAR_CHECK_TOL = 2e-15
+FAR_SEPARATION = 1.5
+# Kernel and moment points (rule.count + 1 per far cell and row) a group must
+# save for its far field to be used: every solve with N <= 192 and the
+# 8-node rule stays direct.
+FAR_MIN_SAVED_POINTS = 2 * HISTORY_BLOCK_POINTS
+# Largest miss of each of a group's interpolated far terms at its first row
+# (the one nearest the far cells), relative to the sum of that term's
+# absolute contributions there, for the far field to be used. The moments
+# weigh f; the B term is the far part of the history sum of K (U_j -
+# U_{j-1}), so its contributions are counted with K = 1 + B: alpha's own
+# rounding leaves B with an absolute error of about eps, which a scale of
+# B alone would read as a miss wherever alpha is flat.
+FAR_CHECK_TOL = 1e-14
 # Largest departure of alpha from its chord for the order to count as affine
 # (translation_invariant): 8 ulp of 1. Affine orders in any algebraic form
 # (start + slope t, end t/T + start (1 - t/T), ...) stay within 1.5 ulp;
@@ -119,19 +138,20 @@ def _diag_edges(lo, hi) -> np.ndarray:
     return np.concatenate((lo, inner, hi), axis=-1)
 
 
-def _moments(mesh: Mesh, rows: np.ndarray, al: np.ndarray):
-    """Closed-form hat moments (wL, wR) of cells 1..rows[-1] for each row n
-    in `rows`, with al = alpha(t_n) per row; columns past n are zero.
+def _moments(t: np.ndarray, edges: np.ndarray, al: np.ndarray):
+    """Closed-form hat moments (wL, wR) at the times t, with al = alpha(t)
+    per time, of the cells between consecutive `edges`: one row per time,
+    one column per cell. Columns of cells that start at or after t are zero.
 
-    Substituting v = t_n - s with a = t_n - t_i, b = t_n - t_{i-1} and
-    writing G = Gamma(al), the cell's singular mass is
+    Substituting v = t - s with a = t - t_i, b = t - t_{i-1} and writing
+    G = Gamma(al), the cell's singular mass is
 
         m = (b^al - a^al) / (al G),
 
     taken as a difference of P_k = v_k^al (one power per point), so the
-    masses of a row telescope to t_n^al / Gamma(al + 1). wL multiplies the
-    nodal value at t_{i-1}, wR the one at t_i; wL = theta m and wR = m - wL,
-    so both are nonnegative and wL + wR is m to one rounding. With
+    masses of a row telescope to (t - t_0)^al / Gamma(al + 1). wL multiplies
+    the nodal value at t_{i-1}, wR the one at t_i; wL = theta m and wR =
+    m - wL, so both are nonnegative and wL + wR is m to one rounding. With
     q = (b - a)/b and D = 1 - (a/b)^al = -expm1(al log1p(-q)),
 
         theta = (al q - (1 - q) D) / ((al + 1) q D),
@@ -143,8 +163,7 @@ def _moments(mesh: Mesh, rows: np.ndarray, al: np.ndarray):
     is about eps b/tau, as m's, and theta is clipped to its range against
     rounding as q -> 0.
     """
-    width = rows[-1] + 1
-    v = np.maximum(mesh.nodes[rows, None] - mesh.nodes[:width], 0.0)
+    v = np.maximum(t[:, None] - edges, 0.0)
     al = al[:, None]
     m = v**al
     m = (m[:, :-1] - m[:, 1:]) / (al * special.gamma(al))
@@ -153,7 +172,7 @@ def _moments(mesh: Mesh, rows: np.ndarray, al: np.ndarray):
         q = (b - a) / b
         e = np.expm1(al * np.log1p(-q))  # -D
         theta = (q * (al - e) + e) / (q * e) * (-1.0 / (al + 1.0))
-    # fmax/fmin also map the NaN of the zero columns past n (q = 0/0)
+    # fmax/fmin also map the NaN of the zero columns past t (q = 0/0)
     # into range, where m = 0
     wl = np.fmin(np.fmax(theta, al / (al + 1.0), out=theta), 0.5, out=theta) * m
     return wl, m - wl
@@ -163,7 +182,8 @@ def singular_moments(order: VariableOrder, mesh: Mesh, n: int, i: int):
     """Closed-form (wL, wR) for cell i of row n; see _moments."""
     if not (1 <= i <= n <= mesh.N):
         raise IndexError(f"need 1 <= i <= n <= N, got i={i}, n={n}, N={mesh.N}")
-    wl, wr = _moments(mesh, np.array([n]), np.array([order.alpha(mesh.nodes[n])], dtype=float))
+    t = mesh.nodes[n : n + 1]
+    wl, wr = _moments(t, mesh.nodes[: n + 1], np.asarray(order.alpha(t), dtype=float))
     return float(wl[0, i - 1]), float(wr[0, i - 1])
 
 
@@ -184,7 +204,7 @@ class _CellQuadrature:
 
     Cell j = [t_{j-1}, t_j] is row j-1 of `s`/`alpha_s`: the rule's points
     there and alpha at them, evaluated once per assembly. The diagonal cell
-    of a row gets geometric panels instead, built per row group.
+    of a row gets geometric panels instead, built per row block.
     """
 
     order: VariableOrder
@@ -195,8 +215,20 @@ class _CellQuadrature:
     alpha_s: np.ndarray
 
 
+# The _CellQuadrature of the last inputs translation_invariant passed, held
+# for the next _cell_quadrature call only: the solve after a check on the
+# same order, mesh and rule objects reads it, so alpha is sampled once.
+# Orders are pure and meshes are not changed in place.
+_checked: _CellQuadrature | None = None
+
+
 def _cell_quadrature(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: int):
     """_CellQuadrature for rows up to n (cells 1..n-1 off the diagonal)."""
+    global _checked
+    cq, _checked = _checked, None
+    if (cq is not None and cq.order is order and cq.mesh is mesh and cq.rule is rule
+            and len(cq.alpha_t) == n + 1):
+        return cq
     s = mesh.nodes[: n - 1, None] + mesh.steps[: n - 1, None] * rule.nodes
     return _CellQuadrature(
         order=order,
@@ -208,106 +240,29 @@ def _cell_quadrature(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: 
     )
 
 
-@dataclass(frozen=True)
-class _GroupData:
-    """What the rows lo..hi of one row group share, built once per group.
-
-    col0 and diag hold K(t_n, 0) - 1 and the diagonal cell's average B[n][n]
-    of each row, by direct quadrature. far_avg[c, j - 1] is the direct
-    cell-j average at the c-th Chebyshev time of [t_lo, t_hi], for the far
-    cells 1..far; a row takes those cells as lagrange[n - lo] @ far_avg,
-    the barycentric Chebyshev interpolant in t at t_n. With far = 0,
-    far_avg is empty and lagrange is None.
+def _cell_averages(cq: _CellQuadrature, rows: np.ndarray, first: int = 0) -> np.ndarray:
+    """B[k, c] = (1/tau_j) int_{cell j} K(t_n, s) ds - 1 for n = rows[k] and
+    cell j = first + 1 + c, over the cells first+1..rows[-1]; columns past
+    n are zero. The off-diagonal cells are gathered point by point, the
+    rule's points of all rows in one sweep; the diagonal cell gets
+    geometric panels toward the v ln v corner at s = t_n.
     """
-
-    lo: int
-    col0: np.ndarray
-    diag: np.ndarray
-    far_avg: np.ndarray
-    lagrange: np.ndarray | None
-
-    @property
-    def far(self) -> int:
-        return self.far_avg.shape[1]
-
-
-def _group_data(cq: _CellQuadrature, lo: int, hi: int, far: int = 0) -> _GroupData:
-    """_GroupData of rows lo..hi with far cells 1..far. The far averages are
-    evaluated at FAR_POINTS first-kind Chebyshev times with alpha at those
-    times, and at t_lo, in chunks of at most HISTORY_BLOCK_POINTS / 2 kernel
-    points. Where the interpolant misses row lo's direct far averages by
-    more than FAR_CHECK_TOL, the group is direct (far = 0): alpha varies on
-    the scale of the group there, as in the wide last groups of a strongly
-    graded mesh."""
     nodes, x, w = cq.mesh.nodes, cq.rule.nodes, cq.rule.weights
-    rows = np.arange(lo, hi + 1)
     tn, an = nodes[rows], cq.alpha_t[rows]
+    out = np.zeros((len(rows), rows[-1] - first))
 
-    # diagonal cell: geometric panels toward the v ln v corner at s = t_n
+    counts = rows - 1 - first
+    k = np.repeat(np.arange(len(rows)), counts)
+    c = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    j = first + c
+    out[k, c] = _kernel_minus_one(an[k, None] - cq.alpha_s[j], tn[k, None] - cq.s[j]) @ w
+
     edges = _diag_edges(nodes[rows - 1], tn)
     width = np.diff(edges, axis=1)[:, :, None]
     s = (edges[:, :-1, None] + width * x).reshape(len(rows), -1)
     wgt = (width * w / cq.mesh.steps[rows - 1, None, None]).reshape(len(rows), -1)
     da = an[:, None] - np.asarray(cq.order.alpha(s), dtype=float)
-    diag = np.sum(_kernel_minus_one(da, tn[:, None] - s) * wgt, axis=1)
-    col0 = _kernel_minus_one(an - cq.alpha_t[0], tn)
-
-    direct = _GroupData(lo, col0, diag, np.empty((0, 0)), None)
-    if not far:
-        return direct
-    angle = (2 * np.arange(FAR_POINTS) + 1) * np.pi / (2 * FAR_POINTS)
-    times = np.append((tn[0] + tn[-1]) / 2 + (tn[-1] - tn[0]) / 2 * np.cos(angle), tn[0])
-    alpha = np.asarray(cq.order.alpha(times), dtype=float)[:, None, None]
-    avg = np.empty((FAR_POINTS + 1, far))
-    # half a block per chunk: the group's averages, up to FAR_POINTS + 1
-    # rows of N, are alive beside the chunk's temporaries, and a full block
-    # there would raise the solve's memory peak above what a block sets
-    step = max(1, HISTORY_BLOCK_POINTS // (2 * (FAR_POINTS + 1) * cq.rule.count))
-    for j in range(0, far, step):
-        cells = slice(j, min(j + step, far))
-        vals = _kernel_minus_one(alpha - cq.alpha_s[cells], times[:, None, None] - cq.s[cells])
-        avg[:, cells] = vals @ w
-
-    # barycentric weights of first-kind Chebyshev points; a row on a point
-    # takes that point's value
-    d = tn[:, None] - times[:-1]
-    hit = d == 0.0
-    q = (-1.0) ** np.arange(FAR_POINTS) * np.sin(angle) / np.where(hit, 1.0, d)
-    on_point = hit.any(axis=1)
-    q[on_point] = hit[on_point]
-    lagrange = q / q.sum(axis=1, keepdims=True)
-    if np.max(np.abs(lagrange[0] @ avg[:-1] - avg[-1])) > FAR_CHECK_TOL:
-        return direct
-    return _GroupData(lo, col0, diag, avg[:-1], lagrange)
-
-
-def _cell_averages(cq: _CellQuadrature, rows: np.ndarray, group: _GroupData | None = None) -> np.ndarray:
-    """B[k, j] = (1/tau_j) int_{cell j} K(t_n, s) ds - 1 for n = rows[k].
-
-    Columns j = 1..n hold the cell averages, column 0 holds K(t_n, 0) - 1
-    and columns past n are zero, over a width of rows[-1] + 1. `group` is
-    the _GroupData of a row group holding `rows` (None: a direct one of
-    these rows alone); its far cells are interpolated, one dot per row, and
-    its near off-diagonal cells are gathered point by point, the rule's
-    points of all rows in one sweep.
-    """
-    if group is None:
-        group = _group_data(cq, int(rows[0]), int(rows[-1]))
-    nodes, w = cq.mesh.nodes, cq.rule.weights
-    tn, an = nodes[rows], cq.alpha_t[rows]
-    out = np.zeros((len(rows), rows[-1] + 1))
-    first = group.far
-
-    counts = rows - 1 - first
-    k = np.repeat(np.arange(len(rows)), counts)
-    j = first + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    out[k, j + 1] = _kernel_minus_one(an[k, None] - cq.alpha_s[j], tn[k, None] - cq.s[j]) @ w
-    if first:
-        for row, lagrange in zip(out, group.lagrange[rows - group.lo]):
-            np.dot(lagrange, group.far_avg, out=row[1 : first + 1])
-
-    out[np.arange(len(rows)), rows] = group.diag[rows - group.lo]
-    out[:, 0] = group.col0[rows - group.lo]
+    out[np.arange(len(rows)), counts] = np.sum(_kernel_minus_one(da, tn[:, None] - s) * wgt, axis=1)
     return out
 
 
@@ -325,41 +280,111 @@ def _hat_weights(averages: np.ndarray):
     return h, h0
 
 
-def _row_blocks(N: int, rule: QuadratureRule):
-    """Consecutive row ranges of 1..N, each within HISTORY_BLOCK_POINTS
-    kernel evaluations (a row larger than that is a block of its own)."""
-    cost = np.cumsum((np.arange(N) + DIAG_PANELS) * rule.count)
-    lo = 0
-    while lo < N:
-        base = cost[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(cost, base + HISTORY_BLOCK_POINTS, "right")))
-        yield np.arange(lo + 1, hi + 1)
-        lo = hi
+def _row_blocks(lo: int, hi: int, first: int, cells: int):
+    """Consecutive row ranges of lo..hi, each within `cells` near cells
+    first+1..n and diagonal panels (a row with more is a block of its
+    own)."""
+    cost = np.cumsum(np.arange(lo, hi + 1) - first + DIAG_PANELS)
+    start = 0
+    while start < len(cost):
+        base = cost[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(cost, base + cells, "right")))
+        yield np.arange(lo + start, lo + stop)
+        start = stop
 
 
-def _row_groups(mesh: Mesh, rule: QuadratureRule):
-    """Consecutive _row_blocks merged into far-field groups.
+def _row_groups(mesh: Mesh, rule: QuadratureRule, far_field: bool = True):
+    """Row groups (lo, hi, far) covering rows 1..N in order.
 
-    Yields (blocks, far): the blocks cover rows lo..hi, at least
-    sqrt(FAR_POINTS lo / (1 + FAR_SEPARATION)) of them (the last group may
-    be shorter), and cells 1..far end at least FAR_SEPARATION (t_hi - t_lo)
-    before t_lo. far is 0, so every cell is direct, unless the group has
-    more than FAR_POINTS rows and interpolation saves at least
-    FAR_MIN_SAVED_POINTS kernel points.
+    A group from lo has the fewest rows s with s^2 (1 + FAR_SEPARATION) >=
+    FAR_POINTS lo, and takes in a tail shorter than that; cells 1..far end
+    at least FAR_SEPARATION (t_hi - t_lo) before t_lo. far is 0, so every
+    cell is near, unless the group has more than FAR_POINTS rows and its
+    far field saves at least FAR_MIN_SAVED_POINTS points.
+    Consecutive groups with far = 0 are yielded as one, and without
+    far_field the one group is 1..N.
     """
-    nodes = mesh.nodes
-    blocks = []
-    for rows in _row_blocks(mesh.N, rule):
-        blocks.append(rows)
-        lo, hi = int(blocks[0][0]), int(rows[-1])
-        size = hi - lo + 1
-        if size**2 * (1 + FAR_SEPARATION) < FAR_POINTS * lo and hi < mesh.N:
-            continue
+    N, nodes = mesh.N, mesh.nodes
+    start = lo = 1  # first row not yet yielded
+    while far_field and lo <= N:
+        size = math.ceil(math.sqrt(FAR_POINTS * lo / (1 + FAR_SEPARATION)))
+        hi = N if N - lo + 1 < 2 * size else lo + size - 1
         edge = nodes[lo] - FAR_SEPARATION * (nodes[hi] - nodes[lo])
         far = int(np.searchsorted(nodes, edge, "right")) - 1
-        saved = far * (size - FAR_POINTS) * rule.count
-        yield blocks, far if size > FAR_POINTS and saved >= FAR_MIN_SAVED_POINTS else 0
-        blocks = []
+        size = hi - lo + 1
+        if size > FAR_POINTS and far * (size - FAR_POINTS) * (rule.count + 1) >= FAR_MIN_SAVED_POINTS:
+            if start < lo:
+                yield start, lo - 1, 0
+            yield lo, hi, far
+            start = hi + 1
+        lo = hi + 1
+    if start <= N:
+        yield start, N, 0
+
+
+def _far_known(cq: _CellQuadrature, lo: int, hi: int, far: int, fvals: np.ndarray,
+               incs: np.ndarray, last: np.ndarray | None = None):
+    """The far sums F(t_n) of rows lo..hi (module docstring) over cells
+    1..far, from fvals[:far + 1] and incs[1:far + 1], or None where the
+    group's far field fails its check. `last` is row N of the gap rows,
+    B[n][j] = last[N - n + j - 1]: the B term is then an exact dot of it,
+    and only the moment term is interpolated.
+
+    Both terms are evaluated at FAR_POINTS first-kind Chebyshev times of
+    [t_lo, t_hi], with alpha at those times, and at t_lo for the check, in
+    chunks of at most HISTORY_BLOCK_POINTS moment or kernel points.
+    """
+    assert far < lo, "a group's far cells must end before its first row"
+    nodes, w = cq.mesh.nodes, cq.rule.weights
+    f, d = fvals[: far + 1], incs[1 : far + 1]
+    angle = (2 * np.arange(FAR_POINTS) + 1) * np.pi / (2 * FAR_POINTS)
+    tl, th = nodes[lo], nodes[hi]
+    times = np.append((tl + th) / 2 + (th - tl) / 2 * np.cos(angle), tl)
+    alpha = np.asarray(cq.order.alpha(times), dtype=float)
+
+    # terms[0] is the moment term and terms[1] the B term at each time;
+    # scale holds the sums of their absolute contributions at t_lo
+    terms, scale = np.zeros((2, FAR_POINTS + 1)), np.zeros(2)
+    step = HISTORY_BLOCK_POINTS // (FAR_POINTS + 1)
+    for j in range(0, far, step):
+        k = min(j + step, far)
+        wl, wr = _moments(times, nodes[j : k + 1], alpha)
+        terms[0] += wl @ f[j:k] + wr @ f[j + 1 : k + 1]
+        scale[0] += wl[-1] @ np.abs(f[j:k]) + wr[-1] @ np.abs(f[j + 1 : k + 1])
+    if last is None:
+        step = max(1, HISTORY_BLOCK_POINTS // ((FAR_POINTS + 1) * cq.rule.count))
+        for j in range(0, far, step):
+            cells = slice(j, min(j + step, far))
+            avg = _kernel_minus_one(alpha[:, None, None] - cq.alpha_s[cells],
+                                    times[:, None, None] - cq.s[cells]) @ w
+            terms[1] += avg @ d[cells]
+            scale[1] += np.abs(1.0 + avg[-1]) @ np.abs(d[cells])
+
+    # barycentric weights of first-kind Chebyshev points; a row on a point
+    # takes that point's value
+    gap = nodes[lo : hi + 1, None] - times[:-1]
+    hit = gap == 0.0
+    q = (-1.0) ** np.arange(FAR_POINTS) * np.sin(angle) / np.where(hit, 1.0, gap)
+    on_point = hit.any(axis=1)
+    q[on_point] = hit[on_point]
+    rows = (q / q.sum(axis=1, keepdims=True)) @ terms[:, :-1].T
+    if np.any(np.abs(rows[0] - terms[:, -1]) > FAR_CHECK_TOL * scale):
+        return None
+    known = rows[:, 0] - rows[:, 1]
+    if last is not None:
+        N = cq.mesh.N
+        known -= np.correlate(last[N - hi : N - lo + far], d, "valid")[::-1]
+    return known
+
+
+def _groups(cq: _CellQuadrature, fvals, incs, last=None):
+    """(lo, hi, far, known) for each _row_groups group: known[n - lo] is row
+    n's far sum, and far is 0 (known zero) where the group is direct."""
+    for lo, hi, far in _row_groups(cq.mesh, cq.rule, fvals is not None):
+        known = _far_known(cq, lo, hi, far, fvals, incs, last) if far else None
+        if known is None:
+            far, known = 0, np.zeros(hi - lo + 1)
+        yield lo, hi, far, known
 
 
 def history_weights(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: int):
@@ -368,16 +393,14 @@ def history_weights(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: i
     h[n][i] is the integral of K_s(t_n, .) against hat_i over its one or
     two supporting cells; h0[n] is the u0 coefficient from the descending
     hat on [t_0, t_1]. Both are differences of the row's cell averages of
-    K (_hat_weights); `rule` is applied per cell and per diagonal panel.
-    The row is the one a solve reads: its far cells come from the far field
-    of its row group. Returned as (row, h0) with row[0] unused (zero).
+    K (_hat_weights), each by direct quadrature: `rule` is applied per cell
+    and per diagonal panel. Returned as (row, h0) with row[0] unused (zero).
     """
     if not (1 <= n <= mesh.N):
         raise IndexError(f"need 1 <= n <= N, got n={n}, N={mesh.N}")
-    lo, hi, far = next((int(b[0][0]), int(b[-1][-1]), far)
-                       for b, far in _row_groups(mesh, rule) if b[-1][-1] >= n)
-    cq = _cell_quadrature(order, mesh, rule, hi)
-    h, h0 = _hat_weights(_cell_averages(cq, np.array([n]), _group_data(cq, lo, hi, far))[0])
+    cq = _cell_quadrature(order, mesh, rule, n)
+    col0 = _kernel_minus_one(cq.alpha_t[n:] - cq.alpha_t[0], mesh.nodes[n : n + 1])
+    h, h0 = _hat_weights(np.concatenate((col0, _cell_averages(cq, np.array([n]))[0])))
     return h, float(h0)
 
 
@@ -480,12 +503,16 @@ def translation_invariant(order: VariableOrder, mesh: Mesh, rule: QuadratureRule
     and the off-diagonal points of `rule` (None: gauss_nodes()). A graded
     mesh is refused before alpha is sampled. With require, inputs that do
     not qualify raise ValueError naming why."""
+    global _checked
     if not mesh.is_uniform:
         if require:
             raise ValueError(f"the fast path needs a uniform mesh (r = 1), got r = {mesh.r:g}")
         return False
-    return _affine(_cell_quadrature(order, mesh, gauss_nodes() if rule is None else rule, mesh.N),
-                   require)
+    cq = _cell_quadrature(order, mesh, gauss_nodes() if rule is None else rule, mesh.N)
+    if not _affine(cq, require):
+        return False
+    _checked = cq
+    return True
 
 
 def _affine(cq: _CellQuadrature, require: bool = False) -> bool:
@@ -512,36 +539,46 @@ def _affine(cq: _CellQuadrature, require: bool = False) -> bool:
     return worst <= AFFINE_TOL
 
 
-def _gap_rows(cq: _CellQuadrature):
+def _gap_rows(cq: _CellQuadrature, fvals=None, incs=None):
     """coefficient_rows for translation-invariant inputs: the B rows are
-    views of row N, which holds every gap; only the moments are streamed."""
-    N = cq.mesh.N
+    views of row N, which holds every gap; only the moments and the far
+    sums are streamed."""
+    N, nodes = cq.mesh.N, cq.mesh.nodes
     # B[n][j] = B[N][N - n + j]: cell j lies n - j steps behind t_n
-    last = _cell_averages(cq, np.array([N]))[0, 1:]
-    for rows in _row_blocks(N, cq.rule):
-        wl, wr = _moments(cq.mesh, rows, cq.alpha_t[rows])
-        for k, n in enumerate(rows.tolist()):
-            yield n, wl[k, :n], wr[k, :n], last[N - n :]
-
-
-def _direct_rows(cq: _CellQuadrature):
-    """coefficient_rows by quadrature of every row, on any inputs: each row
-    group (_row_groups) builds its _GroupData, the far field included, and
-    each of its blocks gets its moments and cell averages in one go."""
-    for blocks, far in _row_groups(cq.mesh, cq.rule):
-        group = _group_data(cq, int(blocks[0][0]), int(blocks[-1][-1]), far)
-        for rows in blocks:
-            wl, wr = _moments(cq.mesh, rows, cq.alpha_t[rows])
-            b = _cell_averages(cq, rows, group)
+    last = _cell_averages(cq, np.array([N]))[0]
+    for lo, hi, far, known in _groups(cq, fvals, incs, last):
+        for rows in _row_blocks(lo, hi, far, HISTORY_BLOCK_POINTS):
+            wl, wr = _moments(nodes[rows], nodes[far : rows[-1] + 1], cq.alpha_t[rows])
             for k, n in enumerate(rows.tolist()):
-                yield n, wl[k, :n], wr[k, :n], b[k, 1 : n + 1]
-        # drop this group's data before the next group builds its own
-        group = b = None
+                yield n, far, wl[k, : n - far], wr[k, : n - far], last[N - n + far :], known[n - lo]
 
 
-def coefficient_rows(order: VariableOrder, mesh: Mesh, rule: QuadratureRule | None = None):
-    """Yield the collocation rows (n, wL[n][1..n], wR[n][1..n], B[n][1..n])
-    for n = 1..N.
+def _direct_rows(cq: _CellQuadrature, fvals=None, incs=None):
+    """coefficient_rows by quadrature of every near cell, on any inputs:
+    each block of a row group gets the moments and cell averages of its
+    near cells in one go."""
+    nodes = cq.mesh.nodes
+    for lo, hi, far, known in _groups(cq, fvals, incs):
+        for rows in _row_blocks(lo, hi, far, HISTORY_BLOCK_POINTS // cq.rule.count):
+            wl, wr = _moments(nodes[rows], nodes[far : rows[-1] + 1], cq.alpha_t[rows])
+            b = _cell_averages(cq, rows, far)
+            for k, n in enumerate(rows.tolist()):
+                yield n, far, wl[k, : n - far], wr[k, : n - far], b[k, : n - far], known[n - lo]
+
+
+def coefficient_rows(order: VariableOrder, mesh: Mesh, rule: QuadratureRule | None = None,
+                     fvals: np.ndarray | None = None, incs: np.ndarray | None = None):
+    """Yield the collocation rows (n, far, wL, wR, B, far_known) for
+    n = 1..N: wL[n][j], wR[n][j] and B[n][j] of the near cells
+    j = far+1..n, and far_known, the far sum of cells 1..far,
+
+        sum_{j <= far} wL[n][j] f_{j-1} + wR[n][j] f_j - B[n][j] (U_j - U_{j-1}),
+
+    with f_j = fvals[j] and U_j - U_{j-1} = incs[j]. The rows of a group
+    lo..hi read fvals[:far + 1] and incs[1:far + 1], far < lo, when row lo
+    is asked for, so a consumer that asks for row n must have made entries
+    0..n-1 final, as the march does. Without fvals and incs every cell is
+    near (far = 0, far_known = 0).
 
     Rows are built a _row_blocks block at a time and dropped once consumed,
     so memory stays O(N) plus one block of HISTORY_BLOCK_POINTS kernel
@@ -550,7 +587,7 @@ def coefficient_rows(order: VariableOrder, mesh: Mesh, rule: QuadratureRule | No
     _direct_rows. `rule` is as for `assemble`.
     """
     cq = _cell_quadrature(order, mesh, gauss_nodes() if rule is None else rule, mesh.N)
-    yield from (_gap_rows if mesh.is_uniform and _affine(cq) else _direct_rows)(cq)
+    yield from (_gap_rows if mesh.is_uniform and _affine(cq) else _direct_rows)(cq, fvals, incs)
 
 
 def assemble(
@@ -566,8 +603,9 @@ def assemble(
     table is dense, from _direct_rows on every input (a reference for the
     gap-indexed rows). fast_path stores the O(N) gap-indexed cell averages
     and nodal kernel values a solve reads where translation_invariant holds,
-    and raises ValueError elsewhere. The moments are dense in both modes:
-    this table is a cache for inspection, not what a solve holds.
+    and raises ValueError elsewhere. Every cell of every row is direct (no
+    far field), and the moments are dense in both modes: this table is a
+    cache for inspection and a reference, not what a solve holds.
     """
     rule = gauss_nodes() if rule is None else rule
     if fast_path:
@@ -577,7 +615,7 @@ def assemble(
     wL = np.zeros((N + 1, N + 1))
     wR = np.zeros((N + 1, N + 1))
     B = None if fast_path else np.zeros((N + 1, N + 1))
-    for n, wl, wr, b in (_gap_rows if fast_path else _direct_rows)(cq):
+    for n, _, wl, wr, b, _ in (_gap_rows if fast_path else _direct_rows)(cq):
         wL[n, 1 : n + 1] = wl
         wR[n, 1 : n + 1] = wr
         if B is not None:

@@ -215,7 +215,8 @@ def cmd_solve(args) -> int:
     config = load_config(args)
     problem, mesh, rule, cfg, _ = build_run(config)
     if args.fast_path:
-        # a check only: solve takes the fast path whenever the inputs qualify
+        # a check only: solve takes the fast path whenever the inputs qualify,
+        # and reads the alpha values this check sampled
         translation_invariant(problem.order, mesh, rule, require=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -275,6 +276,8 @@ def cmd_converge(args) -> int:
 def cmd_coeffs(args) -> int:
     config = load_config(args)
     problem, mesh, rule, _, _ = build_run(config)
+    if args.fast_path:
+        translation_invariant(problem.order, mesh, rule, require=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dense = assemble(problem.order, mesh, rule, fast_path=False)

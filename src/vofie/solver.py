@@ -11,10 +11,16 @@ U_n - U_{n-1}, started from zero. The initial-data term and the u0 history
 coefficient cancel out of this form, and f = 0 gives zero increments, so
 u = u0 is kept exactly.
 
-The march reads row n of (wL, wR, B) only while it solves node n, so it
-consumes the rows as `assembly.coefficient_rows` streams them, one block at
-a time, and never holds an (N+1)^2 table: memory is O(N) for every solve.
-The inputs alone pick the rows (`assembly.translation_invariant`).
+The march reads row n only while it solves node n, so it consumes the rows
+as `assembly.coefficient_rows` streams them, one block at a time, and never
+holds an (N+1)^2 table: memory is O(N) for every solve. The inputs alone
+pick the rows (`assembly.translation_invariant`). Each row holds its near
+cells far+1..n and one number for the far cells 1..far of its row group,
+whose f values and increments were solved before the group's first row:
+the stream reads them from read-only views of the march's arrays, whose
+unsolved entries are NaN, so a read past the solved prefix cannot pass
+unnoticed. Row n then costs O(n - far) and the far sums of a group
+O(far FAR_POINTS).
 """
 
 from __future__ import annotations
@@ -183,6 +189,12 @@ def _newton_increment(problem: Problem, u_prev: float, tn: float, diag: float,
     raise NewtonDivergedError(n, abs(gd), f"no convergence in {cfg.max_iter} iterations at node {n}")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def solve(
     problem: Problem,
     mesh: Mesh,
@@ -193,9 +205,10 @@ def solve(
 
     U(t_0) = u0 by definition; each later node is a scalar Newton solve for
     its increment. The coefficient rows are streamed in blocks
-    (`coefficient_rows`), so memory is O(N) on every input. The mesh, the
-    problem and its order must share one horizon T. A NewtonError carries
-    the values solved so far.
+    (`coefficient_rows`), so memory is O(N) on every input, and each row
+    adds its far cells as one known sum. The mesh, the problem and its
+    order must share one horizon T. A NewtonError carries the values solved
+    so far.
     """
     if not (mesh.T == problem.T == problem.order.T):
         raise ValueError(
@@ -207,21 +220,24 @@ def solve(
 
     N, u0 = mesh.N, problem.u0
     values = np.full(N + 1, np.nan)
-    fvals = np.empty(N + 1)
-    incs = np.empty(N + 1)
+    fvals = np.full(N + 1, np.nan)
+    incs = np.full(N + 1, np.nan)
     stats = np.zeros(N + 1, dtype=int)
     values[0] = u0
     fvals[0] = problem.f(u0, 0.0)
-    for n, wl, wr, b in coefficient_rows(problem.order, mesh, rule):
+    rows = coefficient_rows(problem.order, mesh, rule, _read_only(fvals), _read_only(incs))
+    for n, far, wl, wr, b, far_known in rows:
+        # the far sum read fvals[:far + 1] and incs[1:far + 1], solved by now
+        assert far < n, f"row {n} reads unsolved nodes up to {far}"
         tn = mesh.nodes[n]
         # coefficient of f_j is wR[n, j] (+ wL[n, j+1] for j < n); f_n stays implicit
         known = (
-            float(wl @ fvals[:n]) + float(wr[: n - 1] @ fvals[1:n])
-            - (values[n - 1] - u0) - float(b[: n - 1] @ incs[1:n])
+            far_known + float(wl @ fvals[far:n]) + float(wr[:-1] @ fvals[far + 1 : n])
+            - (values[n - 1] - u0) - float(b[:-1] @ incs[far + 1 : n])
         )
         try:
             incs[n], stats[n] = _newton_increment(
-                problem, values[n - 1], tn, 1.0 + b[n - 1], wr[n - 1], known, cfg, n
+                problem, values[n - 1], tn, 1.0 + b[-1], wr[-1], known, cfg, n
             )
         except NewtonError as exc:
             exc.partial = Solution(mesh=mesh, values=values, newton_stats=stats)

@@ -25,6 +25,7 @@ from vofie.order import (
     make_linear_order,
     make_sine_order,
 )
+from vofie.solver import Problem, solve
 
 
 class TestGaussNodes:
@@ -395,7 +396,7 @@ class TestIntegrationByParts:
         order = make_sine_order(0.6, 0.4)
         mesh = make_mesh(1.0, 200, 1.0 / 0.6)
         rule = gauss_nodes(count)
-        blocks = list(_row_blocks(mesh.N, rule))
+        blocks = list(_row_blocks(1, mesh.N, 0, assembly.HISTORY_BLOCK_POINTS // count))
         assert len(blocks[0]) > 1
         if count == 80:
             # the last rows exceed the point budget: one row per block
@@ -407,23 +408,39 @@ class TestIntegrationByParts:
             assert abs(table.h0[n] - h0) <= 1e-15
 
 
-def direct_averages(order, mesh, rule):
-    """Dense B table with every cell of every row by direct quadrature."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(assembly, "FAR_MIN_SAVED_POINTS", math.inf)
-        return assemble(order, mesh, rule).B
+def march_values(order, mesh, rule):
+    """(fvals, incs) of a sin^4 solve: the f values and increments that the
+    far sums weigh, incs[0] unused."""
+    problem = Problem(f=lambda u, t: 0.5 * np.sin(u) ** 4,
+                      df_du=lambda u, t: 2.0 * np.sin(u) ** 3 * np.cos(u),
+                      u0=1.0, T=1.0, order=order)
+    values = solve(problem, mesh, rule).values
+    return problem.f(values, mesh.nodes), np.diff(values, prepend=np.nan)
+
+
+def far_sums(order, mesh, rule):
+    """(far, known, direct) per row n of a sin^4 solve: the row's far cells
+    1..far[n], its far sum as the stream yields it, and the same sum from
+    assemble's table, where every cell is by direct quadrature."""
+    fvals, incs = march_values(order, mesh, rule)
+    far, known, direct = np.zeros(mesh.N + 1, dtype=int), np.zeros(mesh.N + 1), np.zeros(mesh.N + 1)
+    for n, j, *_, k in assembly.coefficient_rows(order, mesh, rule, fvals, incs):
+        far[n], known[n] = j, k
+    table = assemble(order, mesh, rule)
+    for n in range(1, mesh.N + 1):
+        j = far[n]
+        direct[n] = (table.wL[n, 1 : j + 1] @ fvals[:j] + table.wR[n, 1 : j + 1] @ fvals[1 : j + 1]
+                     - table.B[n, 1 : j + 1] @ incs[1 : j + 1])
+    return far, known, direct
 
 
 def far_fields(order, mesh, rule):
     """(planned, used): row groups given far cells by the grouping, and
-    those whose interpolant passed the check against its first row."""
-    cq = assembly._cell_quadrature(order, mesh, rule, mesh.N)
-    planned = used = 0
-    for blocks, far in _row_groups(mesh, rule):
-        if far:
-            planned += 1
-            used += assembly._group_data(cq, blocks[0][0], blocks[-1][-1], far).far > 0
-    return planned, used
+    those whose far sums passed the check in a sin^4 solve."""
+    fvals, incs = march_values(order, mesh, rule)
+    far = {n: j for n, j, *_ in assembly.coefficient_rows(order, mesh, rule, fvals, incs)}
+    groups = [lo for lo, _, j in _row_groups(mesh, rule) if j]
+    return len(groups), sum(far[lo] > 0 for lo in groups)
 
 
 class TestFarField:
@@ -433,25 +450,31 @@ class TestFarField:
             (make_sine_order(0.6, 0.4), 1440, 1.0 / 0.6, 8),
             (make_sine_order(1.0, 0.1), 1440, 1.0, 8),
             (make_sine_order(0.6, 0.4), 400, 1.0 / 0.6, 80),
-            # the last group is too wide for alpha's scale and stays direct;
-            # interpolated, its rows were off by 7.7e-14
+            # the last far group misses its check (2.7e-14 of its B term's
+            # magnitude) and stays direct; interpolated, its rows were off
+            # by 5.2e-15
             (make_sine_order(0.3, 0.9), 401, 1.0 / 0.3, 8),
         ],
     )
     def test_interpolated_rows_match_direct_quadrature(self, order, N, r, count):
         mesh, rule = make_mesh(1.0, N, r), gauss_nodes(count)
-        assert far_fields(order, mesh, rule)[1] > 0
-        B = assemble(order, mesh, rule).B
-        np.testing.assert_allclose(B, direct_averages(order, mesh, rule), rtol=0, atol=5e-15)
+        far, known, direct = far_sums(order, mesh, rule)
+        assert far.any()
+        np.testing.assert_allclose(known, direct, rtol=0, atol=5e-15)
 
     def test_constant_order_stays_exactly_zero(self):
+        # K = 1 exactly, so B and the far B term are exact zeros, and with
+        # f = 0 so is the moment term, whatever the increments
         order, mesh, rule = make_constant_order(0.5), make_mesh(1.0, 400, 2.0), gauss_nodes()
-        assert far_fields(order, mesh, rule)[1] > 0
+        incs = np.random.default_rng(0).uniform(-1.0, 1.0, mesh.N + 1)
+        rows = list(assembly.coefficient_rows(order, mesh, rule, np.zeros(mesh.N + 1), incs))
+        assert any(far for _, far, *_ in rows)
+        assert all(known == 0.0 and not b.any() for *_, b, known in rows)
         dense = assemble(order, mesh, rule)
         assert np.all(dense.B == 0.0) and np.all(dense.h == 0.0)
 
     def test_small_solves_stay_direct(self):
-        # the far field engages only where it saves a block's worth of points
+        # the far field engages only where it saves enough points
         rule = gauss_nodes()
         for r in (1.0, 1.0 / 0.6, 1.0 / 0.3):
             assert far_fields(make_sine_order(0.6, 0.4), make_mesh(1.0, 192, r), rule) == (0, 0)
@@ -463,12 +486,27 @@ class TestFarField:
     def test_far_cells_end_before_the_group(self):
         mesh, rule = make_mesh(1.0, 1440, 1.0 / 0.6), gauss_nodes()
         t = mesh.nodes
-        for blocks, far in _row_groups(mesh, rule):
-            lo, hi = blocks[0][0], blocks[-1][-1]
-            assert np.array_equal(np.concatenate(blocks), np.arange(lo, hi + 1))
+        groups = list(_row_groups(mesh, rule))
+        assert [lo for lo, _, _ in groups] == [1] + [hi + 1 for _, hi, _ in groups[:-1]]
+        assert groups[-1][1] == mesh.N
+        for lo, hi, far in groups:
             if far:
                 assert hi - lo + 1 > assembly.FAR_POINTS
                 assert t[far] <= t[lo] - assembly.FAR_SEPARATION * (t[hi] - t[lo]) < t[far + 1]
+
+    def test_far_sums_read_only_the_solved_prefix(self):
+        # the stream is driven as the march drives it, with NaN in every
+        # entry not yet solved: a far sum that read one would be NaN
+        order, mesh, rule = make_sine_order(0.6, 0.4), make_mesh(1.0, 1440, 1.0 / 0.6), gauss_nodes()
+        solved_f, solved_d = march_values(order, mesh, rule)
+        fvals, incs = np.full(mesh.N + 1, np.nan), np.full(mesh.N + 1, np.nan)
+        fvals[0] = solved_f[0]
+        used = 0
+        for n, far, wl, wr, b, known in assembly.coefficient_rows(order, mesh, rule, fvals, incs):
+            assert np.isfinite(known) and np.all(np.isfinite(np.concatenate((wl, wr, b))))
+            used += far > 0
+            fvals[n], incs[n] = solved_f[n], solved_d[n]
+        assert used
 
 
 @settings(max_examples=15, deadline=None)
@@ -481,5 +519,5 @@ class TestFarField:
 def test_sine_orders_far_field_matches_direct(a0, a1, grading, N):
     order = make_sine_order(a0, a1)
     mesh, rule = make_mesh(1.0, N, 1.0 + grading * (1.0 / a0 - 1.0)), gauss_nodes()
-    B = assemble(order, mesh, rule).B
-    np.testing.assert_allclose(B, direct_averages(order, mesh, rule), rtol=0, atol=5e-15)
+    _, known, direct = far_sums(order, mesh, rule)
+    np.testing.assert_allclose(known, direct, rtol=0, atol=5e-15)

@@ -1,9 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from vofie import cli
+from vofie.assembly import DIAG_PANELS, gauss_nodes
 from vofie.cli import PRESETS, build_run, main
+from vofie.mesh import make_mesh
+from vofie.order import make_custom_order, make_linear_order
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -133,6 +138,39 @@ class TestCmdSolve:
         assert summary["t_reached"] == 0.0
         assert summary["last_residual"] > 0.0
         assert not (out / "solution.csv").exists()
+
+    def test_fast_path_samples_alpha_once(self, tmp_path, monkeypatch):
+        # the flag's check and the solve read one sampling of alpha at the
+        # nodes and the rule points; the gap rows add row N's diagonal panels
+        N, rule = 64, gauss_nodes()
+        line = make_linear_order(0.9, 0.4)
+        points = []
+        order = make_custom_order(lambda t: points.append(np.ravel(t)) or line.alpha(t),
+                                  line.dalpha, alpha0=0.9)
+        points.clear()
+
+        def counted_run(config):
+            problem, *rest = build_run(config)
+            return (dataclasses.replace(problem, order=order), *rest)
+
+        monkeypatch.setattr(cli, "build_run", counted_run)
+        config = {
+            "problem": {"f": "sin4", "u0": 1.0, "T": 1.0},
+            "order": {"family": "linear", "start": 0.9, "end": 0.4},
+            "mesh": {"N": N, "r": 1.0},
+        }
+        rc = main(["solve", "--config", write_config(tmp_path, config),
+                   "--out", str(tmp_path / "out"), "--fast-path"])
+        assert rc == 0
+        mesh = make_mesh(1.0, N, 1.0)
+        rule_points = mesh.nodes[: N - 1, None] + mesh.steps[: N - 1, None] * rule.nodes
+        expected = np.concatenate((mesh.nodes, rule_points.ravel()))
+        assert len(expected) == N + 1 + (N - 1) * 8
+        sampled = np.concatenate(points)
+        assert len(sampled) == len(expected) + DIAG_PANELS * rule.count
+        values, counts = np.unique(sampled, return_counts=True)
+        k = np.searchsorted(values, expected)
+        assert np.array_equal(values[k], expected) and np.all(counts[k] == 1)
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "out"
@@ -264,5 +302,5 @@ class TestCmdCoeffs:
         ])
         assert rc == 1
         assert "departs from its chord by" in capsys.readouterr().err
-        if command == "solve":
-            assert not out.exists()
+        # refused before anything is written: no weights.csv, no solution
+        assert not out.exists()

@@ -136,9 +136,9 @@ def count_cell_averages(mp):
     calls = []
     cell_averages = assembly._cell_averages
 
-    def counted(cq, rows, group=None):
+    def counted(cq, rows, *first):
         calls.append(rows.tolist())
-        return cell_averages(cq, rows, group)
+        return cell_averages(cq, rows, *first)
 
     mp.setattr(assembly, "_cell_averages", counted)
     return calls
@@ -170,7 +170,7 @@ def test_affine_orders_fast_equals_dense(start, frac, N, grading):
     mesh = make_mesh(1.0, N, 1.0 + grading * (1.0 / start - 1.0))
     rows = np.arange(1, N + 1)
     al = order.alpha(mesh.nodes[rows])
-    wl, wr = _moments(mesh, rows, al)
+    wl, wr = _moments(mesh.nodes[rows], mesh.nodes, al)
     assert np.all(wl >= 0.0) and np.all(wr >= 0.0)
     t = mesh.nodes
     p = np.maximum(t[rows, None] - t, 0.0) ** al[:, None]
@@ -225,7 +225,7 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
         if N == 1440:
-            # the far field adds a group's FAR_POINTS x far averages
+            # the far sums add one chunk of moments or kernel points
             assert peak <= 2.5 * 2**20
 
 
@@ -245,6 +245,39 @@ class TestFarField:
         problem, mesh = sin4_problem(make_sine_order(0.6, 0.4)), make_mesh(1.0, 96, 1.0 / 0.6)
         np.testing.assert_array_equal(solve(problem, mesh).values,
                                       self.direct_solve(problem, mesh).values)
+
+    def test_gap_rows_match_direct_solve(self, monkeypatch):
+        # affine order on a uniform mesh: far moment sums, exact far B dots
+        problem, mesh = sin4_problem(make_linear_order(0.9, 0.4)), make_mesh(1.0, 4000, 1.0)
+        calls = count_far_sums(monkeypatch)
+        far = solve(problem, mesh)
+        assert calls and all(calls)
+        direct = self.direct_solve(problem, mesh)
+        np.testing.assert_allclose(far.values, direct.values, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(far.newton_stats, direct.newton_stats)
+
+    def test_f_zero_keeps_u0_exactly_with_far_field(self, monkeypatch):
+        # both far terms are exact zeros when every f value and increment is
+        problem = Problem(f=f_zero, df_du=df_zero, u0=1.3, T=1.0, order=make_sine_order(0.6, 0.4))
+        calls = count_far_sums(monkeypatch)
+        sol = solve(problem, make_mesh(1.0, 1440, 1.0 / 0.6))
+        assert calls and all(calls)
+        assert np.all(sol.values == 1.3)
+
+
+def count_far_sums(mp):
+    """Whether each group's far sums passed their check (assembly's
+    _far_known returned them), patched in through mp."""
+    calls = []
+    far_known = assembly._far_known
+
+    def counted(*args):
+        known = far_known(*args)
+        calls.append(known is not None)
+        return known
+
+    mp.setattr(assembly, "_far_known", counted)
+    return calls
 
 
 class TestAnalyticOracles:
