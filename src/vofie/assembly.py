@@ -22,25 +22,33 @@ from the mesh and alpha's values (nothing is declared). A solve on such
 inputs keeps one gap-indexed sequence of cell averages and skips the
 per-block kernel sweeps, streaming only the moments.
 
-Far field. Rows are grouped in runs t_lo..t_hi of about
-sqrt(FAR_POINTS n / (1 + FAR_SEPARATION)) rows. Cells 1..far, which end
-FAR_SEPARATION (t_hi - t_lo) or more before t_lo, are far from every row of
-the group, and the march has solved every value they multiply before it
-reaches row lo. Their whole contribution to row n is then one number,
+Far field. Both far terms of row n are integrals of a kernel smooth in s
+away from s = t_n against a density the march has solved:
 
     F(t_n) = sum_{j <= far} wL(t_n, j) f_{j-1} + wR(t_n, j) f_j
-             - B(t_n, j) (U_j - U_{j-1}),
+             - B(t_n, j) (U_j - U_{j-1})
+           = int_0^{t_far} W(t_n - s) f_h(s) - (K(t_n, s) - 1) u_h'(s) ds,
 
-and F is analytic in t over the group. The group evaluates its moment term
-(closed forms with alpha at each time) and its B term (the cells' Gauss
-averages) at FAR_POINTS first-kind Chebyshev times, and each row takes the
-barycentric interpolant at t_n: a row builds moments and averages of its
-near cells far+1..n only. On the gap rows the B term stays an exact dot of
-row N. A group keeps every cell near when its far field would save little
-(every solve with N <= 192 and the 8-node rule) or when, at t_lo, either
-interpolated term misses its direct value by more than FAR_CHECK_TOL times
-the sum of that term's absolute contributions, which happens where alpha
-varies on the scale of the group. With f = 0 both terms are exactly zero.
+with W the singular weight at alpha(t_n), f_h the hat interpolant of f and
+u_h' the slope of U on each cell. The cells sit in a fixed binary tree of
+panels (PANEL_LEAF_CELLS cells per leaf), split on index. A group of
+GROUP_ROWS rows reads the fewest tree panels that end at least
+FAR_SEPARATION panel widths before its first row (_cover), so panels widen
+with distance; cells 1..far of the cover are its far field, the cells
+far+1..n of each row are near. Each panel carries charges
+int L_d f_h ds and int L_d u_h' ds at PANEL_NODES Chebyshev nodes s_d,
+made once, when the march reaches the first row that may read the panel
+(_Panels), and a row's far sum is sum over panels and d of
+W(t_n - s_d) q_f,d - (K(t_n, s_d) - 1) q_B,d. Near cells cost O(1) per row
+and far panels O(log N), so a solve costs O(N log N) points and O(N)
+memory. Each panel is checked once, against direct quadrature of its cells
+at that first row: where either term misses by more than FAR_CHECK_TOL of
+its absolute contributions, which happens where alpha varies on the scale
+of the panel, the rows read its two children instead, and a failing leaf
+ends the far field. The gap rows (above) take the far moment term from the
+panels in groups of GAP_GROUP_ROWS rows and keep the far B term an exact dot
+of row N. Groups that would save little stay fully direct (every solve with
+N <= 192 and the 8-node rule). With f = 0 both terms are exactly zero.
 
 `assemble` collects rows into a WeightTable, the cache that coefficient
 dumps and the tests read, dense by default and gap-indexed with fast_path.
@@ -69,31 +77,39 @@ from .order import VariableOrder
 # ~1e-7.
 DIAG_PANELS = 6
 DIAG_RATIO = 0.15
-# Kernel evaluations per block of history rows, and moments per block where
-# no kernel points come with them (the gap rows, the far sums): large enough
-# that numpy call overhead is amortised, small enough that the block's
-# temporaries stay in cache and add nothing measurable to peak memory.
+# Kernel evaluations per block of history rows, moments per block where no
+# kernel points come with them (the gap rows), and basis values per chunk of
+# parent charges: large enough that numpy call overhead is amortised, small
+# enough that the temporaries stay in cache and add nothing measurable to
+# peak memory.
 HISTORY_BLOCK_POINTS = 2**14
-# Far field of a row group t_lo..t_hi: the cells that end at least
-# FAR_SEPARATION * (t_hi - t_lo) before t_lo. Their contribution to a row is
-# analytic in t_n there and is interpolated from FAR_POINTS first-kind
-# Chebyshev times. At 1.5 group widths the far cells end 4 half-widths from
-# the group's centre, where 16 points converge like 7.9^-16 (5e-15); at one
-# width (5.8^-16, 6e-13) far sums of sine orders missed direct quadrature by
-# up to 7.9e-15.
-FAR_POINTS = 16
+# Far field. The cells sit in a binary tree of source panels (_cover): a
+# leaf holds PANEL_LEAF_CELLS cells and each parent its two children's. A
+# row group reads a panel once the panel ends at least FAR_SEPARATION panel
+# widths before the group's first row; both far kernels are then analytic in
+# s over the panel, and each panel carries charges at PANEL_NODES first-kind
+# Chebyshev nodes in s. At 1.5 widths the nearest row is 4 half-widths from
+# the panel's centre, where 16 nodes converge like 7.9^-16 (5e-15).
+PANEL_NODES = 16
+PANEL_LEAF_CELLS = 8
 FAR_SEPARATION = 1.5
+# Rows per group: the cells between a group's far field and its first row
+# are near for all its rows, while every group makes and checks the panels
+# that became readable. The gap rows' near cells cost one moment each (their
+# B is a view), so their groups are longer.
+GROUP_ROWS = 32
+GAP_GROUP_ROWS = 128
 # Kernel and moment points (rule.count + 1 per far cell and row) a group must
 # save for its far field to be used: every solve with N <= 192 and the
 # 8-node rule stays direct.
-FAR_MIN_SAVED_POINTS = 2 * HISTORY_BLOCK_POINTS
-# Largest miss of each of a group's interpolated far terms at its first row
-# (the one nearest the far cells), relative to the sum of that term's
-# absolute contributions there, for the far field to be used. The moments
-# weigh f; the B term is the far part of the history sum of K (U_j -
-# U_{j-1}), so its contributions are counted with K = 1 + B: alpha's own
-# rounding leaves B with an absolute error of about eps, which a scale of
-# B alone would read as a miss wherever alpha is flat.
+FAR_MIN_SAVED_POINTS = 4 * HISTORY_BLOCK_POINTS
+# Largest miss of each of a panel's far terms at the nearest row that reads
+# it, relative to the sum of that term's absolute contributions there, for
+# the panel to be used. The moments weigh f; the B term is the far part of
+# the history sum of K (U_j - U_{j-1}), so its contributions are counted
+# with K = 1 + B: alpha's own rounding leaves B with an absolute error of
+# about eps, which a scale of B alone would read as a miss wherever alpha is
+# flat.
 FAR_CHECK_TOL = 1e-14
 # Largest departure of alpha from its chord for the order to count as affine
 # (translation_invariant): 8 ulp of 1. Affine orders in any algebraic form
@@ -240,6 +256,11 @@ def _cell_quadrature(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: 
     )
 
 
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[k], ..., starts[k] + counts[k] - 1, concatenated."""
+    return np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+
+
 def _cell_averages(cq: _CellQuadrature, rows: np.ndarray, first: int = 0) -> np.ndarray:
     """B[k, c] = (1/tau_j) int_{cell j} K(t_n, s) ds - 1 for n = rows[k] and
     cell j = first + 1 + c, over the cells first+1..rows[-1]; columns past
@@ -253,7 +274,7 @@ def _cell_averages(cq: _CellQuadrature, rows: np.ndarray, first: int = 0) -> np.
 
     counts = rows - 1 - first
     k = np.repeat(np.arange(len(rows)), counts)
-    c = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    c = _runs(np.zeros_like(counts), counts)
     j = first + c
     out[k, c] = _kernel_minus_one(an[k, None] - cq.alpha_s[j], tn[k, None] - cq.s[j]) @ w
 
@@ -293,97 +314,237 @@ def _row_blocks(lo: int, hi: int, first: int, cells: int):
         start = stop
 
 
-def _row_groups(mesh: Mesh, rule: QuadratureRule, far_field: bool = True):
-    """Row groups (lo, hi, far) covering rows 1..N in order.
+def _reach(nodes: np.ndarray, a, size):
+    """The earliest time that may read panel (a, size): FAR_SEPARATION panel
+    widths past its end. Takes arrays."""
+    b = a + size
+    return nodes[b] + FAR_SEPARATION * (nodes[b] - nodes[a])
 
-    A group from lo has the fewest rows s with s^2 (1 + FAR_SEPARATION) >=
-    FAR_POINTS lo, and takes in a tail shorter than that; cells 1..far end
-    at least FAR_SEPARATION (t_hi - t_lo) before t_lo. far is 0, so every
-    cell is near, unless the group has more than FAR_POINTS rows and its
-    far field saves at least FAR_MIN_SAVED_POINTS points.
-    Consecutive groups with far = 0 are yielded as one, and without
+
+def _cover(nodes: np.ndarray, lo: int) -> list[tuple[int, int]]:
+    """The fewest tree panels that row lo may read (_reach <= t_lo) and that
+    cover cells 1..far, with far as large as leaves allow.
+
+    Panel (a, size) holds cells a+1..a+size, size is PANEL_LEAF_CELLS 2^l
+    and a is a multiple of size. From cell 1 on, each step takes the largest
+    such panel that starts where the last one ended; sizes only shrink
+    along the cover, so panels grow wider with distance from t_lo.
+    """
+    N, t_lo = len(nodes) - 1, nodes[lo]
+    size = PANEL_LEAF_CELLS << ((N - 1) // PANEL_LEAF_CELLS).bit_length()
+    cover, a = [], 0
+    while True:
+        while size >= PANEL_LEAF_CELLS and (a + size >= lo or _reach(nodes, a, size) > t_lo):
+            size //= 2
+        if size < PANEL_LEAF_CELLS:
+            return cover
+        cover.append((a, size))
+        a += size
+
+
+def _row_groups(mesh: Mesh, rule: QuadratureRule, size: int, far_field: bool = True):
+    """Row groups (lo, hi, cover) covering rows 1..N in order.
+
+    Groups have `size` rows (the last may have fewer), and cover is the
+    _cover of row lo, or empty where every cell is near: a group's far field
+    is used only if it saves at least FAR_MIN_SAVED_POINTS points.
+    Consecutive groups with an empty cover are yielded as one, and without
     far_field the one group is 1..N.
     """
     N, nodes = mesh.N, mesh.nodes
-    start = lo = 1  # first row not yet yielded
-    while far_field and lo <= N:
-        size = math.ceil(math.sqrt(FAR_POINTS * lo / (1 + FAR_SEPARATION)))
-        hi = N if N - lo + 1 < 2 * size else lo + size - 1
-        edge = nodes[lo] - FAR_SEPARATION * (nodes[hi] - nodes[lo])
-        far = int(np.searchsorted(nodes, edge, "right")) - 1
-        size = hi - lo + 1
-        if size > FAR_POINTS and far * (size - FAR_POINTS) * (rule.count + 1) >= FAR_MIN_SAVED_POINTS:
+    start = 1  # first row not yet yielded
+    for lo in range(1, N + 1, size) if far_field else ():
+        hi = min(lo + size - 1, N)
+        saved = (hi - lo + 1) * (rule.count + 1)
+        if (lo - 1) * saved < FAR_MIN_SAVED_POINTS:
+            continue  # far < lo
+        cover = _cover(nodes, lo)
+        if cover and sum(cover[-1]) * saved >= FAR_MIN_SAVED_POINTS:
             if start < lo:
-                yield start, lo - 1, 0
-            yield lo, hi, far
+                yield start, lo - 1, []
+            yield lo, hi, cover
             start = hi + 1
-        lo = hi + 1
     if start <= N:
-        yield start, N, 0
+        yield start, N, []
 
 
-def _far_known(cq: _CellQuadrature, lo: int, hi: int, far: int, fvals: np.ndarray,
-               incs: np.ndarray, last: np.ndarray | None = None):
-    """The far sums F(t_n) of rows lo..hi (module docstring) over cells
-    1..far, from fvals[:far + 1] and incs[1:far + 1], or None where the
-    group's far field fails its check. `last` is row N of the gap rows,
-    B[n][j] = last[N - n + j - 1]: the B term is then an exact dot of it,
-    and only the moment term is interpolated.
+# First-kind Chebyshev nodes of a panel, as fractions of its width, and their
+# barycentric weights; the Gauss rule that makes leaf charges exact (the
+# Lagrange basis has degree PANEL_NODES - 1, f_h one more)
+_ANGLES = (2 * np.arange(PANEL_NODES) + 1) * np.pi / (2 * PANEL_NODES)
+_CHEB = (1.0 + np.cos(_ANGLES)) / 2
+_BARY = (-1.0) ** np.arange(PANEL_NODES) * np.sin(_ANGLES)
+_CHARGE_RULE = gauss_nodes(PANEL_NODES // 2 + 1)
 
-    Both terms are evaluated at FAR_POINTS first-kind Chebyshev times of
-    [t_lo, t_hi], with alpha at those times, and at t_lo for the check, in
-    chunks of at most HISTORY_BLOCK_POINTS moment or kernel points.
-    """
-    assert far < lo, "a group's far cells must end before its first row"
-    nodes, w = cq.mesh.nodes, cq.rule.weights
-    f, d = fvals[: far + 1], incs[1 : far + 1]
-    angle = (2 * np.arange(FAR_POINTS) + 1) * np.pi / (2 * FAR_POINTS)
-    tl, th = nodes[lo], nodes[hi]
-    times = np.append((tl + th) / 2 + (th - tl) / 2 * np.cos(angle), tl)
-    alpha = np.asarray(cq.order.alpha(times), dtype=float)
 
-    # terms[0] is the moment term and terms[1] the B term at each time;
-    # scale holds the sums of their absolute contributions at t_lo
-    terms, scale = np.zeros((2, FAR_POINTS + 1)), np.zeros(2)
-    step = HISTORY_BLOCK_POINTS // (FAR_POINTS + 1)
-    for j in range(0, far, step):
-        k = min(j + step, far)
-        wl, wr = _moments(times, nodes[j : k + 1], alpha)
-        terms[0] += wl @ f[j:k] + wr @ f[j + 1 : k + 1]
-        scale[0] += wl[-1] @ np.abs(f[j:k]) + wr[-1] @ np.abs(f[j + 1 : k + 1])
-    if last is None:
-        step = max(1, HISTORY_BLOCK_POINTS // ((FAR_POINTS + 1) * cq.rule.count))
-        for j in range(0, far, step):
-            cells = slice(j, min(j + step, far))
-            avg = _kernel_minus_one(alpha[:, None, None] - cq.alpha_s[cells],
-                                    times[:, None, None] - cq.s[cells]) @ w
-            terms[1] += avg @ d[cells]
-            scale[1] += np.abs(1.0 + avg[-1]) @ np.abs(d[cells])
-
-    # barycentric weights of first-kind Chebyshev points; a row on a point
-    # takes that point's value
-    gap = nodes[lo : hi + 1, None] - times[:-1]
+def _lagrange(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L_d(x) of panel Chebyshev `nodes` at the points x, one row per point
+    and one column per node, batched over leading axes (barycentric form);
+    a point on a node takes that node's value."""
+    gap = x[..., :, None] - nodes[..., None, :]
     hit = gap == 0.0
-    q = (-1.0) ** np.arange(FAR_POINTS) * np.sin(angle) / np.where(hit, 1.0, gap)
-    on_point = hit.any(axis=1)
-    q[on_point] = hit[on_point]
-    rows = (q / q.sum(axis=1, keepdims=True)) @ terms[:, :-1].T
-    if np.any(np.abs(rows[0] - terms[:, -1]) > FAR_CHECK_TOL * scale):
-        return None
-    known = rows[:, 0] - rows[:, 1]
-    if last is not None:
-        N = cq.mesh.N
-        known -= np.correlate(last[N - hi : N - lo + far], d, "valid")[::-1]
-    return known
+    q = _BARY / np.where(hit, 1.0, gap)
+    on_node = hit.any(axis=-1)
+    q[on_node] = hit[on_node]
+    return q / q.sum(axis=-1, keepdims=True)
 
 
-def _groups(cq: _CellQuadrature, fvals, incs, last=None):
-    """(lo, hi, far, known) for each _row_groups group: known[n - lo] is row
-    n's far sum, and far is 0 (known zero) where the group is direct."""
-    for lo, hi, far in _row_groups(cq.mesh, cq.rule, fvals is not None):
-        known = _far_known(cq, lo, hi, far, fvals, incs, last) if far else None
-        if known is None:
-            far, known = 0, np.zeros(hi - lo + 1)
+def _far_weight(v, al):
+    """The singular weight v^{al-1}/Gamma(al) of the moments, v = t - s."""
+    return v ** (al - 1.0) / special.gamma(al)
+
+
+class _Panels:
+    """The far field of a solve: the tree's panels with their charges, each
+    made and checked once, and the far sums of a group from them.
+
+    Panel (a, size) of _cover has nodes s_d at the Chebyshev points of
+    [t_a, t_{a+size}] and charges q_f,d = int L_d f_h ds and
+    q_B,d = int L_d u_h' ds over its cells, with f_h the hat interpolant of
+    f and u_h' = (U_j - U_{j-1})/tau_j on cell j. A row's far sum over a
+    panel is then sum_d W(t_n - s_d) q_f,d - (K(t_n, s_d) - 1) q_B,d, with
+    W the _far_weight at alpha(t_n). Without incs there is no B term (the
+    gap rows take it exactly). A leaf's charges are a Gauss sum per cell and
+    a parent's are its leaves' taken through the leaves' nodes; both are
+    exact, as L_d is a polynomial of degree PANEL_NODES - 1.
+
+    The panels that end by t_N are held level by level in flat arrays, O(N)
+    in all. Each is made when the march reaches its `ready` row, the first
+    that may read it: its cells are solved by then, and that row, the
+    nearest the panel serves, is where it is checked.
+    """
+
+    def __init__(self, cq: _CellQuadrature, fvals: np.ndarray, incs: np.ndarray | None):
+        self.cq, self.fvals, self.incs = cq, fvals, incs
+        nodes, N = cq.mesh.nodes, cq.mesh.N
+        sizes = PANEL_LEAF_CELLS << np.arange((N // PANEL_LEAF_CELLS).bit_length())
+        counts = N // sizes
+        # level l holds ids first[l] .. first[l] + counts[l] - 1, of which
+        # the first made[l] are made: a level's panels are ready in order
+        self.counts, self.first = counts, np.cumsum(counts) - counts
+        self.made = np.zeros(len(sizes), dtype=int)
+        self.size = np.repeat(sizes, counts)
+        self.start = _runs(np.zeros_like(counts), counts) * self.size
+        self.ready = np.searchsorted(nodes, _reach(nodes, self.start, self.size), "left")
+        t0, t1 = nodes[self.start], nodes[self.start + self.size]
+        self.s = t0[:, None] + (t1 - t0)[:, None] * _CHEB
+        self.alpha_s = np.asarray(cq.order.alpha(self.s), dtype=float)
+        self.q = np.zeros((len(self.size), PANEL_NODES, 1 if incs is None else 2))
+        self.passed = np.zeros(len(self.size), dtype=bool)
+
+    def _make(self, lo: int):
+        """Make every panel whose ready row is lo or earlier: the new leaves'
+        charges, then the new parents', then one check of them all."""
+        new = []
+        for level, (first, count, made) in enumerate(zip(self.first, self.counts, self.made)):
+            stop = int(np.searchsorted(self.ready[first : first + count], lo, "right"))
+            new.append(np.arange(first + made, first + stop))
+            self.made[level] = stop
+        leaves, ids = new[0], np.concatenate(new)
+        if ids.size:
+            self.q[leaves] = self._leaf_charges(leaves)
+            self.q[ids[len(leaves) :]] = self._parent_charges(ids[len(leaves) :])
+            self.passed[ids] = self._check(ids)
+
+    def _leaf_charges(self, ids: np.ndarray) -> np.ndarray:
+        """Charges (q_f[, q_B]) of leaves ids: Gauss sums per cell."""
+        x, w = _CHARGE_RULE.nodes, _CHARGE_RULE.weights
+        mesh = self.cq.mesh
+        cells = self.start[ids, None] + np.arange(PANEL_LEAF_CELLS)  # cell j + 1
+        tau = mesh.steps[cells][..., None]
+        f0, f1 = self.fvals[cells][..., None], self.fvals[cells + 1][..., None]
+        values = [tau * w * (f0 * (1.0 - x) + f1 * x)]
+        if self.incs is not None:
+            values.append(np.broadcast_to(w * self.incs[cells + 1][..., None], values[0].shape))
+        basis = _lagrange(self.s[ids], (mesh.nodes[cells][..., None] + tau * x).reshape(len(ids), -1))
+        return np.swapaxes(basis, 1, 2) @ np.stack(values, axis=-1).reshape(len(ids), -1, len(values))
+
+    def _parent_charges(self, ids: np.ndarray) -> np.ndarray:
+        """Charges of parents ids from those of their leaves (made by now):
+        q_d = sum over leaves and their nodes s_e of L_d(s_e) q_e, in chunks
+        of HISTORY_BLOCK_POINTS basis values."""
+        count = self.size[ids] // PANEL_LEAF_CELLS
+        owner = np.repeat(np.arange(len(ids)), count)
+        leaves = _runs(self.start[ids] // PANEL_LEAF_CELLS, count)  # level 0 ids
+        q = np.zeros((len(ids),) + self.q.shape[1:])
+        step = HISTORY_BLOCK_POINTS // PANEL_NODES**2
+        for k in range(0, len(leaves), step):
+            part = slice(k, k + step)
+            basis = _lagrange(self.s[ids[owner[part]]], self.s[leaves[part]])
+            np.add.at(q, owner[part], np.swapaxes(basis, 1, 2) @ self.q[leaves[part]])
+        return q
+
+    def _check(self, ids: np.ndarray) -> np.ndarray:
+        """Whether each far term of each panel of ids at its ready row is
+        within FAR_CHECK_TOL of direct quadrature (the moments and Gauss
+        cell averages of its cells, in chunks of HISTORY_BLOCK_POINTS
+        kernel points), relative to the sum of that term's absolute
+        contributions there."""
+        cq, nodes = self.cq, self.cq.mesh.nodes
+        size, ready = self.size[ids], self.ready[ids]
+        t, al = nodes[ready], cq.alpha_t[ready]
+        owner, cells = np.repeat(np.arange(len(ids)), size), _runs(self.start[ids], size)  # cell j + 1
+        # direct sums and their scales, term by term
+        sums = np.zeros((2 if self.incs is None else 4, len(ids)))
+        step = HISTORY_BLOCK_POINTS // cq.rule.count
+        for k in range(0, len(cells), step):
+            c, o = cells[k : k + step], owner[k : k + step]
+            wl, wr = (m[:, 0] for m in _moments(t[o], nodes[c[:, None] + np.arange(2)], al[o]))
+            f0, f1 = self.fvals[c], self.fvals[c + 1]
+            parts = [wl * f0 + wr * f1, wl * np.abs(f0) + wr * np.abs(f1)]
+            if self.incs is not None:
+                avg = _kernel_minus_one(al[o, None] - cq.alpha_s[c], t[o, None] - cq.s[c]) @ cq.rule.weights
+                d = self.incs[c + 1]
+                parts += [avg * d, np.abs(1.0 + avg) * np.abs(d)]
+            sums += [np.bincount(o, part, len(ids)) for part in parts]
+        v = t[:, None] - self.s[ids]
+        got = [np.sum(_far_weight(v, al[:, None]) * self.q[ids, :, 0], axis=1)]
+        if self.incs is not None:
+            kernel = _kernel_minus_one(al[:, None] - self.alpha_s[ids], v)
+            got.append(np.sum(kernel * self.q[ids, :, 1], axis=1))
+        # a NaN read past the solved prefix passes, and shows in the rows
+        return ~np.any(np.abs(np.stack(got) - sums[::2]) > FAR_CHECK_TOL * sums[1::2], axis=0)
+
+    def far_sums(self, lo: int, hi: int, cover: list[tuple[int, int]]):
+        """(far, known) of rows lo..hi: known[n - lo] is row n's far sum over
+        cells 1..far. Each cover panel that failed its check gives way to
+        its two children; a failing leaf ends the far cells."""
+        self._make(lo)
+        used, stack = [], cover[::-1]
+        while stack:
+            a, size = stack.pop()
+            i = self.first[(size // PANEL_LEAF_CELLS).bit_length() - 1] + a // size
+            if self.passed[i]:
+                used.append(i)
+            elif size > PANEL_LEAF_CELLS:
+                stack += [(a + size // 2, size // 2), (a, size // 2)]
+            else:
+                break
+        if not used:
+            return 0, np.zeros(hi - lo + 1)
+        far = int(self.start[used[-1]] + self.size[used[-1]])
+        assert self.size[used].sum() == far, "the panels read must tile cells 1..far"
+        rows = slice(lo, hi + 1)
+        t, al = self.cq.mesh.nodes[rows, None], self.cq.alpha_t[rows, None]
+        v, q = t - self.s[used].ravel(), self.q[used].reshape(-1, self.q.shape[2])
+        known = _far_weight(v, al) @ q[:, 0]
+        if self.incs is not None:
+            known -= _kernel_minus_one(al - self.alpha_s[used].ravel(), v) @ q[:, 1]
+        return far, known
+
+
+def _groups(cq: _CellQuadrature, fvals, incs, size: int):
+    """(lo, hi, far, known) for each _row_groups group of `size` rows:
+    known[n - lo] is row n's far sum (_Panels), and far is 0 (known zero)
+    where the group is direct. Without fvals every group is direct."""
+    panels = None
+    for lo, hi, cover in _row_groups(cq.mesh, cq.rule, size, fvals is not None):
+        far, known = 0, np.zeros(hi - lo + 1)
+        if cover:
+            if panels is None:
+                panels = _Panels(cq, fvals, incs)
+            far, known = panels.far_sums(lo, hi, cover)
+        assert far < lo, "a group's far cells must end before its first row"
         yield lo, hi, far, known
 
 
@@ -546,7 +707,10 @@ def _gap_rows(cq: _CellQuadrature, fvals=None, incs=None):
     N, nodes = cq.mesh.N, cq.mesh.nodes
     # B[n][j] = B[N][N - n + j]: cell j lies n - j steps behind t_n
     last = _cell_averages(cq, np.array([N]))[0]
-    for lo, hi, far, known in _groups(cq, fvals, incs, last):
+    for lo, hi, far, known in _groups(cq, fvals, None, GAP_GROUP_ROWS):
+        if far:
+            # the far B term exactly: B[n][j] = last[N - n + j - 1]
+            known -= np.correlate(last[N - hi : N - lo + far], incs[1 : far + 1], "valid")[::-1]
         for rows in _row_blocks(lo, hi, far, HISTORY_BLOCK_POINTS):
             wl, wr = _moments(nodes[rows], nodes[far : rows[-1] + 1], cq.alpha_t[rows])
             for k, n in enumerate(rows.tolist()):
@@ -558,7 +722,7 @@ def _direct_rows(cq: _CellQuadrature, fvals=None, incs=None):
     each block of a row group gets the moments and cell averages of its
     near cells in one go."""
     nodes = cq.mesh.nodes
-    for lo, hi, far, known in _groups(cq, fvals, incs):
+    for lo, hi, far, known in _groups(cq, fvals, incs, GROUP_ROWS):
         for rows in _row_blocks(lo, hi, far, HISTORY_BLOCK_POINTS // cq.rule.count):
             wl, wr = _moments(nodes[rows], nodes[far : rows[-1] + 1], cq.alpha_t[rows])
             b = _cell_averages(cq, rows, far)

@@ -15,17 +15,18 @@ The march reads row n only while it solves node n, so it consumes the rows
 as `assembly.coefficient_rows` streams them, one block at a time, and never
 holds an (N+1)^2 table: memory is O(N) for every solve. The inputs alone
 pick the rows (`assembly.translation_invariant`). Each row holds its near
-cells far+1..n and one number for the far cells 1..far of its row group,
-whose f values and increments were solved before the group's first row:
-the stream reads them from read-only views of the march's arrays, whose
-unsolved entries are NaN, so a read past the solved prefix cannot pass
-unnoticed. Row n then costs O(n - far) and the far sums of a group
-O(far FAR_POINTS).
+cells far+1..n and one number for the far cells 1..far, whose f values and
+increments were solved before its row group began: the stream reads them
+from read-only views of the march's arrays, whose unsolved entries are NaN,
+so a read past the solved prefix cannot pass unnoticed. The far cells are
+read as tree panels that widen with distance (`assembly._Panels`), so a row
+costs O(1) near cells plus O(log N) panels, and a solve O(N log N).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,28 +42,36 @@ from .mesh import Mesh
 from .order import VariableOrder
 
 
+def _finite_or_none(x: float) -> float | None:
+    return float(x) if math.isfinite(x) else None
+
+
 class NewtonError(RuntimeError):
     """Newton failed at a node. Carries the node index, the last residual
-    |g| and, when raised by `solve`, the partial Solution: nodal values and
-    Newton counts up to node - 1, NaN and 0 from the failing node on."""
+    |g|, the residual history (|g| at each iterate of the failing node, in
+    order) and, when raised by `solve`, the partial Solution: nodal values
+    and Newton counts up to node - 1, NaN and 0 from the failing node on."""
 
-    def __init__(self, node: int, residual: float, message: str):
+    def __init__(self, node: int, residual: float, message: str, residuals=()):
         self.node = node
         self.residual = residual
+        self.residuals = [float(r) for r in residuals]
         self.partial: Solution | None = None
         super().__init__(message)
 
     def summary(self) -> dict:
         """Failure record: the error class, the failing node, the last
-        residual (None when not finite) and t_reached, the time of the last
-        solved node (None without a partial Solution)."""
+        residual, the residual history (non-finite entries as None) and
+        t_reached, the time of the last solved node (None without a partial
+        Solution)."""
         t_reached = None
         if self.partial is not None:
             t_reached = float(self.partial.mesh.nodes[self.node - 1])
         return {
             "error": type(self).__name__,
             "failed_node": self.node,
-            "last_residual": float(self.residual) if np.isfinite(self.residual) else None,
+            "last_residual": _finite_or_none(self.residual),
+            "residuals": [_finite_or_none(r) for r in self.residuals],
             "t_reached": t_reached,
         }
 
@@ -70,18 +79,19 @@ class NewtonError(RuntimeError):
 class NewtonDivergedError(NewtonError):
     """Newton produced a non-finite value or ran out of iterations."""
 
-    def __init__(self, node: int, residual: float, message: str = ""):
+    def __init__(self, node: int, residual: float, message: str = "", residuals=()):
         super().__init__(
             node, residual,
             message or f"Newton diverged at node {node} (last residual {residual:.3e})",
+            residuals,
         )
 
 
 class SingularJacobianError(NewtonError):
     """The scalar Jacobian g'(x) vanished during a Newton solve."""
 
-    def __init__(self, node: int, residual: float):
-        super().__init__(node, residual, f"|g'(x)| < 1e-14 at node {node}")
+    def __init__(self, node: int, residual: float, residuals=()):
+        super().__init__(node, residual, f"|g'(x)| < 1e-14 at node {node}", residuals)
 
 
 @dataclass(frozen=True)
@@ -163,20 +173,23 @@ def _newton_increment(problem: Problem, u_prev: float, tn: float, diag: float,
     """Root d of diag * d - wrnn * f(u_prev + d, t_n) = known, from d = 0.
 
     Returns (d, newton_iterations). The step test is relative to the nodal
-    value u_prev + d.
+    value u_prev + d. A NewtonError carries |g| at each iterate.
     """
 
     def g(d):
         return diag * d - wrnn * problem.f(u_prev + d, tn) - known
 
     d = 0.0
+    residuals = []
     for it in range(1, cfg.max_iter + 1):
         gd = g(d)
         gp = diag - wrnn * problem.df_du(u_prev + d, tn)
-        if not np.isfinite(gd) or not np.isfinite(gp):
-            raise NewtonDivergedError(n, float(gd) if np.isfinite(gd) else np.inf)
+        residuals.append(abs(gd))
+        if not math.isfinite(gd) or not math.isfinite(gp):
+            raise NewtonDivergedError(n, residuals[-1] if math.isfinite(gd) else math.inf,
+                                      residuals=residuals)
         if abs(gp) < 1e-14:
-            raise SingularJacobianError(n, abs(gd))
+            raise SingularJacobianError(n, abs(gd), residuals)
         step = gd / gp
         lam = 1.0
         if cfg.damping:
@@ -186,7 +199,8 @@ def _newton_increment(problem: Problem, u_prev: float, tn: float, diag: float,
         if abs(d_new - d) <= cfg.tol * (1.0 + abs(u_prev + d_new)):
             return float(d_new), it
         d = d_new
-    raise NewtonDivergedError(n, abs(gd), f"no convergence in {cfg.max_iter} iterations at node {n}")
+    raise NewtonDivergedError(n, abs(gd), f"no convergence in {cfg.max_iter} iterations at node {n}",
+                              residuals)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

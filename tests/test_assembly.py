@@ -436,11 +436,31 @@ def far_sums(order, mesh, rule):
 
 def far_fields(order, mesh, rule):
     """(planned, used): row groups given far cells by the grouping, and
-    those whose far sums passed the check in a sin^4 solve."""
+    those whose rows read far cells in a sin^4 solve."""
     fvals, incs = march_values(order, mesh, rule)
     far = {n: j for n, j, *_ in assembly.coefficient_rows(order, mesh, rule, fvals, incs)}
-    groups = [lo for lo, _, j in _row_groups(mesh, rule) if j]
+    groups = [lo for lo, _, cover in _row_groups(mesh, rule, assembly.GROUP_ROWS) if cover]
     return len(groups), sum(far[lo] > 0 for lo in groups)
+
+
+def panel_checks(mp):
+    """(size, passed) of every panel check, patched in through mp."""
+    checks = []
+    check = assembly._Panels._check
+
+    def counted(self, ids):
+        passed = check(self, ids)
+        checks.extend(zip(self.size[ids].tolist(), passed.tolist()))
+        return passed
+
+    mp.setattr(assembly._Panels, "_check", counted)
+    return checks
+
+
+def fast_order():
+    """alpha = 0.5 + 0.3 sin(40 t): it varies on the scale of wide panels."""
+    return make_custom_order(lambda t: 0.5 + 0.3 * np.sin(40.0 * np.asarray(t)),
+                             lambda t: 12.0 * np.cos(40.0 * np.asarray(t)), alpha0=0.5)
 
 
 class TestFarField:
@@ -478,21 +498,69 @@ class TestFarField:
         rule = gauss_nodes()
         for r in (1.0, 1.0 / 0.6, 1.0 / 0.3):
             assert far_fields(make_sine_order(0.6, 0.4), make_mesh(1.0, 192, r), rule) == (0, 0)
+        # the gap rows, in their longer groups, too
+        fvals, incs = march_values(make_linear_order(0.9, 0.4), make_mesh(1.0, 192, 1.0), rule)
+        rows = assembly.coefficient_rows(make_linear_order(0.9, 0.4), make_mesh(1.0, 192, 1.0), rule, fvals, incs)
+        assert not any(far for _, far, *_ in rows)
 
-    def test_unresolved_far_field_stays_direct(self):
-        planned, used = far_fields(make_sine_order(0.3, 0.9), make_mesh(1.0, 401, 1.0 / 0.3), gauss_nodes())
-        assert 0 < used < planned
+    def test_unresolved_panels_split(self, monkeypatch):
+        # the wide panels fail their check and give way to their children;
+        # leaves pass, and the far sums still match direct quadrature
+        checks = panel_checks(monkeypatch)
+        far, known, direct = far_sums(fast_order(), make_mesh(1.0, 1440, 1.0), gauss_nodes())
+        failed = [size for size, passed in checks if not passed]
+        assert failed and min(failed) > assembly.PANEL_LEAF_CELLS
+        assert far.any()
+        np.testing.assert_allclose(known, direct, rtol=0, atol=5e-15)
 
-    def test_far_cells_end_before_the_group(self):
+    def test_covers_are_the_fewest_readable_panels(self):
         mesh, rule = make_mesh(1.0, 1440, 1.0 / 0.6), gauss_nodes()
-        t = mesh.nodes
-        groups = list(_row_groups(mesh, rule))
+        t, N, leaf = mesh.nodes, mesh.N, assembly.PANEL_LEAF_CELLS
+
+        def readable(a, size, lo):
+            return a + size <= N and t[a + size] <= t[lo] - assembly.FAR_SEPARATION * (t[a + size] - t[a])
+
+        groups = list(_row_groups(mesh, rule, assembly.GROUP_ROWS))
         assert [lo for lo, _, _ in groups] == [1] + [hi + 1 for _, hi, _ in groups[:-1]]
-        assert groups[-1][1] == mesh.N
-        for lo, hi, far in groups:
-            if far:
-                assert hi - lo + 1 > assembly.FAR_POINTS
-                assert t[far] <= t[lo] - assembly.FAR_SEPARATION * (t[hi] - t[lo]) < t[far + 1]
+        assert groups[-1][1] == N
+        assert sum(bool(cover) for *_, cover in groups) > 30
+        for lo, hi, cover in groups:
+            if not cover:
+                continue
+            assert hi - lo + 1 <= assembly.GROUP_ROWS
+            starts, sizes = zip(*cover)
+            ends = [a + size for a, size in cover]
+            # cells 1..far in order, in panels that only narrow toward t_lo
+            assert list(starts) == [0, *ends[:-1]] and list(sizes) == sorted(sizes, reverse=True)
+            for a, size in cover:
+                # a tree panel that row lo may read, whose parent it may not
+                assert size % leaf == 0 and (size // leaf).bit_count() == 1 and a % size == 0
+                assert readable(a, size, lo)
+                assert not readable(a - a % (2 * size), 2 * size, lo)
+            # far as large as leaves allow
+            assert ends[-1] < lo and not readable(ends[-1], leaf, lo)
+
+    def test_charges_are_the_integrals_against_the_panel_basis(self):
+        # with f = 1 + 2t and u = 3t, f_h = f and u_h' = 3 on every cell, so
+        # q_f,d = int L_d (1 + 2s) ds and q_B,d = 3 int L_d ds are integrals
+        # of polynomials over the whole panel: one 20-point Gauss rule there
+        # takes them, leaves and parents alike. Node and point positions are
+        # rounded in t, not in the panel, which leaves narrow panels far from
+        # t = 0 a relative error of about 4e-14
+        order, mesh = make_sine_order(0.6, 0.4), make_mesh(1.0, 256, 1.0 / 0.6)
+        t = mesh.nodes
+        cq = assembly._cell_quadrature(order, mesh, gauss_nodes(), mesh.N)
+        panels = assembly._Panels(cq, 1.0 + 2.0 * t, np.diff(3.0 * t, prepend=np.nan))
+        panels._make(mesh.N)
+        made = np.flatnonzero(panels.ready <= mesh.N)
+        assert len(made) > 20 and panels.size[made].max() >= 8 * assembly.PANEL_LEAF_CELLS
+        x, w = gauss_nodes(20).nodes, gauss_nodes(20).weights
+        for i in made:
+            lo, hi = t[panels.start[i]], t[panels.start[i] + panels.size[i]]
+            s = lo + (hi - lo) * x
+            basis = assembly._lagrange(panels.s[i], s) * ((hi - lo) * w)[:, None]
+            expected = basis.T @ np.stack((1.0 + 2.0 * s, np.full_like(s, 3.0)), axis=1)
+            np.testing.assert_allclose(panels.q[i], expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
     def test_far_sums_read_only_the_solved_prefix(self):
         # the stream is driven as the march drives it, with NaN in every
@@ -507,6 +575,31 @@ class TestFarField:
             used += far > 0
             fvals[n], incs[n] = solved_f[n], solved_d[n]
         assert used
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    a=st.floats(0.3, 1.0),
+    b=st.floats(-0.25, 0.25),
+    c=st.floats(0.5, 5.0),
+    shape=st.sampled_from(["square", "saturating"]),
+    grading=st.floats(0.0, 1.0),
+    N=st.integers(400, 600),
+)
+def test_custom_orders_far_field_matches_direct(a, b, c, shape, grading, N):
+    # non-affine orders as a user writes them: a + b t^2 and
+    # a + b (1 - exp(-c t)), kept inside (0, 1]
+    b = min(b, 1.0 - a)
+    if shape == "square":
+        order = make_custom_order(lambda t: a + b * np.asarray(t) ** 2,
+                                  lambda t: 2.0 * b * np.asarray(t), alpha0=a)
+    else:
+        order = make_custom_order(lambda t: a + b * -np.expm1(-c * np.asarray(t)),
+                                  lambda t: b * c * np.exp(-c * np.asarray(t)), alpha0=a)
+    mesh, rule = make_mesh(1.0, N, 1.0 + grading * (1.0 / a - 1.0)), gauss_nodes()
+    far, known, direct = far_sums(order, mesh, rule)
+    assert far.any()
+    np.testing.assert_allclose(known, direct, rtol=0, atol=5e-15)
 
 
 @settings(max_examples=15, deadline=None)

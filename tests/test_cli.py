@@ -137,6 +137,8 @@ class TestCmdSolve:
         assert summary["failed_node"] == 1
         assert summary["t_reached"] == 0.0
         assert summary["last_residual"] > 0.0
+        # one iteration allowed: its residual is the whole history
+        assert summary["residuals"] == [summary["last_residual"]]
         assert not (out / "solution.csv").exists()
 
     def test_fast_path_samples_alpha_once(self, tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from vofie.order import (
 from vofie.solver import (
     NewtonConfig,
     NewtonDivergedError,
+    NewtonError,
     Problem,
     SingularJacobianError,
     solve,
@@ -256,6 +257,27 @@ class TestFarField:
         np.testing.assert_allclose(far.values, direct.values, rtol=0, atol=1e-14)
         np.testing.assert_array_equal(far.newton_stats, direct.newton_stats)
 
+    def test_fast_varying_order_matches_direct_solve(self, monkeypatch):
+        # alpha = 0.5 + 0.3 sin(40 t) varies on the scale of the wide panels:
+        # they fail their check and the rows read their children instead
+        order = make_custom_order(lambda t: 0.5 + 0.3 * np.sin(40.0 * np.asarray(t)),
+                                  lambda t: 12.0 * np.cos(40.0 * np.asarray(t)), alpha0=0.5)
+        problem, mesh = sin4_problem(order), make_mesh(1.0, 1440, 1.0)
+        passed = []
+        check = assembly._Panels._check
+
+        def counted(self, ids):
+            result = check(self, ids)
+            passed.extend(result.tolist())
+            return result
+
+        monkeypatch.setattr(assembly._Panels, "_check", counted)
+        far = solve(problem, mesh)
+        assert passed and not all(passed) and any(passed)
+        direct = self.direct_solve(problem, mesh)
+        np.testing.assert_allclose(far.values, direct.values, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(far.newton_stats, direct.newton_stats)
+
     def test_f_zero_keeps_u0_exactly_with_far_field(self, monkeypatch):
         # both far terms are exact zeros when every f value and increment is
         problem = Problem(f=f_zero, df_du=df_zero, u0=1.3, T=1.0, order=make_sine_order(0.6, 0.4))
@@ -266,18 +288,64 @@ class TestFarField:
 
 
 def count_far_sums(mp):
-    """Whether each group's far sums passed their check (assembly's
-    _far_known returned them), patched in through mp."""
+    """Whether each group given far cells read any (assembly's
+    _Panels.far_sums found panels that passed their check), patched in
+    through mp."""
     calls = []
-    far_known = assembly._far_known
+    far_sums = assembly._Panels.far_sums
 
-    def counted(*args):
-        known = far_known(*args)
-        calls.append(known is not None)
-        return known
+    def counted(self, *args):
+        far, known = far_sums(self, *args)
+        calls.append(far > 0)
+        return far, known
 
-    mp.setattr(assembly, "_far_known", counted)
+    mp.setattr(assembly._Panels, "far_sums", counted)
     return calls
+
+
+def count_points(mp):
+    """Kernel points (_kernel_minus_one) and moment points (_moments per
+    cell and row, _far_weight per panel node and row) of the patched calls,
+    patched in through mp."""
+    counts = {"kernel": 0, "moment": 0}
+    kernel, moments, weight = assembly._kernel_minus_one, assembly._moments, assembly._far_weight
+
+    def counted_kernel(da, v):
+        out = kernel(da, v)
+        counts["kernel"] += np.size(out)
+        return out
+
+    def counted_moments(t, edges, al):
+        wl, wr = moments(t, edges, al)
+        counts["moment"] += wl.size
+        return wl, wr
+
+    def counted_weight(v, al):
+        out = weight(v, al)
+        counts["moment"] += np.size(out)
+        return out
+
+    mp.setattr(assembly, "_kernel_minus_one", counted_kernel)
+    mp.setattr(assembly, "_moments", counted_moments)
+    mp.setattr(assembly, "_far_weight", counted_weight)
+    return counts
+
+
+class TestComplexity:
+    def test_points_grow_like_n_log_n(self, monkeypatch):
+        # graded sine (0.6, 0.4): near cells O(1) per row, far panels
+        # O(log N); fully direct, N = 1440 takes 8.4e6 kernel points
+        order = make_sine_order(0.6, 0.4)
+        counts = count_points(monkeypatch)
+        points = []
+        for N in (1440, 5760):
+            counts.update(kernel=0, moment=0)
+            solve(sin4_problem(order), make_mesh(1.0, N, 1.0 / 0.6))
+            points.append(dict(counts))
+        assert points[0]["kernel"] <= 1.2e6
+        # N log N would be 5.07 times with 8-cell leaves
+        assert points[1]["kernel"] <= 5 * points[0]["kernel"]
+        assert sum(points[1].values()) <= 5 * sum(points[0].values())
 
 
 class TestAnalyticOracles:
@@ -396,6 +464,30 @@ class TestNewtonBehavior:
             NewtonConfig(tol=0.0)
         with pytest.raises(ValueError):
             NewtonConfig(max_iter=0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    u0=st.floats(1.5, 4.0),
+    N=st.integers(8, 64),
+    a0=st.floats(0.6, 1.0),
+)
+def test_blow_up_names_its_node(u0, N, a0):
+    # u' ~ u^2 blows up before T = 1: the error names the node where Newton
+    # failed, what was solved before it, and |g| at each of its iterates
+    order = make_sine_order(a0, 0.5 * a0)
+    problem = Problem(f=lambda u, t: u**2, df_du=lambda u, t: 2.0 * u, u0=u0, T=1.0, order=order)
+    with pytest.raises(NewtonError) as err:
+        solve(problem, make_mesh(1.0, N, 1.0))
+    exc = err.value
+    node, partial, residuals = exc.node, exc.partial, exc.residuals
+    assert 1 <= node <= N and f"node {node}" in str(exc)
+    assert np.all(np.isfinite(partial.values[:node])) and np.all(np.isnan(partial.values[node:]))
+    assert 1 <= len(residuals) <= NewtonConfig().max_iter
+    assert residuals[-1] == exc.residual or not math.isfinite(exc.residual)
+    summary = exc.summary()
+    assert summary["failed_node"] == node
+    assert summary["residuals"] == [r if math.isfinite(r) else None for r in residuals]
 
 
 class TestBoundedness:
