@@ -17,8 +17,9 @@ Two coefficient families are built per collocation row n:
 `coefficient_rows` streams the rows: it builds both families for one block
 of rows at a time in a few vectorised sweeps and drops the block once its
 rows are consumed, so a solve holds O(N) memory. For an affine order on a
-uniform mesh K depends on t - s alone; translation_invariant works that out
-from the mesh and alpha's values (nothing is declared). A solve on such
+uniform mesh K depends on t - s alone; coefficient_rows works that out
+from the mesh and alpha's values (nothing is declared), and
+translation_invariant says why where it does not hold. A solve on such
 inputs keeps one gap-indexed sequence of cell averages and skips the
 per-block kernel sweeps, streaming only the moments.
 
@@ -31,31 +32,33 @@ away from s = t_n against a density the march has solved:
 
 with W the singular weight at alpha(t_n), f_h the hat interpolant of f and
 u_h' the slope of U on each cell. The cells sit in a fixed binary tree of
-panels (PANEL_LEAF_CELLS cells per leaf), split on index. A group of
-GROUP_ROWS rows reads the fewest tree panels that end at least
-FAR_SEPARATION panel widths before its first row (_cover), so panels widen
-with distance; cells 1..far of the cover are its far field, the cells
-far+1..n of each row are near. Each panel carries charges
-int L_d f_h ds and int L_d u_h' ds at PANEL_NODES Chebyshev nodes s_d,
-made once, when the march reaches the first row that may read the panel
-(_Panels), and a row's far sum is sum over panels and d of
+panels (PANEL_LEAF_CELLS cells per leaf), split on index. Each panel
+carries charges int L_d f_h ds and int L_d u_h' ds at PANEL_NODES
+Chebyshev nodes s_d, made once, when the march reaches the first row that
+may read the panel (it ends at least FAR_SEPARATION panel widths before
+that row), and checked once there against direct quadrature of its cells:
+where either term misses by more than FAR_CHECK_TOL of its absolute
+contributions, which happens where alpha varies on the scale of the panel,
+the panel fails. A group of GROUP_ROWS rows walks the tree from its root
+(_Panels.far_sums): a panel that its first row may read and that passed is
+read, any other splits into its two children, and a leaf that is not read
+ends the far field. So panels widen with distance; cells 1..far of the
+panels read are the group's far field, the cells far+1..n of each row are
+near, and a row's far sum is sum over panels and d of
 W(t_n - s_d) q_f,d - (K(t_n, s_d) - 1) q_B,d. Near cells cost O(1) per row
 and far panels O(log N), so a solve costs O(N log N) points and O(N)
-memory. Each panel is checked once, against direct quadrature of its cells
-at that first row: where either term misses by more than FAR_CHECK_TOL of
-its absolute contributions, which happens where alpha varies on the scale
-of the panel, the rows read its two children instead, and a failing leaf
-ends the far field. The gap rows (above) take the far moment term from the
-panels in groups of GAP_GROUP_ROWS rows and keep the far B term an exact dot
-of row N. Groups that would save little stay fully direct (every solve with
-N <= 192 and the 8-node rule). With f = 0 both terms are exactly zero.
+memory. The gap rows (above) take the far moment term from the panels in
+groups of GAP_GROUP_ROWS rows and keep the far B term an exact dot of
+row N. Groups with few cells before them stay fully direct
+(FAR_MIN_SAVED_POINTS). With f = 0 both terms are exactly zero.
 
 `assemble` collects rows into a WeightTable, the cache that coefficient
 dumps and the tests read, dense by default and gap-indexed with fast_path.
 It has no far field: every cell of every row is direct, so the table is an
-independent reference for the solve. Its hat-basis history weights
-h[n][i] = B[n][i+1] - B[n][i], h[n][n] = -B[n][n] and u0 coefficient
-h0[n] = B[n][1] - B[n][0] are derived views.
+independent reference for the solve. Its hat-basis history row n
+(history_row) holds B[n][i+1] - B[n][i] at i = 0..n, with B[n][n+1] = 0:
+entries 1..n weigh the nodal values U_i, and entry 0 is the u0
+coefficient.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ DIAG_RATIO = 0.15
 # enough that the temporaries stay in cache and add nothing measurable to
 # peak memory.
 HISTORY_BLOCK_POINTS = 2**14
-# Far field. The cells sit in a binary tree of source panels (_cover): a
+# Far field. The cells sit in a binary tree of source panels (_Panels): a
 # leaf holds PANEL_LEAF_CELLS cells and each parent its two children's. A
 # row group reads a panel once the panel ends at least FAR_SEPARATION panel
 # widths before the group's first row; both far kernels are then analytic in
@@ -100,7 +103,7 @@ FAR_SEPARATION = 1.5
 GROUP_ROWS = 32
 GAP_GROUP_ROWS = 128
 # Kernel and moment points (rule.count + 1 per far cell and row) a group must
-# save for its far field to be used: every solve with N <= 192 and the
+# save for its far field to be read: every solve with N <= 192 and the
 # 8-node rule stays direct.
 FAR_MIN_SAVED_POINTS = 4 * HISTORY_BLOCK_POINTS
 # Largest miss of each of a panel's far terms at the nearest row that reads
@@ -231,20 +234,8 @@ class _CellQuadrature:
     alpha_s: np.ndarray
 
 
-# The _CellQuadrature of the last inputs translation_invariant passed, held
-# for the next _cell_quadrature call only: the solve after a check on the
-# same order, mesh and rule objects reads it, so alpha is sampled once.
-# Orders are pure and meshes are not changed in place.
-_checked: _CellQuadrature | None = None
-
-
 def _cell_quadrature(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: int):
     """_CellQuadrature for rows up to n (cells 1..n-1 off the diagonal)."""
-    global _checked
-    cq, _checked = _checked, None
-    if (cq is not None and cq.order is order and cq.mesh is mesh and cq.rule is rule
-            and len(cq.alpha_t) == n + 1):
-        return cq
     s = mesh.nodes[: n - 1, None] + mesh.steps[: n - 1, None] * rule.nodes
     return _CellQuadrature(
         order=order,
@@ -287,18 +278,15 @@ def _cell_averages(cq: _CellQuadrature, rows: np.ndarray, first: int = 0) -> np.
     return out
 
 
-def _hat_weights(averages: np.ndarray):
-    """(h[n][0..n], h0[n]) from cell averages B[n][0..n] along the last axis.
+def _hat_weights(averages: np.ndarray) -> np.ndarray:
+    """History row h[n][0..n] from the cell averages B[n][0..n].
 
     Hat slopes are constant per cell, so int K_s(t_n, s) hat_i(s) ds is
-    B_{i+1} - B_i for i < n, -B_n for i = n, and B_1 - B_0 for the u0 hat.
-    Entry 0 of h is zero; the row sum plus h0 telescopes to -B_0 =
-    1 - K(t_n, 0) to rounding.
+    B_{i+1} - B_i for 1 <= i < n and -B_n for i = n; entry 0, B_1 - B_0, is
+    the u0 coefficient, from the descending hat on [t_0, t_1]. The row
+    telescopes to -B_0 = 1 - K(t_n, 0) to rounding.
     """
-    h = np.diff(averages, axis=-1, append=0.0)
-    h0 = h[..., 0].copy()
-    h[..., 0] = 0.0
-    return h, h0
+    return np.diff(averages, append=0.0)
 
 
 def _row_blocks(lo: int, hi: int, first: int, cells: int):
@@ -312,60 +300,6 @@ def _row_blocks(lo: int, hi: int, first: int, cells: int):
         stop = max(start + 1, int(np.searchsorted(cost, base + cells, "right")))
         yield np.arange(lo + start, lo + stop)
         start = stop
-
-
-def _reach(nodes: np.ndarray, a, size):
-    """The earliest time that may read panel (a, size): FAR_SEPARATION panel
-    widths past its end. Takes arrays."""
-    b = a + size
-    return nodes[b] + FAR_SEPARATION * (nodes[b] - nodes[a])
-
-
-def _cover(nodes: np.ndarray, lo: int) -> list[tuple[int, int]]:
-    """The fewest tree panels that row lo may read (_reach <= t_lo) and that
-    cover cells 1..far, with far as large as leaves allow.
-
-    Panel (a, size) holds cells a+1..a+size, size is PANEL_LEAF_CELLS 2^l
-    and a is a multiple of size. From cell 1 on, each step takes the largest
-    such panel that starts where the last one ended; sizes only shrink
-    along the cover, so panels grow wider with distance from t_lo.
-    """
-    N, t_lo = len(nodes) - 1, nodes[lo]
-    size = PANEL_LEAF_CELLS << ((N - 1) // PANEL_LEAF_CELLS).bit_length()
-    cover, a = [], 0
-    while True:
-        while size >= PANEL_LEAF_CELLS and (a + size >= lo or _reach(nodes, a, size) > t_lo):
-            size //= 2
-        if size < PANEL_LEAF_CELLS:
-            return cover
-        cover.append((a, size))
-        a += size
-
-
-def _row_groups(mesh: Mesh, rule: QuadratureRule, size: int, far_field: bool = True):
-    """Row groups (lo, hi, cover) covering rows 1..N in order.
-
-    Groups have `size` rows (the last may have fewer), and cover is the
-    _cover of row lo, or empty where every cell is near: a group's far field
-    is used only if it saves at least FAR_MIN_SAVED_POINTS points.
-    Consecutive groups with an empty cover are yielded as one, and without
-    far_field the one group is 1..N.
-    """
-    N, nodes = mesh.N, mesh.nodes
-    start = 1  # first row not yet yielded
-    for lo in range(1, N + 1, size) if far_field else ():
-        hi = min(lo + size - 1, N)
-        saved = (hi - lo + 1) * (rule.count + 1)
-        if (lo - 1) * saved < FAR_MIN_SAVED_POINTS:
-            continue  # far < lo
-        cover = _cover(nodes, lo)
-        if cover and sum(cover[-1]) * saved >= FAR_MIN_SAVED_POINTS:
-            if start < lo:
-                yield start, lo - 1, []
-            yield lo, hi, cover
-            start = hi + 1
-    if start <= N:
-        yield start, N, []
 
 
 # First-kind Chebyshev nodes of a panel, as fractions of its width, and their
@@ -398,8 +332,8 @@ class _Panels:
     """The far field of a solve: the tree's panels with their charges, each
     made and checked once, and the far sums of a group from them.
 
-    Panel (a, size) of _cover has nodes s_d at the Chebyshev points of
-    [t_a, t_{a+size}] and charges q_f,d = int L_d f_h ds and
+    Panel (a, size), cells a+1..a+size, has nodes s_d at the Chebyshev
+    points of [t_a, t_{a+size}] and charges q_f,d = int L_d f_h ds and
     q_B,d = int L_d u_h' ds over its cells, with f_h the hat interpolant of
     f and u_h' = (U_j - U_{j-1})/tau_j on cell j. A row's far sum over a
     panel is then sum_d W(t_n - s_d) q_f,d - (K(t_n, s_d) - 1) q_B,d, with
@@ -409,9 +343,11 @@ class _Panels:
     exact, as L_d is a polynomial of degree PANEL_NODES - 1.
 
     The panels that end by t_N are held level by level in flat arrays, O(N)
-    in all. Each is made when the march reaches its `ready` row, the first
-    that may read it: its cells are solved by then, and that row, the
-    nearest the panel serves, is where it is checked.
+    in all; level l holds the panels of size PANEL_LEAF_CELLS 2^l, each
+    starting at a multiple of its size. Each is made when the march reaches
+    its `ready` row, the first that may read it (FAR_SEPARATION panel widths
+    past its end): its cells are solved by then, and that row, the nearest
+    the panel serves, is where it is checked.
     """
 
     def __init__(self, cq: _CellQuadrature, fvals: np.ndarray, incs: np.ndarray | None):
@@ -425,8 +361,8 @@ class _Panels:
         self.made = np.zeros(len(sizes), dtype=int)
         self.size = np.repeat(sizes, counts)
         self.start = _runs(np.zeros_like(counts), counts) * self.size
-        self.ready = np.searchsorted(nodes, _reach(nodes, self.start, self.size), "left")
         t0, t1 = nodes[self.start], nodes[self.start + self.size]
+        self.ready = np.searchsorted(nodes, t1 + FAR_SEPARATION * (t1 - t0), "left")
         self.s = t0[:, None] + (t1 - t0)[:, None] * _CHEB
         self.alpha_s = np.asarray(cq.order.alpha(self.s), dtype=float)
         self.q = np.zeros((len(self.size), PANEL_NODES, 1 if incs is None else 2))
@@ -505,21 +441,32 @@ class _Panels:
         # a NaN read past the solved prefix passes, and shows in the rows
         return ~np.any(np.abs(np.stack(got) - sums[::2]) > FAR_CHECK_TOL * sums[1::2], axis=0)
 
-    def far_sums(self, lo: int, hi: int, cover: list[tuple[int, int]]):
-        """(far, known) of rows lo..hi: known[n - lo] is row n's far sum over
-        cells 1..far. Each cover panel that failed its check gives way to
-        its two children; a failing leaf ends the far cells."""
+    def _read(self, lo: int) -> list[int]:
+        """The panels row lo reads, in order of their cells, once those ready
+        by row lo are made. A walk of the tree from a root above its largest
+        level reads a panel that exists, is ready by row lo and passed its
+        check, splits any other into its two children, and ends at a leaf
+        it does not read."""
         self._make(lo)
-        used, stack = [], cover[::-1]
+        N = self.cq.mesh.N
+        used, stack = [], [(0, PANEL_LEAF_CELLS << len(self.counts))]
         while stack:
             a, size = stack.pop()
-            i = self.first[(size // PANEL_LEAF_CELLS).bit_length() - 1] + a // size
-            if self.passed[i]:
+            # a panel exists if it ends by t_N; the root does not
+            level = (size // PANEL_LEAF_CELLS).bit_length() - 1
+            i = self.first[level] + a // size if a + size <= N else -1
+            if i >= 0 and self.ready[i] <= lo and self.passed[i]:
                 used.append(i)
             elif size > PANEL_LEAF_CELLS:
                 stack += [(a + size // 2, size // 2), (a, size // 2)]
             else:
                 break
+        return used
+
+    def far_sums(self, lo: int, hi: int):
+        """(far, known) of rows lo..hi: known[n - lo] is row n's far sum over
+        cells 1..far, those of the panels row lo reads (_read)."""
+        used = self._read(lo)
         if not used:
             return 0, np.zeros(hi - lo + 1)
         far = int(self.start[used[-1]] + self.size[used[-1]])
@@ -534,35 +481,52 @@ class _Panels:
 
 
 def _groups(cq: _CellQuadrature, fvals, incs, size: int):
-    """(lo, hi, far, known) for each _row_groups group of `size` rows:
-    known[n - lo] is row n's far sum (_Panels), and far is 0 (known zero)
-    where the group is direct. Without fvals every group is direct."""
-    panels = None
-    for lo, hi, cover in _row_groups(cq.mesh, cq.rule, size, fvals is not None):
-        far, known = 0, np.zeros(hi - lo + 1)
-        if cover:
-            if panels is None:
-                panels = _Panels(cq, fvals, incs)
-            far, known = panels.far_sums(lo, hi, cover)
-        assert far < lo, "a group's far cells must end before its first row"
-        yield lo, hi, far, known
+    """(lo, hi, far, known) for row groups covering rows 1..N in order:
+    known[n - lo] is row n's far sum (_Panels.far_sums), and far is 0 (known
+    zero) where the group is direct.
+
+    Groups have `size` rows (the last may have fewer) and read their far
+    field only if it saves at least FAR_MIN_SAVED_POINTS points; as far < lo,
+    a group with too few cells before it is direct without a look at the
+    panels. Consecutive direct groups are yielded as one, and without fvals
+    the one group is 1..N.
+    """
+    N, panels = cq.mesh.N, None
+    start = 1  # first row not yet yielded
+    for lo in range(1, N + 1, size) if fvals is not None else ():
+        hi = min(lo + size - 1, N)
+        saved = (hi - lo + 1) * (cq.rule.count + 1)
+        if (lo - 1) * saved < FAR_MIN_SAVED_POINTS:
+            continue
+        if start < lo:
+            # before the panels are made: they read these rows' values
+            yield start, lo - 1, 0, np.zeros(lo - start)
+            start = lo
+        if panels is None:
+            panels = _Panels(cq, fvals, incs)
+        far, known = panels.far_sums(lo, hi)
+        if far * saved >= FAR_MIN_SAVED_POINTS:
+            assert far < lo, "a group's far cells must end before its first row"
+            yield lo, hi, far, known
+            start = hi + 1
+    if start <= N:
+        yield start, N, 0, np.zeros(N - start + 1)
 
 
 def history_weights(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: int):
-    """History row (h[n][1..n], h0[n]) of the K_s term.
+    """History row h[n][0..n] of the K_s term, as WeightTable.history_row.
 
     h[n][i] is the integral of K_s(t_n, .) against hat_i over its one or
-    two supporting cells; h0[n] is the u0 coefficient from the descending
-    hat on [t_0, t_1]. Both are differences of the row's cell averages of
-    K (_hat_weights), each by direct quadrature: `rule` is applied per cell
-    and per diagonal panel. Returned as (row, h0) with row[0] unused (zero).
+    two supporting cells, and h[n][0] the u0 coefficient from the
+    descending hat on [t_0, t_1]: differences of the row's cell averages of
+    K (_hat_weights), each by direct quadrature, with `rule` applied per
+    cell and per diagonal panel.
     """
     if not (1 <= n <= mesh.N):
         raise IndexError(f"need 1 <= n <= N, got n={n}, N={mesh.N}")
     cq = _cell_quadrature(order, mesh, rule, n)
     col0 = _kernel_minus_one(cq.alpha_t[n:] - cq.alpha_t[0], mesh.nodes[n : n + 1])
-    h, h0 = _hat_weights(np.concatenate((col0, _cell_averages(cq, np.array([n]))[0])))
-    return h, float(h0)
+    return _hat_weights(np.concatenate((col0, _cell_averages(cq, np.array([n]))[0])))
 
 
 @dataclass
@@ -578,9 +542,9 @@ class WeightTable:
     with gap_nodal[k-1] = K(t, t - k tau) - 1, valid because K depends on
     t - s only for affine order on a uniform mesh. Singular moments wL/wR
     are dense in both modes (they depend on alpha(t_n) row by row). The
-    hat-basis history weights (h, h0, history_row, h_entry, gen_left,
-    gen_right) are derived from these on request. `solve` does not build
-    this table; it streams the same rows from `coefficient_rows`.
+    hat-basis history weights (history_row, h_entry) are derived from these
+    on request. `solve` does not build this table; it streams the same rows
+    from `coefficient_rows`.
     """
 
     N: int
@@ -597,40 +561,13 @@ class WeightTable:
             return self.gap_avg[n - 1 :: -1]
         return self.B[n, 1 : n + 1]
 
-    @property
-    def h(self) -> np.ndarray | None:
-        """Dense history table h[n][i], column 0 zero (None on the fast path)."""
-        return None if self.invariant_mode else _hat_weights(self.B)[0]
-
-    @property
-    def h0(self) -> np.ndarray:
-        """u0 coefficients h0[n] = B[n][1] - B[n][0]; entry 0 is zero."""
-        if self.invariant_mode:
-            diff = self.gap_avg - self.gap_nodal
-        else:
-            diff = self.B[1:, 1] - self.B[1:, 0]
-        return np.concatenate(([0.0], diff))
-
-    @property
-    def gen_right(self) -> np.ndarray | None:
-        """K_k - A_k by gap k, with A_k = gap_avg[k] + 1 the cell average and
-        K_k the nodal kernel k steps back; h[n][n] = gen_right[0] and
-        h[n][i] = gen_right[n-i] + gen_left[n-i-1]. Fast path only."""
-        if not self.invariant_mode:
-            return None
-        return np.concatenate(([0.0], self.gap_nodal[:-1])) - self.gap_avg
-
-    @property
-    def gen_left(self) -> np.ndarray | None:
-        """A_k - K_{k+1} by gap k (see gen_right); h0[n] = gen_left[n-1]."""
-        if not self.invariant_mode:
-            return None
-        return self.gap_avg - self.gap_nodal
-
     def history_row(self, n: int) -> np.ndarray:
-        """Row h[n][0..n] (entry 0 is zero; the u0 hat lives in h0)."""
+        """Row h[n][0..n] (_hat_weights): entry i >= 1 weighs U_i, entry 0
+        is the u0 coefficient."""
+        if not (1 <= n <= self.N):
+            raise IndexError(f"need 1 <= n <= N, got n={n}, N={self.N}")
         first = self.gap_nodal[n - 1 : n] if self.invariant_mode else self.B[n, :1]
-        return _hat_weights(np.concatenate((first, self.averages(n))))[0]
+        return _hat_weights(np.concatenate((first, self.averages(n))))
 
     def h_entry(self, n: int, i: int) -> float:
         if not (1 <= i <= n <= self.N):
@@ -657,31 +594,29 @@ class WeightTable:
                     )
 
 
-def translation_invariant(order: VariableOrder, mesh: Mesh, rule: QuadratureRule | None = None,
-                          require: bool = False) -> bool:
-    """Whether K(t_n, s) depends on t_n - s alone at every point a solve
-    reads it: the mesh is uniform and alpha is affine (_affine) at the nodes
-    and the off-diagonal points of `rule` (None: gauss_nodes()). A graded
-    mesh is refused before alpha is sampled. With require, inputs that do
-    not qualify raise ValueError naming why."""
-    global _checked
+def translation_invariant(order: VariableOrder, mesh: Mesh,
+                          rule: QuadratureRule | None = None) -> None:
+    """Check that K(t_n, s) depends on t_n - s alone at every point a solve
+    reads it: the mesh is uniform and alpha is affine (_chord_gap within
+    AFFINE_TOL) at the nodes and the off-diagonal points of `rule` (None:
+    gauss_nodes()). Inputs that do not qualify raise ValueError naming why;
+    a graded mesh is refused before alpha is sampled."""
     if not mesh.is_uniform:
-        if require:
-            raise ValueError(f"the fast path needs a uniform mesh (r = 1), got r = {mesh.r:g}")
-        return False
-    cq = _cell_quadrature(order, mesh, gauss_nodes() if rule is None else rule, mesh.N)
-    if not _affine(cq, require):
-        return False
-    _checked = cq
-    return True
+        raise ValueError(f"the fast path needs a uniform mesh (r = 1), got r = {mesh.r:g}")
+    rule = gauss_nodes() if rule is None else rule
+    gap, where = _chord_gap(_cell_quadrature(order, mesh, rule, mesh.N))
+    if gap > AFFINE_TOL:
+        raise ValueError(
+            f"the fast path needs an affine order: alpha departs from its chord "
+            f"by {gap:.3g} at t = {where:.6g}"
+        )
 
 
-def _affine(cq: _CellQuadrature, require: bool = False) -> bool:
-    """Whether alpha stays within AFFINE_TOL of its chord
-    alpha(0) + (alpha(T) - alpha(0)) t / T at the nodes and the rule points
-    of cq. The nodes are checked first, so most non-affine orders are
-    refused on N + 1 values. With require, a departure raises ValueError
-    naming its size and the t where it is largest."""
+def _chord_gap(cq: _CellQuadrature) -> tuple[float, float]:
+    """(gap, t): the largest departure of alpha from its chord
+    alpha(0) + (alpha(T) - alpha(0)) t / T at the nodes of cq, and where it
+    is; where the nodes stay within AFFINE_TOL, the same at the rule points
+    of cq. Most non-affine orders are thus refused on N + 1 values."""
     a, T = cq.alpha_t, cq.mesh.T
     worst, where = 0.0, 0.0
     for t, alpha in ((cq.mesh.nodes, a), (cq.s, cq.alpha_s)):
@@ -692,12 +627,7 @@ def _affine(cq: _CellQuadrature, require: bool = False) -> bool:
         worst, where = float(gap.flat[k]), float(t.flat[k])
         if worst > AFFINE_TOL:
             break
-    if require and worst > AFFINE_TOL:
-        raise ValueError(
-            f"the fast path needs an affine order: alpha departs from its chord "
-            f"by {worst:.3g} at t = {where:.6g}"
-        )
-    return worst <= AFFINE_TOL
+    return worst, where
 
 
 def _gap_rows(cq: _CellQuadrature, fvals=None, incs=None):
@@ -751,7 +681,8 @@ def coefficient_rows(order: VariableOrder, mesh: Mesh, rule: QuadratureRule | No
     _direct_rows. `rule` is as for `assemble`.
     """
     cq = _cell_quadrature(order, mesh, gauss_nodes() if rule is None else rule, mesh.N)
-    yield from (_gap_rows if mesh.is_uniform and _affine(cq) else _direct_rows)(cq, fvals, incs)
+    affine = mesh.is_uniform and _chord_gap(cq)[0] <= AFFINE_TOL
+    yield from (_gap_rows if affine else _direct_rows)(cq, fvals, incs)
 
 
 def assemble(
@@ -773,7 +704,7 @@ def assemble(
     """
     rule = gauss_nodes() if rule is None else rule
     if fast_path:
-        translation_invariant(order, mesh, rule, require=True)
+        translation_invariant(order, mesh, rule)
     N = mesh.N
     cq = _cell_quadrature(order, mesh, rule, N)
     wL = np.zeros((N + 1, N + 1))

@@ -215,9 +215,8 @@ def cmd_solve(args) -> int:
     config = load_config(args)
     problem, mesh, rule, cfg, _ = build_run(config)
     if args.fast_path:
-        # a check only: solve takes the fast path whenever the inputs qualify,
-        # and reads the alpha values this check sampled
-        translation_invariant(problem.order, mesh, rule, require=True)
+        # a check only: solve takes the fast path whenever the inputs qualify
+        translation_invariant(problem.order, mesh, rule)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -277,7 +276,7 @@ def cmd_coeffs(args) -> int:
     config = load_config(args)
     problem, mesh, rule, _, _ = build_run(config)
     if args.fast_path:
-        translation_invariant(problem.order, mesh, rule, require=True)
+        translation_invariant(problem.order, mesh, rule)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dense = assemble(problem.order, mesh, rule, fast_path=False)
@@ -287,14 +286,6 @@ def cmd_coeffs(args) -> int:
         disc = max(
             float(np.max(np.abs(dense.history_row(n) - fast.history_row(n))))
             for n in range(1, mesh.N + 1)
-        )
-        np.savetxt(
-            out / "generating_sequence.csv",
-            np.column_stack([fast.gen_left, fast.gen_right]),
-            fmt="%.17g",
-            delimiter=",",
-            header="gen_left,gen_right",
-            comments="",
         )
         print(f"max |dense - fast| = {disc:.3e}")
     print(f"wrote {out}/weights.csv ({dense.history_storage_entries()} history entries)")

@@ -141,9 +141,9 @@ class TestCmdSolve:
         assert summary["residuals"] == [summary["last_residual"]]
         assert not (out / "solution.csv").exists()
 
-    def test_fast_path_samples_alpha_once(self, tmp_path, monkeypatch):
-        # the flag's check and the solve read one sampling of alpha at the
-        # nodes and the rule points; the gap rows add row N's diagonal panels
+    def test_fast_path_check_and_solve_each_sample_alpha_once(self, tmp_path, monkeypatch):
+        # the flag's check and the solve each sample alpha once at the nodes
+        # and the rule points; the gap rows add row N's diagonal panels
         N, rule = 64, gauss_nodes()
         line = make_linear_order(0.9, 0.4)
         points = []
@@ -169,10 +169,10 @@ class TestCmdSolve:
         expected = np.concatenate((mesh.nodes, rule_points.ravel()))
         assert len(expected) == N + 1 + (N - 1) * 8
         sampled = np.concatenate(points)
-        assert len(sampled) == len(expected) + DIAG_PANELS * rule.count
+        assert len(sampled) == 2 * len(expected) + DIAG_PANELS * rule.count
         values, counts = np.unique(sampled, return_counts=True)
         k = np.searchsorted(values, expected)
-        assert np.array_equal(values[k], expected) and np.all(counts[k] == 1)
+        assert np.array_equal(values[k], expected) and np.all(counts[k] == 2)
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "out"
@@ -260,7 +260,7 @@ class TestCmdCoeffs:
         text = capsys.readouterr().out
         disc = float(text.split("max |dense - fast| =")[1].split()[0])
         assert disc <= 1e-12
-        assert (out / "generating_sequence.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["weights.csv"]
 
     def test_constant_order_zero_dump(self, tmp_path):
         config = {

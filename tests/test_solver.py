@@ -53,7 +53,7 @@ def solve_on_direct_rows(problem, mesh):
     """solve on the direct rows whatever the inputs, by refusing every order
     as affine: the reference the gap rows are compared with."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(assembly, "_affine", lambda cq, require=False: False)
+        mp.setattr(assembly, "_chord_gap", lambda cq: (math.inf, 0.0))
         return solve(problem, mesh)
 
 
