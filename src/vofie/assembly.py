@@ -40,7 +40,7 @@ that row), and checked once there against direct quadrature of its cells:
 where either term misses by more than FAR_CHECK_TOL of its absolute
 contributions, which happens where alpha varies on the scale of the panel,
 the panel fails. A group of GROUP_ROWS rows walks the tree from its root
-(_Panels.far_sums): a panel that its first row may read and that passed is
+(_Panels._read): a panel that its first row may read and that passed is
 read, any other splits into its two children, and a leaf that is not read
 ends the far field. So panels widen with distance; cells 1..far of the
 panels read are the group's far field, the cells far+1..n of each row are
@@ -63,7 +63,7 @@ coefficient.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,12 +137,20 @@ def gauss_nodes(count: int = 8) -> QuadratureRule:
     """Gauss-Legendre rule on (0, 1); exact for degree <= 2*count - 1.
 
     The default is the per-cell rule of the history assembly: the cell
-    averages of the bounded kernel K it integrates need few nodes.
+    averages of the bounded kernel K it integrates need few nodes. Each
+    rule is built once per count and shared, so its arrays are read-only.
     """
     if count < 1:
         raise ValueError(f"need at least one quadrature node, got {count}")
+    return _gauss_rule(count)
+
+
+@functools.cache
+def _gauss_rule(count: int) -> QuadratureRule:
     x, w = np.polynomial.legendre.leggauss(count)
-    return QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def _diag_edges(lo, hi) -> np.ndarray:
@@ -441,12 +449,13 @@ class _Panels:
         # a NaN read past the solved prefix passes, and shows in the rows
         return ~np.any(np.abs(np.stack(got) - sums[::2]) > FAR_CHECK_TOL * sums[1::2], axis=0)
 
-    def _read(self, lo: int) -> list[int]:
-        """The panels row lo reads, in order of their cells, once those ready
-        by row lo are made. A walk of the tree from a root above its largest
-        level reads a panel that exists, is ready by row lo and passed its
-        check, splits any other into its two children, and ends at a leaf
-        it does not read."""
+    def _read(self, lo: int) -> tuple[int, list[int]]:
+        """(far, used): the panels row lo reads (used, in order of their
+        cells, once those ready by row lo are made) and the last cell they
+        cover (far). A walk of the tree from a root above its largest level
+        reads a panel that exists, is ready by row lo and passed its check,
+        splits any other into its two children, and ends at a leaf it does
+        not read."""
         self._make(lo)
         N = self.cq.mesh.N
         used, stack = [], [(0, PANEL_LEAF_CELLS << len(self.counts))]
@@ -461,23 +470,20 @@ class _Panels:
                 stack += [(a + size // 2, size // 2), (a, size // 2)]
             else:
                 break
-        return used
-
-    def far_sums(self, lo: int, hi: int):
-        """(far, known) of rows lo..hi: known[n - lo] is row n's far sum over
-        cells 1..far, those of the panels row lo reads (_read)."""
-        used = self._read(lo)
-        if not used:
-            return 0, np.zeros(hi - lo + 1)
-        far = int(self.start[used[-1]] + self.size[used[-1]])
+        far = int(self.start[used[-1]] + self.size[used[-1]]) if used else 0
         assert self.size[used].sum() == far, "the panels read must tile cells 1..far"
+        return far, used
+
+    def far_sums(self, used: list[int], lo: int, hi: int) -> np.ndarray:
+        """known[n - lo], row n's far sum for rows lo..hi over the panels
+        `used` (from _read(lo))."""
         rows = slice(lo, hi + 1)
         t, al = self.cq.mesh.nodes[rows, None], self.cq.alpha_t[rows, None]
         v, q = t - self.s[used].ravel(), self.q[used].reshape(-1, self.q.shape[2])
         known = _far_weight(v, al) @ q[:, 0]
         if self.incs is not None:
             known -= _kernel_minus_one(al - self.alpha_s[used].ravel(), v) @ q[:, 1]
-        return far, known
+        return known
 
 
 def _groups(cq: _CellQuadrature, fvals, incs, size: int):
@@ -488,8 +494,9 @@ def _groups(cq: _CellQuadrature, fvals, incs, size: int):
     Groups have `size` rows (the last may have fewer) and read their far
     field only if it saves at least FAR_MIN_SAVED_POINTS points; as far < lo,
     a group with too few cells before it is direct without a look at the
-    panels. Consecutive direct groups are yielded as one, and without fvals
-    the one group is 1..N.
+    panels, and one whose walk (_Panels._read) ends too early is direct
+    without evaluating its far sums. Consecutive direct groups are yielded
+    as one, and without fvals the one group is 1..N.
     """
     N, panels = cq.mesh.N, None
     start = 1  # first row not yet yielded
@@ -504,10 +511,10 @@ def _groups(cq: _CellQuadrature, fvals, incs, size: int):
             start = lo
         if panels is None:
             panels = _Panels(cq, fvals, incs)
-        far, known = panels.far_sums(lo, hi)
+        far, used = panels._read(lo)
         if far * saved >= FAR_MIN_SAVED_POINTS:
             assert far < lo, "a group's far cells must end before its first row"
-            yield lo, hi, far, known
+            yield lo, hi, far, panels.far_sums(used, lo, hi)
             start = hi + 1
     if start <= N:
         yield start, N, 0, np.zeros(N - start + 1)

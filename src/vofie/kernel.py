@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 from .order import VariableOrder
 
@@ -73,8 +72,11 @@ def inversion_identity_check(order: VariableOrder, t: float, s: float) -> float:
     against the closed form
         Gamma(alpha(t)) Gamma(1-alpha(s)) / Gamma(1+alpha(t)-alpha(s))
             * (t-s)^{alpha(t)-alpha(s)}.
-    Diagnostic helper; returns the absolute difference.
+    Diagnostic helper; returns the absolute difference. scipy.integrate is
+    imported here, on first call, so that importing vofie does not load it.
     """
+    from scipy.integrate import quad
+
     _check_ts(t, s)
     at = float(order.alpha(t))
     as_ = float(order.alpha(s))

@@ -59,6 +59,17 @@ class TestGaussNodes:
         with pytest.raises(ValueError):
             gauss_nodes(0)
 
+    def test_rules_are_shared_and_read_only(self):
+        # each rule is built once per count, so no caller may write to it
+        rule = gauss_nodes()
+        assert gauss_nodes() is rule and gauss_nodes(8) is rule
+        assert gauss_nodes(9) is not rule
+        for values in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+            with pytest.raises(ValueError):
+                values *= 2.0
+
 
 class TestSingularMoments:
     def test_classical_trapezoid(self):
@@ -533,6 +544,25 @@ class TestFarField:
         rows = assembly.coefficient_rows(make_linear_order(0.9, 0.4), make_mesh(1.0, 192, 1.0), rule, fvals, incs)
         assert not any(far for _, far, *_ in rows)
 
+    def test_direct_gap_rows_evaluate_no_far_sum(self, monkeypatch):
+        # affine (0.9, 0.4), uniform N = 192: the walk of group lo = 129 ends
+        # at far = 112, too few cells for the far field to pay, so the group
+        # stays direct and its far sums are never evaluated
+        walks, evaluated = [], []
+        read, far_sums = assembly._Panels._read, assembly._Panels.far_sums
+
+        def recorded(self, lo):
+            far, used = read(self, lo)
+            walks.append((lo, far))
+            return far, used
+
+        monkeypatch.setattr(assembly._Panels, "_read", recorded)
+        monkeypatch.setattr(assembly._Panels, "far_sums",
+                            lambda self, used, lo, hi: evaluated.append(lo) or far_sums(self, used, lo, hi))
+        march_values(make_linear_order(0.9, 0.4), make_mesh(1.0, 192, 1.0), gauss_nodes())
+        assert walks == [(129, 112)]
+        assert evaluated == []
+
     def test_unresolved_panels_split(self, monkeypatch):
         # the wide panels fail their check and give way to their children;
         # leaves pass, and the far sums still match direct quadrature
@@ -548,9 +578,9 @@ class TestFarField:
         walks, read = {}, assembly._Panels._read
 
         def recorded(self, lo):
-            used = read(self, lo)
+            far, used = read(self, lo)
             walks[lo] = self, [(int(self.start[i]), int(self.size[i])) for i in used]
-            return used
+            return far, used
 
         monkeypatch.setattr(assembly._Panels, "_read", recorded)
         leaf = assembly.PANEL_LEAF_CELLS

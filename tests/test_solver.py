@@ -288,16 +288,15 @@ class TestFarField:
 
 
 def count_far_sums(mp):
-    """Whether each group given far cells read any (assembly's
-    _Panels.far_sums found panels that passed their check), patched in
-    through mp."""
+    """Whether each group whose far sums were evaluated read any panel
+    (assembly's _Panels.far_sums was given panels that passed their
+    check), patched in through mp."""
     calls = []
     far_sums = assembly._Panels.far_sums
 
-    def counted(self, *args):
-        far, known = far_sums(self, *args)
-        calls.append(far > 0)
-        return far, known
+    def counted(self, used, *args):
+        calls.append(len(used) > 0)
+        return far_sums(self, used, *args)
 
     mp.setattr(assembly._Panels, "far_sums", counted)
     return calls
