@@ -14,14 +14,16 @@ Two coefficient families are built per collocation row n:
   in closed form (product integration), with wL + wR equal to the cell's
   singular mass by construction.
 
-`coefficient_rows` streams the rows: it builds both families for one block
-of rows at a time in a few vectorised sweeps and drops the block once its
-rows are consumed, so a solve holds O(N) memory. For an affine order on a
-uniform mesh K depends on t - s alone; coefficient_rows works that out
-from the mesh and alpha's values (nothing is declared), and
-translation_invariant says why where it does not hold. A solve on such
-inputs keeps one gap-indexed sequence of cell averages and skips the
-per-block kernel sweeps, streaming only the moments.
+`coefficient_rows` streams the rows in blocks: it builds both families for
+one block of rows lo..hi at a time in a few vectorised sweeps, yields them
+as matrices over the block's near cells with exact zeros right of each
+row's diagonal, and drops the block once it is consumed, so a solve holds
+O(N) memory. For an affine order on a uniform mesh K depends on t - s
+alone; coefficient_rows works that out from the mesh and alpha's values
+(nothing is declared), and translation_invariant says why where it does
+not hold. A solve on such inputs keeps one gap-indexed sequence of cell
+averages, row N, and skips the per-block kernel sweeps: its B blocks are
+read-only Toeplitz views of row N, and only the moments are computed.
 
 Far field. Both far terms of row n are integrals of a kernel smooth in s
 away from s = t_n against a density the march has solved:
@@ -49,8 +51,9 @@ W(t_n - s_d) q_f,d - (K(t_n, s_d) - 1) q_B,d. Near cells cost O(1) per row
 and far panels O(log N), so a solve costs O(N log N) points and O(N)
 memory. The gap rows (above) take the far moment term from the panels in
 groups of GAP_GROUP_ROWS rows and keep the far B term an exact dot of
-row N. Groups with few cells before them stay fully direct
-(FAR_MIN_SAVED_POINTS). With f = 0 both terms are exactly zero.
+row N. Groups with few far cells stay fully direct (FAR_MIN_SAVED_POINTS),
+those whose first row finds too few leaves ready before any panel is built.
+With f = 0 both terms are exactly zero.
 
 `assemble` collects rows into a WeightTable, the cache that coefficient
 dumps and the tests read, dense by default and gap-indexed with fast_path.
@@ -67,6 +70,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 # kernel_Ks is not called here any more; the name stays importable from this
@@ -80,11 +84,10 @@ from .order import VariableOrder
 # ~1e-7.
 DIAG_PANELS = 6
 DIAG_RATIO = 0.15
-# Kernel evaluations per block of history rows, moments per block where no
-# kernel points come with them (the gap rows), and basis values per chunk of
-# parent charges: large enough that numpy call overhead is amortised, small
-# enough that the temporaries stay in cache and add nothing measurable to
-# peak memory.
+# Kernel evaluations per block of history rows, and moments per block where
+# no kernel points come with them (the gap rows): large enough that numpy
+# call overhead is amortised, small enough that the temporaries stay in
+# cache and add nothing measurable to peak memory.
 HISTORY_BLOCK_POINTS = 2**14
 # Far field. The cells sit in a binary tree of source panels (_Panels): a
 # leaf holds PANEL_LEAF_CELLS cells and each parent its two children's. A
@@ -336,6 +339,13 @@ def _far_weight(v, al):
     return v ** (al - 1.0) / special.gamma(al)
 
 
+def _ready_rows(nodes: np.ndarray, start: np.ndarray, size) -> np.ndarray:
+    """The ready row of each panel of cells start+1..start+size: the first
+    row n with t_n at least FAR_SEPARATION panel widths past its end."""
+    t0, t1 = nodes[start], nodes[start + size]
+    return np.searchsorted(nodes, t1 + FAR_SEPARATION * (t1 - t0), "left")
+
+
 class _Panels:
     """The far field of a solve: the tree's panels with their charges, each
     made and checked once, and the far sums of a group from them.
@@ -347,8 +357,9 @@ class _Panels:
     panel is then sum_d W(t_n - s_d) q_f,d - (K(t_n, s_d) - 1) q_B,d, with
     W the _far_weight at alpha(t_n). Without incs there is no B term (the
     gap rows take it exactly). A leaf's charges are a Gauss sum per cell and
-    a parent's are its leaves' taken through the leaves' nodes; both are
-    exact, as L_d is a polynomial of degree PANEL_NODES - 1.
+    a parent's are its two children's taken through the children's nodes;
+    both are exact, as L_d is a polynomial of degree PANEL_NODES - 1, on
+    each child too.
 
     The panels that end by t_N are held level by level in flat arrays, O(N)
     in all; level l holds the panels of size PANEL_LEAF_CELLS 2^l, each
@@ -370,7 +381,7 @@ class _Panels:
         self.size = np.repeat(sizes, counts)
         self.start = _runs(np.zeros_like(counts), counts) * self.size
         t0, t1 = nodes[self.start], nodes[self.start + self.size]
-        self.ready = np.searchsorted(nodes, t1 + FAR_SEPARATION * (t1 - t0), "left")
+        self.ready = _ready_rows(nodes, self.start, self.size)
         self.s = t0[:, None] + (t1 - t0)[:, None] * _CHEB
         self.alpha_s = np.asarray(cq.order.alpha(self.s), dtype=float)
         self.q = np.zeros((len(self.size), PANEL_NODES, 1 if incs is None else 2))
@@ -378,16 +389,17 @@ class _Panels:
 
     def _make(self, lo: int):
         """Make every panel whose ready row is lo or earlier: the new leaves'
-        charges, then the new parents', then one check of them all."""
+        charges, then the new parents', level by level, then one check of
+        them all."""
         new = []
         for level, (first, count, made) in enumerate(zip(self.first, self.counts, self.made)):
             stop = int(np.searchsorted(self.ready[first : first + count], lo, "right"))
             new.append(np.arange(first + made, first + stop))
             self.made[level] = stop
-        leaves, ids = new[0], np.concatenate(new)
+        ids = np.concatenate(new)
         if ids.size:
-            self.q[leaves] = self._leaf_charges(leaves)
-            self.q[ids[len(leaves) :]] = self._parent_charges(ids[len(leaves) :])
+            self.q[new[0]] = self._leaf_charges(new[0])
+            self._parent_charges(new)
             self.passed[ids] = self._check(ids)
 
     def _leaf_charges(self, ids: np.ndarray) -> np.ndarray:
@@ -403,20 +415,24 @@ class _Panels:
         basis = _lagrange(self.s[ids], (mesh.nodes[cells][..., None] + tau * x).reshape(len(ids), -1))
         return np.swapaxes(basis, 1, 2) @ np.stack(values, axis=-1).reshape(len(ids), -1, len(values))
 
-    def _parent_charges(self, ids: np.ndarray) -> np.ndarray:
-        """Charges of parents ids from those of their leaves (made by now):
-        q_d = sum over leaves and their nodes s_e of L_d(s_e) q_e, in chunks
-        of HISTORY_BLOCK_POINTS basis values."""
-        count = self.size[ids] // PANEL_LEAF_CELLS
-        owner = np.repeat(np.arange(len(ids)), count)
-        leaves = _runs(self.start[ids] // PANEL_LEAF_CELLS, count)  # level 0 ids
-        q = np.zeros((len(ids),) + self.q.shape[1:])
-        step = HISTORY_BLOCK_POINTS // PANEL_NODES**2
-        for k in range(0, len(leaves), step):
-            part = slice(k, k + step)
-            basis = _lagrange(self.s[ids[owner[part]]], self.s[leaves[part]])
-            np.add.at(q, owner[part], np.swapaxes(basis, 1, 2) @ self.q[leaves[part]])
-        return q
+    def _parent_charges(self, new: list[np.ndarray]):
+        """Charges of the new panels of levels 1 and up (new[l] holds level
+        l's ids) from their two children's, made earlier or one level before
+        in this loop: q_d = sum over the children's nodes s_e of
+        L_d(s_e) q_e."""
+        # children of panel first[l] + i are first[l - 1] + 2i and 2i + 1
+        kids = [self.first[level - 1] + 2 * (ids[:, None] - self.first[level]) + np.arange(2)
+                for level, ids in enumerate(new) if level]
+        parents = np.concatenate(new)[len(new[0]) :]
+        if not parents.size:
+            return
+        points = self.s[np.concatenate(kids)].reshape(len(parents), 2 * PANEL_NODES)
+        basis = np.swapaxes(_lagrange(self.s[parents], points), 1, 2)
+        start = 0
+        for ids, children in zip(new[1:], kids):
+            part = basis[start : start + len(ids)]
+            self.q[ids] = part @ self.q[children].reshape(len(ids), 2 * PANEL_NODES, self.q.shape[2])
+            start += len(ids)
 
     def _check(self, ids: np.ndarray) -> np.ndarray:
         """Whether each far term of each panel of ids at its ready row is
@@ -492,18 +508,25 @@ def _groups(cq: _CellQuadrature, fvals, incs, size: int):
     zero) where the group is direct.
 
     Groups have `size` rows (the last may have fewer) and read their far
-    field only if it saves at least FAR_MIN_SAVED_POINTS points; as far < lo,
-    a group with too few cells before it is direct without a look at the
-    panels, and one whose walk (_Panels._read) ends too early is direct
-    without evaluating its far sums. Consecutive direct groups are yielded
-    as one, and without fvals the one group is 1..N.
+    field only if it saves at least FAR_MIN_SAVED_POINTS points. A walk from
+    row lo (_Panels._read) reads only panels ready by row lo, so it ends by
+    the end of the last leaf ready by then (reach, from the mesh alone): a
+    group whose reach is too short is direct before any panel is built or
+    made, and one whose walk ends too early is direct without evaluating its
+    far sums. Consecutive direct groups are yielded as one, and without
+    fvals the one group is 1..N.
     """
     N, panels = cq.mesh.N, None
+    leaves = np.arange(0, N - PANEL_LEAF_CELLS + 1, PANEL_LEAF_CELLS)
+    # reach(lo) = PANEL_LEAF_CELLS * #{i : ready[i] <= lo}, with ready[i] the
+    # first ready row of leaves i and later
+    ready = np.minimum.accumulate(_ready_rows(cq.mesh.nodes, leaves, PANEL_LEAF_CELLS)[::-1])[::-1]
     start = 1  # first row not yet yielded
     for lo in range(1, N + 1, size) if fvals is not None else ():
         hi = min(lo + size - 1, N)
         saved = (hi - lo + 1) * (cq.rule.count + 1)
-        if (lo - 1) * saved < FAR_MIN_SAVED_POINTS:
+        reach = PANEL_LEAF_CELLS * int(np.searchsorted(ready, lo, "right"))
+        if reach * saved < FAR_MIN_SAVED_POINTS:
             continue
         if start < lo:
             # before the panels are made: they read these rows' values
@@ -638,20 +661,25 @@ def _chord_gap(cq: _CellQuadrature) -> tuple[float, float]:
 
 
 def _gap_rows(cq: _CellQuadrature, fvals=None, incs=None):
-    """coefficient_rows for translation-invariant inputs: the B rows are
-    views of row N, which holds every gap; only the moments and the far
-    sums are streamed."""
+    """coefficient_rows for translation-invariant inputs: the B blocks are
+    read-only views of row N, which holds every gap; only the moments and
+    the far sums are computed."""
     N, nodes = cq.mesh.N, cq.mesh.nodes
-    # B[n][j] = B[N][N - n + j]: cell j lies n - j steps behind t_n
-    last = _cell_averages(cq, np.array([N]))[0]
+    # B[n][j] = B[N][N - n + j] = last[N - n + j - 1]: cell j lies n - j
+    # steps behind t_n. Row N is padded with N zeros, the cells right of each
+    # row's diagonal, so row n of a block from far cell far is window
+    # N - n + far of `gaps`
+    last = np.concatenate((_cell_averages(cq, np.array([N]))[0], np.zeros(N)))
+    gaps = sliding_window_view(last, N)
     for lo, hi, far, known in _groups(cq, fvals, None, GAP_GROUP_ROWS):
         if far:
             # the far B term exactly: B[n][j] = last[N - n + j - 1]
             known -= np.correlate(last[N - hi : N - lo + far], incs[1 : far + 1], "valid")[::-1]
         for rows in _row_blocks(lo, hi, far, HISTORY_BLOCK_POINTS):
-            wl, wr = _moments(nodes[rows], nodes[far : rows[-1] + 1], cq.alpha_t[rows])
-            for k, n in enumerate(rows.tolist()):
-                yield n, far, wl[k, : n - far], wr[k, : n - far], last[N - n + far :], known[n - lo]
+            r0, r1 = int(rows[0]), int(rows[-1])
+            wl, wr = _moments(nodes[rows], nodes[far : r1 + 1], cq.alpha_t[rows])
+            b = gaps[N - r1 + far : N - r0 + far + 1, : r1 - far][::-1]
+            yield r0, r1, far, wl, wr, b, known[r0 - lo : r1 - lo + 1]
 
 
 def _direct_rows(cq: _CellQuadrature, fvals=None, incs=None):
@@ -661,30 +689,33 @@ def _direct_rows(cq: _CellQuadrature, fvals=None, incs=None):
     nodes = cq.mesh.nodes
     for lo, hi, far, known in _groups(cq, fvals, incs, GROUP_ROWS):
         for rows in _row_blocks(lo, hi, far, HISTORY_BLOCK_POINTS // cq.rule.count):
-            wl, wr = _moments(nodes[rows], nodes[far : rows[-1] + 1], cq.alpha_t[rows])
-            b = _cell_averages(cq, rows, far)
-            for k, n in enumerate(rows.tolist()):
-                yield n, far, wl[k, : n - far], wr[k, : n - far], b[k, : n - far], known[n - lo]
+            r0, r1 = int(rows[0]), int(rows[-1])
+            wl, wr = _moments(nodes[rows], nodes[far : r1 + 1], cq.alpha_t[rows])
+            yield r0, r1, far, wl, wr, _cell_averages(cq, rows, far), known[r0 - lo : r1 - lo + 1]
 
 
 def coefficient_rows(order: VariableOrder, mesh: Mesh, rule: QuadratureRule | None = None,
                      fvals: np.ndarray | None = None, incs: np.ndarray | None = None):
-    """Yield the collocation rows (n, far, wL, wR, B, far_known) for
-    n = 1..N: wL[n][j], wR[n][j] and B[n][j] of the near cells
-    j = far+1..n, and far_known, the far sum of cells 1..far,
+    """Yield the collocation rows 1..N in blocks of rows lo..hi, each as
+    (lo, hi, far, wL, wR, B, far_known): wL, wR and B hold wL[n][j],
+    wR[n][j] and B[n][j] at [n - lo, j - far - 1] for the near cells
+    j = far+1..n of rows n = lo..hi, with exact zeros right of each row's
+    diagonal (j > n), and far_known[n - lo] is row n's far sum over cells
+    1..far,
 
         sum_{j <= far} wL[n][j] f_{j-1} + wR[n][j] f_j - B[n][j] (U_j - U_{j-1}),
 
-    with f_j = fvals[j] and U_j - U_{j-1} = incs[j]. The rows of a group
-    lo..hi read fvals[:far + 1] and incs[1:far + 1], far < lo, when row lo
-    is asked for, so a consumer that asks for row n must have made entries
-    0..n-1 final, as the march does. Without fvals and incs every cell is
-    near (far = 0, far_known = 0).
+    with f_j = fvals[j] and U_j - U_{j-1} = incs[j]. The blocks of a row
+    group read fvals[:far + 1] and incs[1:far + 1], far < lo, when its first
+    block is asked for, so a consumer that asks for the block from row lo
+    must have made entries 0..lo-1 final, as the march does. Without fvals
+    and incs every cell is near (far = 0, far_known = 0). Consumers only
+    read the arrays: the gap rows' B blocks are read-only views of one row.
 
-    Rows are built a _row_blocks block at a time and dropped once consumed,
-    so memory stays O(N) plus one block of HISTORY_BLOCK_POINTS kernel
-    points, whatever N is. Where translation_invariant holds (checked on
-    the alpha values the rows are built from) they are _gap_rows, elsewhere
+    Blocks are _row_blocks of HISTORY_BLOCK_POINTS kernel points (moments
+    on the gap rows) and dropped once consumed, so memory stays O(N),
+    whatever N is. Where translation_invariant holds (checked on the alpha
+    values the rows are built from) they are _gap_rows, elsewhere
     _direct_rows. `rule` is as for `assemble`.
     """
     cq = _cell_quadrature(order, mesh, gauss_nodes() if rule is None else rule, mesh.N)
@@ -717,16 +748,16 @@ def assemble(
     wL = np.zeros((N + 1, N + 1))
     wR = np.zeros((N + 1, N + 1))
     B = None if fast_path else np.zeros((N + 1, N + 1))
-    for n, _, wl, wr, b, _ in (_gap_rows if fast_path else _direct_rows)(cq):
-        wL[n, 1 : n + 1] = wl
-        wR[n, 1 : n + 1] = wr
+    for lo, hi, _, wl, wr, b, _ in (_gap_rows if fast_path else _direct_rows)(cq):
+        wL[lo : hi + 1, 1 : hi + 1] = wl
+        wR[lo : hi + 1, 1 : hi + 1] = wr
         if B is not None:
-            B[n, 1 : n + 1] = b
+            B[lo : hi + 1, 1 : hi + 1] = b
     a = cq.alpha_t
     nodal = _kernel_minus_one(a[1:] - a[0], mesh.nodes[1:])  # K(t_n, 0) - 1
     if fast_path:
-        # b is row N: gap k = N - j
+        # b[-1] is row N: gap k = N - j
         return WeightTable(N=N, invariant_mode=True, wL=wL, wR=wR,
-                           gap_avg=b[::-1], gap_nodal=nodal)
+                           gap_avg=b[-1, ::-1], gap_nodal=nodal)
     B[1:, 0] = nodal
     return WeightTable(N=N, invariant_mode=False, wL=wL, wR=wR, B=B)

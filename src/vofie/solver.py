@@ -12,15 +12,23 @@ coefficient cancel out of this form, and f = 0 gives zero increments, so
 u = u0 is kept exactly.
 
 The march reads row n only while it solves node n, so it consumes the rows
-as `assembly.coefficient_rows` streams them, one block at a time, and never
-holds an (N+1)^2 table: memory is O(N) for every solve. The inputs alone
-pick the rows (`assembly.translation_invariant`). Each row holds its near
-cells far+1..n and one number for the far cells 1..far, whose f values and
-increments were solved before its row group began: the stream reads them
-from read-only views of the march's arrays, whose unsolved entries are NaN,
-so a read past the solved prefix cannot pass unnoticed. The far cells are
-read as tree panels that widen with distance (`assembly._Panels`), so a row
-costs O(1) near cells plus O(log N) panels, and a solve O(N log N).
+as `assembly.coefficient_rows` streams them, one block of rows lo..hi at a
+time, and never holds an (N+1)^2 table: memory is O(N) for every solve. The
+inputs alone pick the rows (`assembly.translation_invariant`). Each row
+holds its near cells far+1..n and one number for the far cells 1..far,
+whose f values and increments were solved before its row group began: the
+stream reads them from read-only views of the march's arrays, whose
+unsolved entries are NaN, so a read past the solved prefix cannot pass
+unnoticed. The far cells are read as tree panels that widen with distance
+(`assembly._Panels`), so a row costs O(1) near cells plus O(log N) panels,
+and a solve O(N log N).
+
+Per block, the near cells far+1..lo-1 are solved before the block starts:
+their sums for all its rows are three matrix-vector products (wL f, wR f
+and B times the increments). Node n then adds the cells lo..n-1 of its
+own block as one dot over the interleaved (f_j, U_j - U_{j-1}) solved so
+far in the block, whose unsolved entries are NaN too, and solves for its
+increment with scalar Newton on Python floats.
 """
 
 from __future__ import annotations
@@ -142,10 +150,11 @@ class Solution:
         return np.interp(t, self.mesh.nodes, self.values)
 
     def to_csv(self, path) -> None:
+        # one %-format of Python floats: faster and smaller than a join of
+        # per-row strings, and no numpy scalar is formatted
+        pairs = tuple(np.column_stack((self.mesh.nodes, self.values)).ravel().tolist())
         with open(path, "w", newline="") as fh:
-            fh.write("t,U\n")
-            for t, u in zip(self.mesh.nodes, self.values):
-                fh.write(f"{t:.17g},{u:.17g}\n")
+            fh.write(("t,U\n" + "%.17g,%.17g\n" * len(self.values)) % pairs)
 
     def summary(self) -> dict:
         stats = self.newton_stats[1:]
@@ -168,22 +177,23 @@ class Solution:
             fh.write("\n")
 
 
-def _newton_increment(problem: Problem, u_prev: float, tn: float, diag: float,
-                      wrnn: float, known: float, cfg: NewtonConfig, n: int):
+def _newton_increment(problem: Problem, u_prev, tn, diag: float, wrnn: float,
+                      known: float, cfg: NewtonConfig, n: int):
     """Root d of diag * d - wrnn * f(u_prev + d, t_n) = known, from d = 0.
 
     Returns (d, newton_iterations). The step test is relative to the nodal
-    value u_prev + d. A NewtonError carries |g| at each iterate.
+    value u_prev + d. A NewtonError carries |g| at each iterate. f and df_du
+    are called at u_prev + d and tn as given (the march passes numpy
+    floats, so an overflow in f is an inf, not an exception); the iteration
+    itself runs on Python floats.
     """
-
-    def g(d):
-        return diag * d - wrnn * problem.f(u_prev + d, tn) - known
-
+    f, df, tol, u_start = problem.f, problem.df_du, cfg.tol, float(u_prev)
     d = 0.0
     residuals = []
     for it in range(1, cfg.max_iter + 1):
-        gd = g(d)
-        gp = diag - wrnn * problem.df_du(u_prev + d, tn)
+        u = u_prev + d
+        gd = diag * d - wrnn * float(f(u, tn)) - known
+        gp = diag - wrnn * float(df(u, tn))
         residuals.append(abs(gd))
         if not math.isfinite(gd) or not math.isfinite(gp):
             raise NewtonDivergedError(n, residuals[-1] if math.isfinite(gd) else math.inf,
@@ -193,11 +203,15 @@ def _newton_increment(problem: Problem, u_prev: float, tn: float, diag: float,
         step = gd / gp
         lam = 1.0
         if cfg.damping:
-            while lam > 2**-20 and abs(g(d - lam * step)) > abs(gd):
+            # halve the step while it does not reduce |g|
+            while lam > 2**-20:
+                trial = d - lam * step
+                if not abs(diag * trial - wrnn * float(f(u_prev + trial, tn)) - known) > abs(gd):
+                    break
                 lam *= 0.5
         d_new = d - lam * step
-        if abs(d_new - d) <= cfg.tol * (1.0 + abs(u_prev + d_new)):
-            return float(d_new), it
+        if abs(d_new - d) <= tol * (1.0 + abs(u_start + d_new)):
+            return d_new, it
         d = d_new
     raise NewtonDivergedError(n, abs(gd), f"no convergence in {cfg.max_iter} iterations at node {n}",
                               residuals)
@@ -232,32 +246,45 @@ def solve(
     if cfg is None:
         cfg = NewtonConfig()
 
-    N, u0 = mesh.N, problem.u0
+    N, u0, nodes = mesh.N, float(problem.u0), mesh.nodes
     values = np.full(N + 1, np.nan)
     fvals = np.full(N + 1, np.nan)
     incs = np.full(N + 1, np.nan)
     stats = np.zeros(N + 1, dtype=int)
     values[0] = u0
-    fvals[0] = problem.f(u0, 0.0)
+    fvals[0] = problem.f(problem.u0, 0.0)
     rows = coefficient_rows(problem.order, mesh, rule, _read_only(fvals), _read_only(incs))
-    for n, far, wl, wr, b, far_known in rows:
-        # the far sum read fvals[:far + 1] and incs[1:far + 1], solved by now
-        assert far < n, f"row {n} reads unsolved nodes up to {far}"
-        tn = mesh.nodes[n]
-        # coefficient of f_j is wR[n, j] (+ wL[n, j+1] for j < n); f_n stays implicit
-        known = (
-            far_known + float(wl @ fvals[far:n]) + float(wr[:-1] @ fvals[far + 1 : n])
-            - (values[n - 1] - u0) - float(b[:-1] @ incs[far + 1 : n])
-        )
-        try:
-            incs[n], stats[n] = _newton_increment(
-                problem, values[n - 1], tn, 1.0 + b[-1], wr[-1], known, cfg, n
-            )
-        except NewtonError as exc:
-            exc.partial = Solution(mesh=mesh, values=values, newton_stats=stats)
-            raise
-        values[n] = values[n - 1] + incs[n]
-        fvals[n] = problem.f(values[n], tn)
+    for lo, hi, far, wl, wr, b, far_known in rows:
+        # the far sums read fvals[:far + 1] and incs[1:far + 1], solved by now
+        assert far < lo, f"rows from {lo} read unsolved nodes up to {far}"
+        # column c is cell far + 1 + c; cells far+1..lo-1 are solved, and so
+        # is f_{lo-1}, which wL of cell lo weighs: their sums for all rows
+        c = lo - far - 1
+        known = (far_known + wl[:, : c + 1] @ fvals[far:lo] + wr[:, :c] @ fvals[far + 1 : lo]
+                 - b[:, :c] @ incs[far + 1 : lo]).tolist()
+        # row k, node n = lo + k: coefficients of (f_j, U_j - U_{j-1}) for
+        # j = lo..hi-1, interleaved, of which it reads the first 2k
+        m = hi - lo + 1
+        coef = np.empty((m, 2 * m - 2))
+        np.add(wl[:, c + 1 :], wr[:, c:-1], out=coef[:, 0::2])
+        np.negative(b[:, c:-1], out=coef[:, 1::2])
+        solved = np.full(2 * m, np.nan)
+        diag, wrnn = (1.0 + b.diagonal(c)).tolist(), wr.diagonal(c).tolist()
+        u = values[lo - 1]
+        for k in range(m):
+            n = lo + k
+            tn = nodes[n]
+            rhs = known[k] + float(coef[k, : 2 * k] @ solved[: 2 * k]) - (float(u) - u0)
+            try:
+                d, stats[n] = _newton_increment(problem, u, tn, diag[k], wrnn[k], rhs, cfg, n)
+            except NewtonError as exc:
+                exc.partial = Solution(mesh=mesh, values=values, newton_stats=stats)
+                raise
+            values[n] = u = u + d
+            solved[2 * k] = problem.f(u, tn)
+            solved[2 * k + 1] = d
+        fvals[lo : hi + 1], incs[lo : hi + 1] = solved[0::2], solved[1::2]
+        del coef  # freed before the stream builds the next block, at the peak
     return Solution(mesh=mesh, values=values, newton_stats=stats)
 
 

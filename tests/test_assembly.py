@@ -433,12 +433,16 @@ class TestIntegrationByParts:
             np.testing.assert_allclose(table.history_row(n), row, rtol=0, atol=1e-15)
 
 
+def sin4_problem(order):
+    return Problem(f=lambda u, t: 0.5 * np.sin(u) ** 4,
+                   df_du=lambda u, t: 2.0 * np.sin(u) ** 3 * np.cos(u),
+                   u0=1.0, T=1.0, order=order)
+
+
 def march_values(order, mesh, rule):
     """(fvals, incs) of a sin^4 solve: the f values and increments that the
     far sums weigh, incs[0] unused."""
-    problem = Problem(f=lambda u, t: 0.5 * np.sin(u) ** 4,
-                      df_du=lambda u, t: 2.0 * np.sin(u) ** 3 * np.cos(u),
-                      u0=1.0, T=1.0, order=order)
+    problem = sin4_problem(order)
     values = solve(problem, mesh, rule).values
     return problem.f(values, mesh.nodes), np.diff(values, prepend=np.nan)
 
@@ -449,8 +453,8 @@ def far_sums(order, mesh, rule):
     assemble's table, where every cell is by direct quadrature."""
     fvals, incs = march_values(order, mesh, rule)
     far, known, direct = np.zeros(mesh.N + 1, dtype=int), np.zeros(mesh.N + 1), np.zeros(mesh.N + 1)
-    for n, j, *_, k in assembly.coefficient_rows(order, mesh, rule, fvals, incs):
-        far[n], known[n] = j, k
+    for lo, hi, j, *_, k in assembly.coefficient_rows(order, mesh, rule, fvals, incs):
+        far[lo : hi + 1], known[lo : hi + 1] = j, k
     table = assemble(order, mesh, rule)
     for n in range(1, mesh.N + 1):
         j = far[n]
@@ -466,7 +470,8 @@ def far_fields(order, mesh, rule):
     walked, read = [], assembly._Panels._read
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assembly._Panels, "_read", lambda self, lo: walked.append(lo) or read(self, lo))
-        far = {n: j for n, j, *_ in assembly.coefficient_rows(order, mesh, rule, fvals, incs)}
+        far = {n: j for lo, hi, j, *_ in assembly.coefficient_rows(order, mesh, rule, fvals, incs)
+               for n in range(lo, hi + 1)}
     return len(walked), sum(far[lo] > 0 for lo in walked)
 
 
@@ -490,17 +495,20 @@ def fast_order():
                              lambda t: 12.0 * np.cos(40.0 * np.asarray(t)), alpha0=0.5)
 
 
-def bump_order():
-    """alpha = 0.5 + 0.3 sin(400 t) exp(-((t - 1/4)/0.05)^2): it varies on
-    the scale of leaves near t = 1/4 only."""
+def bump_order(centre=0.25, width=0.05):
+    """alpha = 0.5 + 0.3 sin(400 t) exp(-((t - centre)/width)^2): it varies
+    on the scale of leaves near t = centre only."""
     def bump(t):
-        return np.exp(-(((np.asarray(t) - 0.25) / 0.05) ** 2))
+        return np.exp(-(((np.asarray(t) - centre) / width) ** 2))
+
+    def alpha(t):
+        return 0.5 + 0.3 * np.sin(400.0 * np.asarray(t)) * bump(t)
 
     def dalpha(t):
         t = np.asarray(t)
-        return 0.3 * bump(t) * (400.0 * np.cos(400.0 * t) - np.sin(400.0 * t) * 800.0 * (t - 0.25))
+        return 0.3 * bump(t) * (400.0 * np.cos(400.0 * t) - np.sin(400.0 * t) * 2.0 * (t - centre) / width**2)
 
-    return make_custom_order(lambda t: 0.5 + 0.3 * np.sin(400.0 * np.asarray(t)) * bump(t), dalpha, alpha0=0.5)
+    return make_custom_order(alpha, dalpha, alpha0=float(alpha(0.0)))
 
 
 class TestFarField:
@@ -527,9 +535,9 @@ class TestFarField:
         # f = 0 so is the moment term, whatever the increments
         order, mesh, rule = make_constant_order(0.5), make_mesh(1.0, 400, 2.0), gauss_nodes()
         incs = np.random.default_rng(0).uniform(-1.0, 1.0, mesh.N + 1)
-        rows = list(assembly.coefficient_rows(order, mesh, rule, np.zeros(mesh.N + 1), incs))
-        assert any(far for _, far, *_ in rows)
-        assert all(known == 0.0 and not b.any() for *_, b, known in rows)
+        blocks = list(assembly.coefficient_rows(order, mesh, rule, np.zeros(mesh.N + 1), incs))
+        assert any(far for _, _, far, *_ in blocks)
+        assert all(np.all(known == 0.0) and not b.any() for *_, b, known in blocks)
         dense = assemble(order, mesh, rule)
         assert np.all(dense.B == 0.0)
         assert all(np.all(dense.history_row(n) == 0.0) for n in range(1, mesh.N + 1))
@@ -541,26 +549,44 @@ class TestFarField:
             assert far_fields(make_sine_order(0.6, 0.4), make_mesh(1.0, 192, r), rule) == (0, 0)
         # the gap rows, in their longer groups, too
         fvals, incs = march_values(make_linear_order(0.9, 0.4), make_mesh(1.0, 192, 1.0), rule)
-        rows = assembly.coefficient_rows(make_linear_order(0.9, 0.4), make_mesh(1.0, 192, 1.0), rule, fvals, incs)
-        assert not any(far for _, far, *_ in rows)
+        blocks = assembly.coefficient_rows(make_linear_order(0.9, 0.4), make_mesh(1.0, 192, 1.0), rule, fvals, incs)
+        assert not any(far for _, _, far, *_ in blocks)
 
     def test_direct_gap_rows_evaluate_no_far_sum(self, monkeypatch):
-        # affine (0.9, 0.4), uniform N = 192: the walk of group lo = 129 ends
-        # at far = 112, too few cells for the far field to pay, so the group
-        # stays direct and its far sums are never evaluated
+        # affine (0.9, 0.4), uniform N = 192: the leaves ready by row 129 end
+        # at cell 112, too few for the far field of group lo = 129 to pay,
+        # so the group stays direct before any panel is built, made or walked
+        built, walks, evaluated = [], [], []
+        init, read, far_sums = assembly._Panels.__init__, assembly._Panels._read, assembly._Panels.far_sums
+        monkeypatch.setattr(assembly._Panels, "__init__",
+                            lambda self, *args: built.append(1) or init(self, *args))
+        monkeypatch.setattr(assembly._Panels, "_read", lambda self, lo: walks.append(lo) or read(self, lo))
+        monkeypatch.setattr(assembly._Panels, "far_sums",
+                            lambda self, used, lo, hi: evaluated.append(lo) or far_sums(self, used, lo, hi))
+        problem, mesh = sin4_problem(make_linear_order(0.9, 0.4)), make_mesh(1.0, 192, 1.0)
+        values = solve(problem, mesh).values
+        assert built == walks == evaluated == []
+        # one direct group, as with the far field off
+        monkeypatch.setattr(assembly, "FAR_MIN_SAVED_POINTS", math.inf)
+        np.testing.assert_array_equal(values, solve(problem, mesh).values)
+
+    def test_short_walks_evaluate_no_far_sum(self, monkeypatch):
+        # alpha varies fast near t = 0.03 only: the leaf there fails its
+        # check, so every walk ends at cell 24, too few for the far field to
+        # pay, and no far sum is evaluated
         walks, evaluated = [], []
         read, far_sums = assembly._Panels._read, assembly._Panels.far_sums
 
         def recorded(self, lo):
             far, used = read(self, lo)
-            walks.append((lo, far))
+            walks.append(far)
             return far, used
 
         monkeypatch.setattr(assembly._Panels, "_read", recorded)
         monkeypatch.setattr(assembly._Panels, "far_sums",
                             lambda self, used, lo, hi: evaluated.append(lo) or far_sums(self, used, lo, hi))
-        march_values(make_linear_order(0.9, 0.4), make_mesh(1.0, 192, 1.0), gauss_nodes())
-        assert walks == [(129, 112)]
+        march_values(bump_order(0.03, 0.01), make_mesh(1.0, 1440, 1.0), gauss_nodes())
+        assert walks and set(walks) == {24}
         assert evaluated == []
 
     def test_unresolved_panels_split(self, monkeypatch):
@@ -654,6 +680,67 @@ class TestFarField:
             expected = basis.T @ np.stack((1.0 + 2.0 * s, np.full_like(s, 3.0)), axis=1)
             np.testing.assert_allclose(panels.q[i], expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
+    def test_parent_charges_match_the_leaf_formula(self, monkeypatch):
+        # a parent's charges come from its two children's; taken instead
+        # through all its leaves' nodes they agree to rounding, and every
+        # panel check passes or fails as it did with them
+        def leaf_formula(panels, ids):
+            leaf = assembly.PANEL_LEAF_CELLS
+            leaves = [np.arange(a, a + size, leaf) // leaf for a, size in zip(panels.start[ids], panels.size[ids])]
+            return np.stack([assembly._lagrange(panels.s[i], panels.s[lv].ravel()).T
+                             @ panels.q[lv].reshape(-1, panels.q.shape[2]) for i, lv in zip(ids, leaves)])
+
+        def by_leaves(self, new):
+            for ids in new[1:]:
+                if len(ids):
+                    self.q[ids] = leaf_formula(self, ids)
+
+        made = []
+        init = assembly._Panels.__init__
+        monkeypatch.setattr(assembly._Panels, "__init__", lambda self, *args: made.append(self) or init(self, *args))
+        for order, N, r in ((make_sine_order(0.6, 0.4), 1440, 1.0 / 0.6),
+                            (make_sine_order(0.6, 0.4), 5760, 1.0 / 0.6),
+                            (make_linear_order(0.9, 0.4), 4000, 1.0)):
+            mesh = make_mesh(1.0, N, r)
+            with pytest.MonkeyPatch.context() as mp:
+                checks = panel_checks(mp)
+                solve(sin4_problem(order), mesh)
+                panels = made[-1]
+                parents = np.concatenate([np.arange(first, first + count)
+                                          for first, count in zip(panels.first[1:], panels.made[1:])])
+                assert len(parents) > 100
+                expected = leaf_formula(panels, parents)
+                scale = np.abs(expected).max(axis=1, keepdims=True)
+                assert np.all(np.abs(panels.q[parents] - expected) <= 1e-14 * scale)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(assembly._Panels, "_parent_charges", by_leaves)
+                leaf_checks = panel_checks(mp)
+                solve(sin4_problem(order), mesh)
+            assert checks == leaf_checks
+
+    def test_blocks_are_zero_right_of_the_diagonal(self):
+        # wL, wR and B of rows lo..hi over cells far+1..hi: entry [n - lo,
+        # j - far - 1] is row n's at cell j, an exact zero for j > n; the gap
+        # rows' B is a read-only view of row N
+        rule = gauss_nodes()
+        for order, N, gap in ((make_sine_order(0.6, 0.4), 1440, False), (make_linear_order(0.9, 0.4), 4000, True)):
+            mesh = make_mesh(1.0, N, 1.0 / 0.6 if not gap else 1.0)
+            fvals, incs = march_values(order, mesh, rule)
+            rows, far_blocks = 0, 0
+            for lo, hi, far, *blocks, known in assembly.coefficient_rows(order, mesh, rule, fvals, incs):
+                n = np.arange(lo, hi + 1)[:, None]
+                j = far + 1 + np.arange(hi - far)
+                assert known.shape == (hi - lo + 1,)
+                for block in blocks:
+                    assert block.shape == (hi - lo + 1, hi - far)
+                    assert np.all(block[j > n] == 0.0)
+                    assert np.all(block[:, 0] != 0.0)
+                b = blocks[2]
+                assert b.flags.writeable != gap and (b.base is not None) == gap
+                rows += hi - lo + 1
+                far_blocks += far > 0
+            assert rows == N and far_blocks > 10
+
     def test_far_sums_read_only_the_solved_prefix(self):
         # the stream is driven as the march drives it, with NaN in every
         # entry not yet solved: a far sum that read one would be NaN
@@ -662,10 +749,10 @@ class TestFarField:
         fvals, incs = np.full(mesh.N + 1, np.nan), np.full(mesh.N + 1, np.nan)
         fvals[0] = solved_f[0]
         used = 0
-        for n, far, wl, wr, b, known in assembly.coefficient_rows(order, mesh, rule, fvals, incs):
-            assert np.isfinite(known) and np.all(np.isfinite(np.concatenate((wl, wr, b))))
+        for lo, hi, far, wl, wr, b, known in assembly.coefficient_rows(order, mesh, rule, fvals, incs):
+            assert np.all(np.isfinite(known)) and np.all(np.isfinite(np.concatenate((wl, wr, b))))
             used += far > 0
-            fvals[n], incs[n] = solved_f[n], solved_d[n]
+            fvals[lo : hi + 1], incs[lo : hi + 1] = solved_f[lo : hi + 1], solved_d[lo : hi + 1]
         assert used
 
 

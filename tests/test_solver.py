@@ -230,6 +230,32 @@ class TestMemory:
             assert peak <= 2.5 * 2**20
 
 
+class TestBlockMarch:
+    @pytest.mark.parametrize(
+        "order,N,r",
+        [
+            (make_sine_order(0.6, 0.4), 1440, 1.0 / 0.6),  # far field, direct rows
+            (make_linear_order(0.9, 0.4), 4000, 1.0),  # gap rows with far moments
+            (make_sine_order(0.6, 0.4), 96, 1.0 / 0.6),  # one direct group
+        ],
+    )
+    def test_values_do_not_depend_on_block_size(self, order, N, r):
+        # blocks of a few rows move only the split between each block's
+        # history products and its in-block dots, so only rounding
+        problem, mesh = sin4_problem(order), make_mesh(1.0, N, r)
+        default = solve(problem, mesh)
+        sizes = []
+        row_blocks = assembly._row_blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assembly, "HISTORY_BLOCK_POINTS", 2**8)
+            mp.setattr(assembly, "_row_blocks", lambda *args: (sizes.append(len(rows)) or rows
+                                                               for rows in row_blocks(*args)))
+            small = solve(problem, mesh)
+        assert len(sizes) > N / 8 and max(sizes) < 64
+        np.testing.assert_allclose(small.values, default.values, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(small.newton_stats, default.newton_stats)
+
+
 class TestFarField:
     def direct_solve(self, problem, mesh):
         with pytest.MonkeyPatch.context() as mp:
@@ -527,6 +553,17 @@ class TestSolutionObject:
         summary = sol.summary()
         assert summary["N"] == 8
         assert summary["newton_iterations"]["max"] >= 1
+
+    def test_csv_bytes_are_the_per_value_rendering(self, tmp_path):
+        # one write of the joined lines: the bytes of one write per row of
+        # the numpy scalars, with non-finite values, signed zeros and
+        # 17-digit values included
+        sol = solve(problem_one(make_sine_order(0.6, 0.1)), make_mesh(1.0, 64, 1.0 / 0.6))
+        sol.values[[3, 5, 7, 9]] = np.nan, np.inf, -0.0, 1e-300
+        path = tmp_path / "solution.csv"
+        sol.to_csv(path)
+        expected = "t,U\n" + "".join(f"{t:.17g},{u:.17g}\n" for t, u in zip(sol.mesh.nodes, sol.values))
+        assert path.read_bytes() == expected.encode()
 
     def test_derivative_consistency_check(self):
         problem = Problem(
