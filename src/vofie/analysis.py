@@ -100,16 +100,17 @@ def run_convergence(
     )
 
 
-def singularity_exponent(solution: Solution, max_fraction: float = 0.1) -> float:
+def singularity_exponent(solution: Solution) -> float:
     """Fitted power of the solution's derivative near t = 0.
 
     Least-squares slope of ln |difference quotient| against ln t over the
-    early nodes (first max_fraction of the mesh, skipping the first cell).
+    early nodes (the first tenth of the mesh, at least 8 nodes, skipping the
+    first cell).
     For a solution behaving like u' ~ t^beta this returns beta, which is
     alpha(0) - 1 for the singular regime and ~0 for the smooth one.
     """
     mesh = solution.mesh
-    n_hi = max(8, int(mesh.N * max_fraction))
+    n_hi = max(8, int(mesh.N * 0.1))
     idx = np.arange(2, min(n_hi, mesh.N) + 1)
     dq = (solution.values[idx] - solution.values[idx - 1]) / mesh.steps[idx - 1]
     tm = 0.5 * (mesh.nodes[idx] + mesh.nodes[idx - 1])

@@ -694,8 +694,8 @@ def _direct_rows(cq: _CellQuadrature, fvals=None, incs=None):
             yield r0, r1, far, wl, wr, _cell_averages(cq, rows, far), known[r0 - lo : r1 - lo + 1]
 
 
-def coefficient_rows(order: VariableOrder, mesh: Mesh, rule: QuadratureRule | None = None,
-                     fvals: np.ndarray | None = None, incs: np.ndarray | None = None):
+def coefficient_rows(order: VariableOrder, mesh: Mesh, rule: QuadratureRule | None,
+                     fvals: np.ndarray, incs: np.ndarray):
     """Yield the collocation rows 1..N in blocks of rows lo..hi, each as
     (lo, hi, far, wL, wR, B, far_known): wL, wR and B hold wL[n][j],
     wR[n][j] and B[n][j] at [n - lo, j - far - 1] for the near cells
@@ -708,8 +708,7 @@ def coefficient_rows(order: VariableOrder, mesh: Mesh, rule: QuadratureRule | No
     with f_j = fvals[j] and U_j - U_{j-1} = incs[j]. The blocks of a row
     group read fvals[:far + 1] and incs[1:far + 1], far < lo, when its first
     block is asked for, so a consumer that asks for the block from row lo
-    must have made entries 0..lo-1 final, as the march does. Without fvals
-    and incs every cell is near (far = 0, far_known = 0). Consumers only
+    must have made entries 0..lo-1 final, as the march does. Consumers only
     read the arrays: the gap rows' B blocks are read-only views of one row.
 
     Blocks are _row_blocks of HISTORY_BLOCK_POINTS kernel points (moments

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -55,14 +56,13 @@ def _f_sin4():
     )
 
 
-def _build_rhs(spec: dict):
-    kind = spec.get("f")
+def _build_rhs(kind, data: dict):
     if kind == "zero":
         return _f_zero()
     if kind == "constant":
-        return _f_constant(float(spec.get("c", 1.0)))
+        return _f_constant(data.get("c", 1.0))
     if kind == "linear":
-        return _f_linear(float(spec.get("lambda", -1.0)))
+        return _f_linear(data.get("lambda", -1.0))
     if kind == "sin4":
         return _f_sin4()
     raise ConfigError(f"unknown builtin f: {kind!r} (use zero/constant/linear/sin4)")
@@ -72,14 +72,35 @@ _PROBLEM_KEYS = {"f", "c", "lambda", "u0", "T"}
 _ORDER_KEYS = {"family", "a0", "a1", "value", "start", "end"}
 _MESH_KEYS = {"N", "r", "case"}
 _TOP_KEYS = {"problem", "order", "mesh", "quad_nodes", "newton", "convergence"}
-_NEWTON_KEYS = {"tol", "max_iter", "damping"}
+_NEWTON_KEYS = {"tol", "max_iter"}
 _CONV_KEYS = {"N_list", "ref_N"}
+# keys whose numbers are counts: integers, where every other number is a float
+_COUNT_KEYS = {"N", "quad_nodes", "max_iter", "ref_N", "N_list"}
 
 
 def _reject_unknown(d: dict, allowed: set, where: str):
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _number(value, name: str):
+    """The config number `name` (section.key) as an int for a count key
+    (_COUNT_KEYS) and as a finite float otherwise. A bool, a string, NaN,
+    Infinity or a fraction raises ConfigError naming the key."""
+    count = name.rpartition(".")[2] in _COUNT_KEYS
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+        if not count:
+            return float(value)
+        if value == int(value):
+            return int(value)
+    kind = "an integer" if count else "a finite number"
+    raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
+def _numbers(spec: dict, where: str, keys) -> dict:
+    """{key: _number} for the keys among `keys` that spec sets."""
+    return {key: _number(spec[key], f"{where}.{key}") for key in keys if key in spec}
 
 
 _ORDER_FAMILIES = {
@@ -98,11 +119,15 @@ def build_order(spec: dict) -> VariableOrder:
     missing = [key for key in keys if key not in spec]
     if missing:
         raise ConfigError(f"order family {family!r} needs keys {missing}")
-    return make(*(float(spec[key]) for key in keys))
+    return make(**_numbers(spec, "order", keys))
 
 
 def build_run(config: dict):
-    """Resolve a config dict to (problem, mesh, rule, newton_cfg, conv_spec)."""
+    """Resolve a config dict to (problem, mesh, rule, newton_cfg, conv_spec).
+
+    conv_spec holds the mesh's case (None without one) and the
+    run_convergence arguments the config sets. Keys a config leaves out take
+    the defaults of the library function that reads them."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     _reject_unknown(config, _TOP_KEYS, "top-level")
@@ -113,47 +138,37 @@ def build_run(config: dict):
     _reject_unknown(mspec, _MESH_KEYS, "mesh")
 
     order = build_order(ospec)
-    f, df = _build_rhs(pspec)
-    u0 = float(pspec.get("u0", 1.0))
-    T = float(pspec.get("T", 1.0))
+    data = _numbers(pspec, "problem", ("c", "lambda", "u0", "T"))
+    f, df = _build_rhs(pspec.get("f"), data)
+    u0, T = data.get("u0", 1.0), data.get("T", 1.0)
     if T != order.T:
         raise ConfigError(f"problem T = {T} does not match the order horizon {order.T}")
     problem = Problem(f=f, df_du=df, u0=u0, T=T, order=order)
 
     if "N" not in mspec:
         raise ConfigError("mesh.N is required")
-    N = int(mspec["N"])
+    grading = _numbers(mspec, "mesh", ("N", "r"))
     case = mspec.get("case")
     if case is not None:
         if "r" in mspec:
             raise ConfigError("mesh takes case or r, not both: case sets the grading")
-        r = grading_for_case(order, str(case))
-    else:
-        r = float(mspec.get("r", 1.0))
-    try:
-        mesh = make_mesh(T, N, r)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        case = str(case)
+        grading["r"] = grading_for_case(order, case)
+    mesh = make_mesh(T, **grading)
 
-    rule = gauss_nodes(int(config["quad_nodes"])) if "quad_nodes" in config else gauss_nodes()
+    quad_nodes = config.get("quad_nodes")
+    rule = gauss_nodes() if quad_nodes is None else gauss_nodes(_number(quad_nodes, "quad_nodes"))
     nspec = dict(config.get("newton", {}))
     _reject_unknown(nspec, _NEWTON_KEYS, "newton")
-    try:
-        cfg = NewtonConfig(
-            tol=float(nspec.get("tol", 1e-10)),
-            max_iter=int(nspec.get("max_iter", 50)),
-            damping=bool(nspec.get("damping", False)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = NewtonConfig(**_numbers(nspec, "newton", ("tol", "max_iter")))
 
     cspec = dict(config.get("convergence", {}))
     _reject_unknown(cspec, _CONV_KEYS, "convergence")
-    conv = {
-        "N_list": [int(n) for n in cspec.get("N_list", [48, 72, 96, 120])],
-        "ref_N": int(cspec.get("ref_N", 1440)),
-        "case": str(case) if case is not None else None,
-    }
+    conv = {"case": case, **_numbers(cspec, "convergence", ("ref_N",))}
+    if "N_list" in cspec:
+        if not isinstance(cspec["N_list"], list):
+            raise ConfigError("convergence.N_list must be a list of integers")
+        conv["N_list"] = [_number(n, "convergence.N_list") for n in cspec["N_list"]]
     return problem, mesh, rule, cfg, conv
 
 
@@ -204,10 +219,6 @@ def load_config(args) -> dict:
             raise ConfigError(f"invalid JSON in {args.config}: {exc}") from exc
     else:
         raise ConfigError("one of --config or --preset is required")
-    if args.quad_nodes is not None:
-        config["quad_nodes"] = args.quad_nodes
-    if args.newton_tol is not None:
-        config.setdefault("newton", {})["tol"] = args.newton_tol
     return config
 
 
@@ -247,7 +258,7 @@ def cmd_solve(args) -> int:
 def cmd_converge(args) -> int:
     config = load_config(args)
     problem, mesh, rule, cfg, conv = build_run(config)
-    case = conv["case"]
+    case = conv.pop("case")
     if case is None:
         # infer the regime from the grading actually configured
         if mesh.r == 1.0:
@@ -257,13 +268,7 @@ def cmd_converge(args) -> int:
         if mesh.r != (r := grading_for_case(problem.order, case)):
             raise ConfigError(f"mesh.r = {mesh.r!r} is not the grading of case {case}, r = {r!r}")
     report = run_convergence(
-        problem,
-        case,
-        N_list=conv["N_list"],
-        ref_N=conv["ref_N"],
-        rule=rule,
-        cfg=cfg,
-        config_id=args.preset or args.config or "",
+        problem, case, rule=rule, cfg=cfg, config_id=args.preset or args.config or "", **conv
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -312,8 +317,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="path to a JSON config")
         p.add_argument("--preset", help=f"bundled config, one of {sorted(PRESETS)}")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--quad-nodes", type=int, default=None)
-        p.add_argument("--newton-tol", type=float, default=None)
         if name == "solve":
             p.add_argument("--format", choices=("csv", "json"), default="csv")
         if name in ("solve", "coeffs"):

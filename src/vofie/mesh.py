@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +34,15 @@ def make_mesh(T: float, N: int, r: float = 1.0) -> Mesh:
     """Build the graded mesh t_i = T (i/N)^r.
 
     Nodes come straight from the closed form per index (no cumulative
-    summation), so t_0 = 0 and t_N = T exactly.
+    summation), so t_0 = 0 and t_N = T exactly. T and r must be finite and
+    N an integer.
     """
-    if T <= 0:
-        raise ValueError(f"horizon T must be positive, got {T}")
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
-    if r < 1:
-        raise ValueError(f"grading exponent r must be >= 1, got {r}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"horizon T must be positive and finite, got {T}")
+    if not isinstance(N, numbers.Integral) or N < 1:
+        raise ValueError(f"N must be an integer >= 1, got {N}")
+    if not 1 <= r < math.inf:
+        raise ValueError(f"grading exponent r must be >= 1 and finite, got {r}")
     i = np.arange(N + 1, dtype=float)
     nodes = T * (i / N) ** r
     steps = np.diff(nodes)

@@ -31,19 +31,16 @@ class VariableOrder:
         return self.alpha(t)
 
 
-def make_sine_order(a0: float, a1: float, T: float = 1.0) -> VariableOrder:
+def make_sine_order(a0: float, a1: float) -> VariableOrder:
     """Order family alpha(t) = a1 + (a0-a1)((1-t) - sin(2 pi (1-t))/(2 pi)).
 
-    Defined on [0, 1] (T is kept for interface symmetry and must be 1).
-    Monotone between a0 = alpha(0) and a1 = alpha(1), with alpha'(0) =
-    alpha'(1) = 0 analytically.
+    Defined on [0, 1], so T = 1. Monotone between a0 = alpha(0) and
+    a1 = alpha(1), with alpha'(0) = alpha'(1) = 0 analytically.
     """
     if not (0 < a0 <= 1):
         raise ValueError(f"a0 must lie in (0, 1], got {a0}")
     if not (0 < a1 < 1):
         raise ValueError(f"a1 must lie in (0, 1), got {a1}")
-    if T != 1.0:
-        raise ValueError("the sine order family is defined on [0, 1]")
 
     def alpha(t):
         s = 1.0 - np.asarray(t, dtype=float)
@@ -144,17 +141,16 @@ class OrderValidationReport:
         return self.bounds_ok and self.deriv_ok
 
 
-def validate_assumption_a(order: VariableOrder, samples: int = 1001) -> OrderValidationReport:
+def validate_assumption_a(order: VariableOrder) -> OrderValidationReport:
     """Sample-based admissibility report for a variable order.
 
-    Checks 0 < alpha(t) <= 1 with alpha(t) < 1 required strictly for t > 0
-    (alpha(0) = 1 is permitted: that is the smooth-solution configuration),
-    and cross-checks the declared derivative against central differences.
+    Checks, at 1001 equispaced samples of [0, T], 0 < alpha(t) <= 1 with
+    alpha(t) < 1 required strictly for t > 0 (alpha(0) = 1 is permitted:
+    that is the smooth-solution configuration), and cross-checks the
+    declared derivative against central differences.
     Report-only; never raises on a failing order.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    ts = np.linspace(0.0, order.T, samples)
+    ts = np.linspace(0.0, order.T, 1001)
     vals = np.asarray(order.alpha(ts), dtype=float)
     amin, amax = float(np.min(vals)), float(np.max(vals))
 
@@ -181,7 +177,7 @@ def validate_assumption_a(order: VariableOrder, samples: int = 1001) -> OrderVal
             "alpha(0)=1 with alpha'(0) != 0: outside both smooth-case regimes"
         )
     return OrderValidationReport(
-        samples=samples,
+        samples=len(ts),
         alpha_min=amin,
         alpha_max=amax,
         max_deriv_discrepancy=disc,

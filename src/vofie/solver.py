@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -112,11 +113,12 @@ class Problem:
     T: float
     order: VariableOrder
 
-    def check_derivative(self, n_samples: int = 25) -> float:
-        """Max discrepancy between df_du and central differences (advisory)."""
+    def check_derivative(self) -> float:
+        """Max discrepancy between df_du and central differences at 25 random
+        (u, t) samples (advisory)."""
         rng = np.random.default_rng(0)
-        us = rng.uniform(-2, 2, n_samples)
-        ts = rng.uniform(0, self.T, n_samples)
+        us = rng.uniform(-2, 2, 25)
+        ts = rng.uniform(0, self.T, 25)
         h = 1e-6
         worst = 0.0
         for u, t in zip(us, ts):
@@ -129,13 +131,12 @@ class Problem:
 class NewtonConfig:
     tol: float = 1e-10
     max_iter: int = 50
-    damping: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("Newton tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"Newton tolerance must be positive and finite, got {self.tol}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
 
 
 @dataclass
@@ -200,16 +201,7 @@ def _newton_increment(problem: Problem, u_prev, tn, diag: float, wrnn: float,
                                       residuals=residuals)
         if abs(gp) < 1e-14:
             raise SingularJacobianError(n, abs(gd), residuals)
-        step = gd / gp
-        lam = 1.0
-        if cfg.damping:
-            # halve the step while it does not reduce |g|
-            while lam > 2**-20:
-                trial = d - lam * step
-                if not abs(diag * trial - wrnn * float(f(u_prev + trial, tn)) - known) > abs(gd):
-                    break
-                lam *= 0.5
-        d_new = d - lam * step
+        d_new = d - gd / gp
         if abs(d_new - d) <= tol * (1.0 + abs(u_start + d_new)):
             return d_new, it
         d = d_new
@@ -288,24 +280,19 @@ def solve(
     return Solution(mesh=mesh, values=values, newton_stats=stats)
 
 
-def vie_residual(
-    problem: Problem,
-    solution: Solution,
-    t: float,
-    fine_rule: QuadratureRule | None = None,
-) -> float:
+def vie_residual(problem: Problem, solution: Solution, t: float) -> float:
     """Residual of the integral equation at t for the piecewise-linear solution.
 
     Integrates K_s(t, .) U(.) and the weakly singular f term with cell-split
-    high-resolution quadrature (geometric panels at the K_s log singularity,
-    an exactness substitution for the algebraic f weight). Diagnostic only.
+    high-resolution quadrature (a 60-node Gauss rule per panel, geometric
+    panels at the K_s log singularity, an exactness substitution for the
+    algebraic f weight). Diagnostic only.
     """
     if not (0 < t <= solution.mesh.T):
         raise ValueError("residual point must lie in (0, T]")
-    if fine_rule is None:
-        fine_rule = gauss_nodes(60)
     order = problem.order
     nodes = solution.mesh.nodes
+    fine_rule = gauss_nodes(60)
     x, w = fine_rule.nodes, fine_rule.weights
 
     # split [0, t] at solution nodes so the interpolant is smooth per panel

@@ -47,6 +47,31 @@ class TestConfigResolution:
         assert rc == 1
         assert "r must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section,key,value,named",
+        [
+            ("mesh", "N", 16.7, "mesh.N"),
+            (None, "quad_nodes", 8.9, "quad_nodes"),
+            ("newton", "max_iter", 2.5, "newton.max_iter"),
+            ("problem", "u0", float("nan"), "problem.u0"),
+            ("mesh", "r", float("inf"), "mesh.r"),
+            ("problem", "u0", True, "problem.u0"),
+            ("order", "a0", "0.6", "order.a0"),
+            ("newton", "damping", True, "newton keys: ['damping']"),
+        ],
+    )
+    def test_bad_config_value_is_refused_by_key(self, tmp_path, capsys, section, key, value, named):
+        # counts must be integers and numbers finite; nothing is rounded or
+        # coerced into a solve
+        config = zero_config(N=16)
+        (config.setdefault(section, {}) if section else config)[key] = value
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", write_config(tmp_path, config), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not out.exists()
+
     def test_missing_config(self, tmp_path, capsys):
         rc = main(["solve", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert rc == 1
@@ -86,6 +111,8 @@ class TestUsage:
             ("converge", ["--format", "json"]),
             ("converge", ["--fast-path"]),
             ("coeffs", ["--format", "json"]),
+            ("solve", ["--quad-nodes", "16"]),
+            ("converge", ["--newton-tol", "1e-12"]),
         ],
     )
     def test_flag_the_subcommand_does_not_take(self, tmp_path, capsys, command, flag):

@@ -43,6 +43,19 @@ class TestMakeMesh:
         with pytest.raises(ValueError):
             make_mesh(-1.0, 4, 1.0)
 
+    @pytest.mark.parametrize(
+        "T,N,r,message",
+        [
+            (1.0, 16.5, 1.0, "N must be an integer"),  # else 18 nodes, t_N = 1.03 > T
+            (1.0, 16, np.nan, "r must be >= 1 and finite"),  # else NaN nodes
+            (1.0, 16, np.inf, "r must be >= 1 and finite"),  # else zero steps
+            (np.inf, 16, 1.0, "T must be positive and finite"),  # else NaN, inf nodes
+        ],
+    )
+    def test_non_finite_or_fractional_input_is_refused(self, T, N, r, message):
+        with pytest.raises(ValueError, match=message):
+            make_mesh(T, N, r)
+
     @pytest.mark.parametrize("N", [48, 72, 96, 120])
     def test_nested_in_reference(self, N):
         # used by the error measure: every coarse node is a reference node

@@ -105,7 +105,3 @@ class TestValidation:
     def test_derivative_finite_difference_bound(self):
         report = validate_assumption_a(make_sine_order(0.6, 0.1))
         assert report.max_deriv_discrepancy <= 1e-6
-
-    def test_sample_count_precondition(self):
-        with pytest.raises(ValueError):
-            validate_assumption_a(make_constant_order(0.5), samples=1)

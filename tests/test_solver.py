@@ -476,19 +476,23 @@ class TestNewtonBehavior:
         assert err.value.partial.values[0] == problem.u0
         assert np.all(np.isnan(err.value.partial.values[1:]))
 
-    def test_damping_flag_still_converges(self):
-        order = make_sine_order(0.6, 0.1)
-        problem = problem_one(order)
-        mesh = make_mesh(1.0, 32, 1.0)
-        plain = solve(problem, mesh)
-        damped = solve(problem, mesh, cfg=NewtonConfig(damping=True))
-        np.testing.assert_allclose(damped.values, plain.values, atol=1e-12)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             NewtonConfig(tol=0.0)
         with pytest.raises(ValueError):
             NewtonConfig(max_iter=0)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"tol": math.nan},  # would never converge
+            {"tol": math.inf},  # would accept the first iterate
+            {"max_iter": 2.5},
+        ],
+    )
+    def test_non_finite_or_fractional_setting_is_refused(self, setting):
+        with pytest.raises(ValueError, match="finite|integer"):
+            NewtonConfig(**setting)
 
 
 @settings(max_examples=20, deadline=None)
