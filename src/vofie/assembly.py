@@ -564,8 +564,8 @@ class WeightTable:
     """All collocation coefficients for one (order, mesh, rule) triple.
 
     Dense mode stores the cell-average table B[n][j], j = 0..n (see the
-    module docstring). Invariant mode (fast path) stores two sequences
-    indexed by the gap k = n - j,
+    module docstring). Invariant mode (fast path) stores no B but two
+    sequences indexed by the gap k = n - j,
 
         B[n][j] = gap_avg[n-j]  (1 <= j <= n),   B[n][0] = gap_nodal[n-1],
 
@@ -577,13 +577,19 @@ class WeightTable:
     from `coefficient_rows`.
     """
 
-    N: int
-    invariant_mode: bool
     wL: np.ndarray
     wR: np.ndarray
     B: np.ndarray | None = None
     gap_avg: np.ndarray | None = None
     gap_nodal: np.ndarray | None = None
+
+    @property
+    def N(self) -> int:
+        return len(self.wL) - 1
+
+    @property
+    def invariant_mode(self) -> bool:
+        return self.B is None
 
     def averages(self, n: int) -> np.ndarray:
         """B[n][1..n], the increment coefficients of row n, as a view."""
@@ -756,7 +762,6 @@ def assemble(
     nodal = _kernel_minus_one(a[1:] - a[0], mesh.nodes[1:])  # K(t_n, 0) - 1
     if fast_path:
         # b[-1] is row N: gap k = N - j
-        return WeightTable(N=N, invariant_mode=True, wL=wL, wR=wR,
-                           gap_avg=b[-1, ::-1], gap_nodal=nodal)
+        return WeightTable(wL=wL, wR=wR, gap_avg=b[-1, ::-1], gap_nodal=nodal)
     B[1:, 0] = nodal
-    return WeightTable(N=N, invariant_mode=False, wL=wL, wR=wR, B=B)
+    return WeightTable(wL=wL, wR=wR, B=B)

@@ -68,41 +68,57 @@ def _build_rhs(kind, data: dict):
     raise ConfigError(f"unknown builtin f: {kind!r} (use zero/constant/linear/sin4)")
 
 
-_PROBLEM_KEYS = {"f", "c", "lambda", "u0", "T"}
-_ORDER_KEYS = {"family", "a0", "a1", "value", "start", "end"}
-_MESH_KEYS = {"N", "r", "case"}
-_TOP_KEYS = {"problem", "order", "mesh", "quad_nodes", "newton", "convergence"}
-_NEWTON_KEYS = {"tol", "max_iter"}
-_CONV_KEYS = {"N_list", "ref_N"}
-# keys whose numbers are counts: integers, where every other number is a float
-_COUNT_KEYS = {"N", "quad_nodes", "max_iter", "ref_N", "N_list"}
+# the kinds of config value, each as an error names what a value must be
+_COUNT, _NUMBER, _STRING, _COUNTS = "an integer", "a finite number", "a string", "a list of integers"
+
+# every config key once, in its section (a dict) or at the top level, with its kind
+SCHEMA = {
+    "problem": {"f": _STRING, "c": _NUMBER, "lambda": _NUMBER, "u0": _NUMBER, "T": _NUMBER},
+    "order": {"family": _STRING, "a0": _NUMBER, "a1": _NUMBER, "value": _NUMBER,
+              "start": _NUMBER, "end": _NUMBER},
+    "mesh": {"N": _COUNT, "r": _NUMBER, "case": _STRING},
+    "quad_nodes": _COUNT,
+    "newton": {"tol": _NUMBER, "max_iter": _COUNT},
+    "convergence": {"N_list": _COUNTS, "ref_N": _COUNT},
+}
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
+def _read(spec, schema: dict, where: str = "") -> dict:
+    """The config object `spec` read against `schema`, section by section,
+    each value as its kind: an int for a count, a finite float for a
+    number. A key the schema does not list, or a value not of its kind (a
+    bool, NaN, Infinity, a fraction for a count, an integer too large for a
+    float), raises ConfigError naming it as section.key."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where or 'config'} must be a JSON object")
+    unknown = set(spec) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {where or 'top-level'} keys: {sorted(unknown)}")
+    read = {}
+    for key, value in spec.items():
+        name, kind = f"{where}.{key}" if where else key, schema[key]
+        read[key] = _read(value, kind, name) if isinstance(kind, dict) else _value(value, kind, name)
+    return read
 
 
-def _number(value, name: str):
-    """The config number `name` (section.key) as an int for a count key
-    (_COUNT_KEYS) and as a finite float otherwise. A bool, a string, NaN,
-    Infinity or a fraction raises ConfigError naming the key."""
-    count = name.rpartition(".")[2] in _COUNT_KEYS
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
-        if not count:
+def _value(value, kind: str, name: str):
+    if kind == _STRING and isinstance(value, str):
+        return value
+    if kind == _COUNTS and isinstance(value, list):
+        return [_value(n, _COUNT, name) for n in value]
+    if kind in (_COUNT, _NUMBER) and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if finite and kind == _NUMBER:
             return float(value)
-        if value == int(value):
+        if finite and value == int(value):
             return int(value)
-    kind = "an integer" if count else "a finite number"
     raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
-def _numbers(spec: dict, where: str, keys) -> dict:
-    """{key: _number} for the keys among `keys` that spec sets."""
-    return {key: _number(spec[key], f"{where}.{key}") for key in keys if key in spec}
-
-
+# family: constructor and the order keys it takes; all but sine take T too
 _ORDER_FAMILIES = {
     "sine": (make_sine_order, ("a0", "a1")),
     "constant": (make_constant_order, ("value",)),
@@ -110,16 +126,21 @@ _ORDER_FAMILIES = {
 }
 
 
-def build_order(spec: dict) -> VariableOrder:
-    _reject_unknown(spec, _ORDER_KEYS, "order")
+def build_order(spec: dict, T: float) -> VariableOrder:
+    """The order on [0, T] of a config's `order` section, read by `_read`."""
     family = spec.get("family")
-    if not isinstance(family, str) or family not in _ORDER_FAMILIES:
+    if family not in _ORDER_FAMILIES:
         raise ConfigError(f"unknown order family: {family!r} (use sine/constant/linear)")
     make, keys = _ORDER_FAMILIES[family]
     missing = [key for key in keys if key not in spec]
     if missing:
         raise ConfigError(f"order family {family!r} needs keys {missing}")
-    return make(**_numbers(spec, "order", keys))
+    args = {key: spec[key] for key in keys}
+    if family != "sine":
+        return make(**args, T=T)
+    if T != 1.0:
+        raise ConfigError(f"the sine family is defined on [0, 1]: problem.T must be 1, got {T}")
+    return make(**args)
 
 
 def build_run(config: dict):
@@ -128,47 +149,27 @@ def build_run(config: dict):
     conv_spec holds the mesh's case (None without one) and the
     run_convergence arguments the config sets. Keys a config leaves out take
     the defaults of the library function that reads them."""
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(config, _TOP_KEYS, "top-level")
-    pspec = dict(config.get("problem", {}))
-    _reject_unknown(pspec, _PROBLEM_KEYS, "problem")
-    ospec = dict(config.get("order", {}))
-    mspec = dict(config.get("mesh", {}))
-    _reject_unknown(mspec, _MESH_KEYS, "mesh")
-
-    order = build_order(ospec)
-    data = _numbers(pspec, "problem", ("c", "lambda", "u0", "T"))
-    f, df = _build_rhs(pspec.get("f"), data)
-    u0, T = data.get("u0", 1.0), data.get("T", 1.0)
-    if T != order.T:
-        raise ConfigError(f"problem T = {T} does not match the order horizon {order.T}")
-    problem = Problem(f=f, df_du=df, u0=u0, T=T, order=order)
+    config = _read(config, SCHEMA)
+    pspec, mspec = config.get("problem", {}), config.get("mesh", {})
+    T = pspec.get("T", 1.0)
+    f, df = _build_rhs(pspec.get("f"), pspec)
+    problem = Problem(f=f, df_du=df, u0=pspec.get("u0", 1.0), T=T,
+                      order=build_order(config.get("order", {}), T))
 
     if "N" not in mspec:
         raise ConfigError("mesh.N is required")
-    grading = _numbers(mspec, "mesh", ("N", "r"))
+    grading = {key: mspec[key] for key in ("N", "r") if key in mspec}
     case = mspec.get("case")
     if case is not None:
         if "r" in mspec:
             raise ConfigError("mesh takes case or r, not both: case sets the grading")
-        case = str(case)
-        grading["r"] = grading_for_case(order, case)
+        grading["r"] = grading_for_case(problem.order, case)
     mesh = make_mesh(T, **grading)
 
     quad_nodes = config.get("quad_nodes")
-    rule = gauss_nodes() if quad_nodes is None else gauss_nodes(_number(quad_nodes, "quad_nodes"))
-    nspec = dict(config.get("newton", {}))
-    _reject_unknown(nspec, _NEWTON_KEYS, "newton")
-    cfg = NewtonConfig(**_numbers(nspec, "newton", ("tol", "max_iter")))
-
-    cspec = dict(config.get("convergence", {}))
-    _reject_unknown(cspec, _CONV_KEYS, "convergence")
-    conv = {"case": case, **_numbers(cspec, "convergence", ("ref_N",))}
-    if "N_list" in cspec:
-        if not isinstance(cspec["N_list"], list):
-            raise ConfigError("convergence.N_list must be a list of integers")
-        conv["N_list"] = [_number(n, "convergence.N_list") for n in cspec["N_list"]]
+    rule = gauss_nodes() if quad_nodes is None else gauss_nodes(quad_nodes)
+    cfg = NewtonConfig(**config.get("newton", {}))
+    conv = {"case": case, **config.get("convergence", {})}
     return problem, mesh, rule, cfg, conv
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,14 +16,30 @@ class Mesh:
     """Partition t_i = T (i/N)^r, i = 0..N, with step sizes tau_i.
 
     r = 1 is the uniform mesh; r > 1 clusters nodes near t = 0. Steps are
-    nondecreasing for r >= 1 and max tau_i <= r T / N.
+    nondecreasing for r >= 1 and max tau_i <= r T / N. T must be positive
+    and finite, N an integer >= 1 and r >= 1 and finite. Nodes and steps are
+    derived, from the closed form per index (no cumulative summation), so
+    t_0 = 0 and t_N = T exactly.
     """
 
     T: float
     N: int
-    r: float
-    nodes: np.ndarray
-    steps: np.ndarray
+    r: float = 1.0
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    steps: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        T, N, r = self.T, self.N, self.r
+        if not 0 < T < math.inf:
+            raise ValueError(f"horizon T must be positive and finite, got {T}")
+        if not isinstance(N, numbers.Integral) or N < 1:
+            raise ValueError(f"N must be an integer >= 1, got {N}")
+        if not 1 <= r < math.inf:
+            raise ValueError(f"grading exponent r must be >= 1 and finite, got {r}")
+        nodes = T * (np.arange(N + 1, dtype=float) / N) ** r
+        for name, value in (("T", float(T)), ("N", int(N)), ("r", float(r)),
+                            ("nodes", nodes), ("steps", np.diff(nodes))):
+            object.__setattr__(self, name, value)
 
     @property
     def is_uniform(self) -> bool:
@@ -31,22 +47,8 @@ class Mesh:
 
 
 def make_mesh(T: float, N: int, r: float = 1.0) -> Mesh:
-    """Build the graded mesh t_i = T (i/N)^r.
-
-    Nodes come straight from the closed form per index (no cumulative
-    summation), so t_0 = 0 and t_N = T exactly. T and r must be finite and
-    N an integer.
-    """
-    if not 0 < T < math.inf:
-        raise ValueError(f"horizon T must be positive and finite, got {T}")
-    if not isinstance(N, numbers.Integral) or N < 1:
-        raise ValueError(f"N must be an integer >= 1, got {N}")
-    if not 1 <= r < math.inf:
-        raise ValueError(f"grading exponent r must be >= 1 and finite, got {r}")
-    i = np.arange(N + 1, dtype=float)
-    nodes = T * (i / N) ** r
-    steps = np.diff(nodes)
-    return Mesh(T=float(T), N=int(N), r=float(r), nodes=nodes, steps=steps)
+    """The graded mesh t_i = T (i/N)^r, i.e. Mesh(T, N, r)."""
+    return Mesh(T, N, r)
 
 
 def grading_for_case(order: VariableOrder, case: str) -> float:

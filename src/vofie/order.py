@@ -99,27 +99,14 @@ def make_linear_order(start: float, end: float, T: float = 1.0) -> VariableOrder
     )
 
 
-def make_custom_order(
-    alpha: Callable,
-    dalpha: Callable,
-    alpha0: float,
-    T: float = 1.0,
-) -> VariableOrder:
-    """Wrap user-supplied (alpha, alpha') callables.
+def make_custom_order(alpha: Callable, dalpha: Callable, *, T: float = 1.0) -> VariableOrder:
+    """Wrap user-supplied (alpha, alpha') callables on [0, T].
 
-    The derivative is required explicitly; alpha0 must equal alpha(0). An
+    The derivative is required explicitly; alpha(0) is read from alpha. An
     affine alpha needs no declaration: on a uniform mesh a solve finds it
     from alpha's values and reads the gap-indexed rows.
     """
-    a0 = float(alpha(0.0))
-    if abs(a0 - alpha0) > 1e-14:
-        raise ValueError(f"declared alpha0={alpha0} but alpha(0)={a0}")
-    return VariableOrder(
-        alpha=alpha,
-        dalpha=dalpha,
-        alpha0=alpha0,
-        T=T,
-    )
+    return VariableOrder(alpha=alpha, dalpha=dalpha, alpha0=float(alpha(0.0)), T=T)
 
 
 @dataclass(frozen=True)

@@ -105,13 +105,19 @@ class SingularJacobianError(NewtonError):
 
 @dataclass(frozen=True)
 class Problem:
-    """Right-hand side f(u, t) with its u-derivative, data, and order."""
+    """Right-hand side f(u, t) with its u-derivative, a finite u0, and the order on [0, T]."""
 
     f: Callable
     df_du: Callable
     u0: float
     T: float
     order: VariableOrder
+
+    def __post_init__(self):
+        if not math.isfinite(self.u0):
+            raise ValueError(f"u0 must be finite, got {self.u0}")
+        if self.T != self.order.T:
+            raise ValueError(f"horizon mismatch: problem T = {self.T}, order T = {self.order.T}")
 
     def check_derivative(self) -> float:
         """Max discrepancy between df_du and central differences at 25 random
@@ -226,15 +232,11 @@ def solve(
     U(t_0) = u0 by definition; each later node is a scalar Newton solve for
     its increment. The coefficient rows are streamed in blocks
     (`coefficient_rows`), so memory is O(N) on every input, and each row
-    adds its far cells as one known sum. The mesh, the problem and its
-    order must share one horizon T. A NewtonError carries the values solved
-    so far.
+    adds its far cells as one known sum. The mesh must have the problem's
+    horizon T. A NewtonError carries the values solved so far.
     """
-    if not (mesh.T == problem.T == problem.order.T):
-        raise ValueError(
-            f"horizon mismatch: mesh T = {mesh.T}, problem T = {problem.T}, "
-            f"order T = {problem.order.T}"
-        )
+    if mesh.T != problem.T:
+        raise ValueError(f"horizon mismatch: mesh T = {mesh.T}, problem T = {problem.T}")
     if cfg is None:
         cfg = NewtonConfig()
 

@@ -305,7 +305,7 @@ def test_names_the_benchmark_traces_resolve(name):
 
 
 def custom_order(alpha, dalpha, T=1.0):
-    return make_custom_order(alpha, dalpha, alpha0=float(alpha(0.0)), T=T)
+    return make_custom_order(alpha, dalpha, T=T)
 
 
 class TestTranslationInvariant:
@@ -492,7 +492,7 @@ def panel_checks(mp):
 def fast_order():
     """alpha = 0.5 + 0.3 sin(40 t): it varies on the scale of wide panels."""
     return make_custom_order(lambda t: 0.5 + 0.3 * np.sin(40.0 * np.asarray(t)),
-                             lambda t: 12.0 * np.cos(40.0 * np.asarray(t)), alpha0=0.5)
+                             lambda t: 12.0 * np.cos(40.0 * np.asarray(t)))
 
 
 def bump_order(centre=0.25, width=0.05):
@@ -508,7 +508,7 @@ def bump_order(centre=0.25, width=0.05):
         t = np.asarray(t)
         return 0.3 * bump(t) * (400.0 * np.cos(400.0 * t) - np.sin(400.0 * t) * 2.0 * (t - centre) / width**2)
 
-    return make_custom_order(alpha, dalpha, alpha0=float(alpha(0.0)))
+    return make_custom_order(alpha, dalpha)
 
 
 class TestFarField:
@@ -771,10 +771,10 @@ def test_custom_orders_far_field_matches_direct(a, b, c, shape, grading, N):
     b = min(b, 1.0 - a)
     if shape == "square":
         order = make_custom_order(lambda t: a + b * np.asarray(t) ** 2,
-                                  lambda t: 2.0 * b * np.asarray(t), alpha0=a)
+                                  lambda t: 2.0 * b * np.asarray(t))
     else:
         order = make_custom_order(lambda t: a + b * -np.expm1(-c * np.asarray(t)),
-                                  lambda t: b * c * np.exp(-c * np.asarray(t)), alpha0=a)
+                                  lambda t: b * c * np.exp(-c * np.asarray(t)))
     mesh, rule = make_mesh(1.0, N, 1.0 + grading * (1.0 / a - 1.0)), gauss_nodes()
     far, known, direct = far_sums(order, mesh, rule)
     assert far.any()

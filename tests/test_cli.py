@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from vofie import cli
 from vofie.assembly import DIAG_PANELS, gauss_nodes
 from vofie.cli import PRESETS, build_run, main
 from vofie.mesh import make_mesh
-from vofie.order import make_custom_order, make_linear_order
+from vofie.order import make_custom_order, make_linear_order, make_sine_order
+from vofie.solver import Problem, solve
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -58,6 +61,11 @@ class TestConfigResolution:
             ("problem", "u0", True, "problem.u0"),
             ("order", "a0", "0.6", "order.a0"),
             ("newton", "damping", True, "newton keys: ['damping']"),
+            pytest.param("problem", "u0", 10**400, "problem.u0", id="problem-u0-400-digits"),
+            ("problem", "f", "cubic", "unknown builtin f: 'cubic'"),
+            ("order", "family", "bessel", "unknown order family: 'bessel'"),
+            ("convergence", "N_list", 48, "convergence.N_list"),
+            ("problem", "T", 2.0, "sine family is defined on [0, 1]"),
         ],
     )
     def test_bad_config_value_is_refused_by_key(self, tmp_path, capsys, section, key, value, named):
@@ -71,6 +79,40 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[1, 2]", "config must be a JSON object"),
+            ("{", "invalid JSON"),
+            (json.dumps({**zero_config(), "mesh": {"r": 1.0}}), "mesh.N is required"),
+        ],
+        ids=["not-an-object", "invalid-json", "no-mesh-N"],
+    )
+    def test_malformed_config_is_refused(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not out.exists()
+
+    def test_config_or_preset_is_required(self, tmp_path, capsys):
+        rc = main(["solve", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "one of --config or --preset is required" in capsys.readouterr().err
+
+    def test_readme_lists_every_config_key(self):
+        # the README's config table and the schema name the same keys
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = [line.split("|")[1] for line in readme.splitlines() if line.startswith("| `")]
+        listed = [key for row in rows for key in re.findall(r"`([^`]+)`", row)]
+        keys = [f"{section}.{key}" for section, kinds in cli.SCHEMA.items()
+                if isinstance(kinds, dict) for key in kinds]
+        keys += [key for key, kind in cli.SCHEMA.items() if not isinstance(kind, dict)]
+        assert sorted(listed) == sorted(keys)
 
     def test_missing_config(self, tmp_path, capsys):
         rc = main(["solve", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -175,7 +217,7 @@ class TestCmdSolve:
         line = make_linear_order(0.9, 0.4)
         points = []
         order = make_custom_order(lambda t: points.append(np.ravel(t)) or line.alpha(t),
-                                  line.dalpha, alpha0=0.9)
+                                  line.dalpha)
         points.clear()
 
         def counted_run(config):
@@ -200,6 +242,40 @@ class TestCmdSolve:
         values, counts = np.unique(sampled, return_counts=True)
         k = np.searchsorted(values, expected)
         assert np.array_equal(values[k], expected) and np.all(counts[k] == 2)
+
+    def test_linear_rhs_reads_lambda(self, tmp_path):
+        config = zero_config(N=32)
+        config["problem"].update({"f": "linear", "lambda": -2.0})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+        rows = (out / "solution.csv").read_text().splitlines()[1:]
+        problem = Problem(f=lambda u, t: -2.0 * u, df_du=lambda u, t: -2.0 + 0.0 * u,
+                          u0=1.0, T=1.0, order=make_sine_order(0.6, 0.1))
+        expected = solve(problem, make_mesh(1.0, 32, 1.0), gauss_nodes(40))
+        np.testing.assert_array_equal([float(r.split(",")[1]) for r in rows], expected.values)
+
+    @pytest.mark.parametrize(
+        "order",
+        [{"family": "linear", "start": 0.9, "end": 0.4}, {"family": "constant", "value": 0.5}],
+    )
+    def test_problem_horizon_reaches_the_order(self, tmp_path, order):
+        config = {
+            "problem": {"f": "sin4", "u0": 1.0, "T": 2.0},
+            "order": order,
+            "mesh": {"N": 16, "r": 1.0},
+        }
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+        last = (out / "solution.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == 2.0
+        assert json.loads((out / "summary.json").read_text())["T"] == 2.0
+
+    def test_out_naming_a_file_is_an_io_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main(["solve", "--config", write_config(tmp_path, zero_config(N=8)), "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("I/O error:")
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "out"

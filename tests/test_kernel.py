@@ -18,7 +18,6 @@ def ramp_order():
     return make_custom_order(
         lambda t: np.asarray(t, dtype=float),
         lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        alpha0=0.0,
     )
 
 

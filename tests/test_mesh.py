@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vofie.mesh import grading_for_case, make_mesh
+from vofie.mesh import Mesh, grading_for_case, make_mesh
 from vofie.order import make_constant_order, make_sine_order
 
 
@@ -64,6 +64,23 @@ class TestMakeMesh:
             fine = make_mesh(1.0, 1440, r)
             m = 1440 // N
             np.testing.assert_allclose(coarse.nodes, fine.nodes[::m], atol=1e-14)
+
+
+class TestMesh:
+    def test_nodes_and_steps_are_derived(self):
+        # graded nodes labelled r = 1 used to solve on the gap rows, 2.2e-2 off
+        graded = make_mesh(1.0, 64, 2.0)
+        with pytest.raises(TypeError):
+            Mesh(T=1.0, N=64, r=1.0, nodes=graded.nodes, steps=graded.steps)
+        mesh = Mesh(1.0, 64, 2.0)
+        assert mesh == graded
+        np.testing.assert_array_equal(mesh.nodes, graded.nodes)
+        np.testing.assert_array_equal(mesh.steps, graded.steps)
+
+    @pytest.mark.parametrize("args", [(1.0, 16.5), (1.0, 16, float("nan")), (0.0, 16)])
+    def test_every_mesh_is_checked(self, args):
+        with pytest.raises(ValueError):
+            Mesh(*args)
 
 
 class TestGradingForCase:

@@ -57,6 +57,26 @@ class TestOtherFamilies:
         np.testing.assert_allclose(order.dalpha(ts), 0.0)
         translation_invariant(order, make_mesh(1.0, 16, 1.0))  # raises where it fails
 
+    @pytest.mark.parametrize(
+        "make,args",
+        [
+            (make_constant_order, (0.0,)),
+            (make_constant_order, (1.2,)),
+            (make_linear_order, (0.0, 0.4)),
+            (make_linear_order, (0.9, 1.1)),
+        ],
+    )
+    def test_domain_errors(self, make, args):
+        with pytest.raises(ValueError, match="must lie in"):
+            make(*args)
+
+    def test_custom_reads_alpha0_and_takes_T_by_keyword(self):
+        order = make_custom_order(lambda t: 0.7 - 0.2 * np.asarray(t),
+                                  lambda t: -0.2 + 0.0 * np.asarray(t), T=2.0)
+        assert order.alpha0 == 0.7 and order.T == 2.0
+        with pytest.raises(TypeError):
+            make_custom_order(order.alpha, order.dalpha, 0.7)
+
     def test_linear(self):
         order = make_linear_order(0.9, 0.4)
         assert float(order.alpha(0.0)) == pytest.approx(0.9)
@@ -64,9 +84,25 @@ class TestOtherFamilies:
         assert float(order.dalpha(0.3)) == pytest.approx(-0.5)
         translation_invariant(order, make_mesh(1.0, 16, 1.0))  # raises where it fails
 
-    def test_custom_checks_alpha0(self):
-        with pytest.raises(ValueError):
-            make_custom_order(lambda t: 0.5 + 0.0 * np.asarray(t), lambda t: 0.0 * np.asarray(t), alpha0=0.4)
+    @pytest.mark.parametrize(
+        "make,args",
+        [
+            (make_constant_order, (0.0,)),
+            (make_constant_order, (1.2,)),
+            (make_linear_order, (0.0, 0.4)),
+            (make_linear_order, (0.9, 1.1)),
+        ],
+    )
+    def test_domain_errors(self, make, args):
+        with pytest.raises(ValueError, match="must lie in"):
+            make(*args)
+
+    def test_custom_reads_alpha0_and_takes_T_by_keyword(self):
+        order = make_custom_order(lambda t: 0.7 - 0.2 * np.asarray(t),
+                                  lambda t: -0.2 + 0.0 * np.asarray(t), T=2.0)
+        assert order.alpha0 == 0.7 and order.T == 2.0
+        with pytest.raises(TypeError):
+            make_custom_order(order.alpha, order.dalpha, 0.7)
 
 
 class TestValidation:
@@ -86,7 +122,6 @@ class TestValidation:
         bad = make_custom_order(
             lambda t: 1.2 + 0.0 * np.asarray(t),
             lambda t: 0.0 * np.asarray(t),
-            alpha0=1.2,
         )
         report = validate_assumption_a(bad)
         assert not report.bounds_ok
@@ -97,7 +132,6 @@ class TestValidation:
         lying = make_custom_order(
             lambda t: 0.5 + 0.3 * np.asarray(t, float),
             lambda t: 0.0 * np.asarray(t),
-            alpha0=0.5,
         )
         report = validate_assumption_a(lying)
         assert not report.deriv_ok

@@ -107,10 +107,10 @@ class TestFastPath:
             (make_linear_order(0.9, 0.4), 2.0, False),
             # alpha on no line: reading gap rows moved the values by 1.5e-2
             (make_custom_order(lambda t: 0.6 - 0.3 * np.asarray(t) ** 2,
-                               lambda t: -0.6 * np.asarray(t), alpha0=0.6), 1.0, False),
+                               lambda t: -0.6 * np.asarray(t)), 1.0, False),
             (make_custom_order(lambda t: 0.9 - 0.5 * np.asarray(t),
-                               lambda t: np.full_like(np.asarray(t, dtype=float), -0.5),
-                               alpha0=0.9), 1.0, True),
+                               lambda t: np.full_like(np.asarray(t, dtype=float), -0.5)),
+             1.0, True),
         ],
     )
     def test_plain_solve_picks_rows_from_inputs(self, monkeypatch, order, r, gap_rows):
@@ -194,7 +194,7 @@ def test_custom_affine_orders_take_gap_rows(start, frac, T, N):
     order = make_custom_order(
         lambda t: end * np.asarray(t) / T + start * (1.0 - np.asarray(t) / T),
         lambda t: np.full_like(np.asarray(t, dtype=float), (end - start) / T),
-        alpha0=start, T=T,
+        T=T,
     )
     problem, mesh = sin4_problem(order), make_mesh(T, N, 1.0)
     with pytest.MonkeyPatch.context() as mp:
@@ -287,7 +287,7 @@ class TestFarField:
         # alpha = 0.5 + 0.3 sin(40 t) varies on the scale of the wide panels:
         # they fail their check and the rows read their children instead
         order = make_custom_order(lambda t: 0.5 + 0.3 * np.sin(40.0 * np.asarray(t)),
-                                  lambda t: 12.0 * np.cos(40.0 * np.asarray(t)), alpha0=0.5)
+                                  lambda t: 12.0 * np.cos(40.0 * np.asarray(t)))
         problem, mesh = sin4_problem(order), make_mesh(1.0, 1440, 1.0)
         passed = []
         check = assembly._Panels._check
@@ -476,6 +476,20 @@ class TestNewtonBehavior:
         assert err.value.partial.values[0] == problem.u0
         assert np.all(np.isnan(err.value.partial.values[1:]))
 
+    def test_non_finite_residual_stops_at_its_node(self):
+        # f turns NaN after t = 0.5: the first iterate of node 9 (t = 0.5625)
+        # is not finite, which is a divergence there, not an exhausted max_iter
+        problem = Problem(f=lambda u, t: math.nan if t > 0.5 else 0.0 * u, df_du=df_zero,
+                          u0=1.0, T=1.0, order=make_sine_order(0.6, 0.4))
+        with pytest.raises(NewtonDivergedError) as err:
+            solve(problem, make_mesh(1.0, 16, 1.0))
+        exc = err.value
+        assert exc.node == 9 and exc.residual == math.inf
+        summary = exc.summary()
+        assert summary["residuals"] == [None] and summary["last_residual"] is None
+        assert summary["t_reached"] == 0.5
+        np.testing.assert_array_equal(exc.partial.values[:9], 1.0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             NewtonConfig(tol=0.0)
@@ -615,19 +629,23 @@ class TestHorizonContract:
     def test_mesh_beyond_order_horizon_raises(self):
         # the sine order is defined on [0, 1]; a T = 2 mesh used to return
         # u(2) from alpha evaluated outside its domain
-        problem = Problem(f=f_one, df_du=df_zero, u0=1.0, T=2.0, order=make_sine_order(0.6, 0.4))
         with pytest.raises(ValueError, match="horizon"):
-            solve(problem, make_mesh(2.0, 16, 1.0))
+            Problem(f=f_one, df_du=df_zero, u0=1.0, T=2.0, order=make_sine_order(0.6, 0.4))
 
     def test_mesh_and_problem_disagree(self):
         problem = problem_one(make_sine_order(0.6, 0.4))
         with pytest.raises(ValueError, match="horizon"):
             solve(problem, make_mesh(2.0, 16, 1.0))
 
+    @pytest.mark.parametrize("u0", [math.nan, math.inf])
+    def test_non_finite_u0_is_refused(self, u0):
+        # a NaN u0 used to read as a Newton divergence at node 1
+        with pytest.raises(ValueError, match="u0 must be finite"):
+            problem_one(make_sine_order(0.6, 0.4), u0=u0)
+
     def test_order_and_problem_disagree(self):
-        problem = problem_one(make_constant_order(0.5, T=2.0))
         with pytest.raises(ValueError, match="horizon"):
-            solve(problem, make_mesh(1.0, 16, 1.0))
+            problem_one(make_constant_order(0.5, T=2.0))
 
 
 @settings(max_examples=40, deadline=None)
