@@ -69,11 +69,14 @@ def run_convergence(
 ) -> ConvergenceReport:
     """Solve at each N and at ref_N on the same grading; report nodal errors.
 
-    Every N must divide ref_N so each coarse node is shared with the
-    reference mesh (errors are exact nodal comparisons, no interpolation).
+    Every N must be >= 1 and divide ref_N so each coarse node is shared with
+    the reference mesh (errors are exact nodal comparisons, no
+    interpolation).
     """
     N_list = list(N_list)
     for N in N_list:
+        if N < 1:
+            raise ValueError(f"N = {N} must be >= 1")
         if ref_N % N != 0:
             raise ValueError(f"N = {N} does not divide ref_N = {ref_N}")
     r = grading_for_case(problem.order, case)

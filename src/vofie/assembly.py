@@ -518,9 +518,11 @@ def _groups(cq: _CellQuadrature, fvals, incs, size: int):
     """
     N, panels = cq.mesh.N, None
     leaves = np.arange(0, N - PANEL_LEAF_CELLS + 1, PANEL_LEAF_CELLS)
-    # reach(lo) = PANEL_LEAF_CELLS * #{i : ready[i] <= lo}, with ready[i] the
-    # first ready row of leaves i and later
-    ready = np.minimum.accumulate(_ready_rows(cq.mesh.nodes, leaves, PANEL_LEAF_CELLS)[::-1])[::-1]
+    # reach(lo) = PANEL_LEAF_CELLS * #{i : ready[i] <= lo}. The leaves' ready
+    # rows are nondecreasing, as _Panels._make's searchsorted also needs: a
+    # leaf's end plus FAR_SEPARATION widths grows from leaf to leaf, because
+    # a Mesh's steps do not shrink (r >= 1)
+    ready = _ready_rows(cq.mesh.nodes, leaves, PANEL_LEAF_CELLS)
     start = 1  # first row not yet yielded
     for lo in range(1, N + 1, size) if fvals is not None else ():
         hi = min(lo + size - 1, N)

@@ -18,12 +18,7 @@ import numpy as np
 from .analysis import run_convergence
 from .assembly import assemble, gauss_nodes, translation_invariant
 from .mesh import grading_for_case, make_mesh
-from .order import (
-    VariableOrder,
-    make_constant_order,
-    make_linear_order,
-    make_sine_order,
-)
+from .order import make_constant_order, make_linear_order, make_sine_order
 from .solver import NewtonConfig, NewtonError, Problem, solve
 
 EXIT_CONFIG = 1
@@ -56,26 +51,41 @@ def _f_sin4():
     )
 
 
-def _build_rhs(kind, data: dict):
-    if kind == "zero":
-        return _f_zero()
-    if kind == "constant":
-        return _f_constant(data.get("c", 1.0))
-    if kind == "linear":
-        return _f_linear(data.get("lambda", -1.0))
-    if kind == "sin4":
-        return _f_sin4()
-    raise ConfigError(f"unknown builtin f: {kind!r} (use zero/constant/linear/sin4)")
+def _sine_order(a0, a1, T):
+    if T != 1.0:
+        raise ConfigError(f"the sine family is defined on [0, 1]: problem.T must be 1, got {T}")
+    return make_sine_order(a0, a1)
+
+
+# the families a config can name: problem.f and order.family each map a family
+# to its constructor and the keys it takes, in the constructor's argument
+# order, each with its default (None: the key is required)
+_RHS = {
+    "zero": (_f_zero, {}),
+    "constant": (_f_constant, {"c": 1.0}),
+    "linear": (_f_linear, {"lambda": -1.0}),
+    "sin4": (_f_sin4, {}),
+}
+_ORDERS = {
+    "sine": (_sine_order, {"a0": None, "a1": None}),
+    "constant": (make_constant_order, {"value": None}),
+    "linear": (make_linear_order, {"start": None, "end": None}),
+}
 
 
 # the kinds of config value, each as an error names what a value must be
 _COUNT, _NUMBER, _STRING, _COUNTS = "an integer", "a finite number", "a string", "a list of integers"
 
-# every config key once, in its section (a dict) or at the top level, with its kind
+
+def _keys(families: dict) -> dict:
+    return {key: _NUMBER for _, keys in families.values() for key in keys}
+
+
+# every config key once, in its section (a dict) or at the top level, with its
+# kind; the keys of the families come from their tables
 SCHEMA = {
-    "problem": {"f": _STRING, "c": _NUMBER, "lambda": _NUMBER, "u0": _NUMBER, "T": _NUMBER},
-    "order": {"family": _STRING, "a0": _NUMBER, "a1": _NUMBER, "value": _NUMBER,
-              "start": _NUMBER, "end": _NUMBER},
+    "problem": {"f": _STRING, **_keys(_RHS), "u0": _NUMBER, "T": _NUMBER},
+    "order": {"family": _STRING, **_keys(_ORDERS)},
     "mesh": {"N": _COUNT, "r": _NUMBER, "case": _STRING},
     "quad_nodes": _COUNT,
     "newton": {"tol": _NUMBER, "max_iter": _COUNT},
@@ -118,29 +128,21 @@ def _value(value, kind: str, name: str):
     raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
-# family: constructor and the order keys it takes; all but sine take T too
-_ORDER_FAMILIES = {
-    "sine": (make_sine_order, ("a0", "a1")),
-    "constant": (make_constant_order, ("value",)),
-    "linear": (make_linear_order, ("start", "end")),
-}
-
-
-def build_order(spec: dict, T: float) -> VariableOrder:
-    """The order on [0, T] of a config's `order` section, read by `_read`."""
-    family = spec.get("family")
-    if family not in _ORDER_FAMILIES:
-        raise ConfigError(f"unknown order family: {family!r} (use sine/constant/linear)")
-    make, keys = _ORDER_FAMILIES[family]
-    missing = [key for key in keys if key not in spec]
+def _build(spec: dict, section: str, name: str, families: dict, what: str, *args):
+    """The family that spec[name] names, built from its keys in `spec` (a
+    section read by `_read`) and then `args`. An unknown family, a missing
+    required key, or a key of another family raises ConfigError."""
+    family = spec.get(name)
+    if family not in families:
+        raise ConfigError(f"unknown {what}: {family!r} (use {'/'.join(families)})")
+    make, keys = families[family]
+    stray = sorted((_keys(families).keys() - keys.keys()) & spec.keys())
+    if stray:
+        raise ConfigError(f"{section}.{stray[0]} is not a key of {what} {family!r}")
+    missing = [key for key, default in keys.items() if default is None and key not in spec]
     if missing:
-        raise ConfigError(f"order family {family!r} needs keys {missing}")
-    args = {key: spec[key] for key in keys}
-    if family != "sine":
-        return make(**args, T=T)
-    if T != 1.0:
-        raise ConfigError(f"the sine family is defined on [0, 1]: problem.T must be 1, got {T}")
-    return make(**args)
+        raise ConfigError(f"{what} {family!r} needs keys {missing}")
+    return make(*(spec.get(key, default) for key, default in keys.items()), *args)
 
 
 def build_run(config: dict):
@@ -152,9 +154,9 @@ def build_run(config: dict):
     config = _read(config, SCHEMA)
     pspec, mspec = config.get("problem", {}), config.get("mesh", {})
     T = pspec.get("T", 1.0)
-    f, df = _build_rhs(pspec.get("f"), pspec)
-    problem = Problem(f=f, df_du=df, u0=pspec.get("u0", 1.0), T=T,
-                      order=build_order(config.get("order", {}), T))
+    f, df = _build(pspec, "problem", "f", _RHS, "builtin f")
+    order = _build(config.get("order", {}), "order", "family", _ORDERS, "order family", T)
+    problem = Problem(f=f, df_du=df, u0=pspec.get("u0", 1.0), T=T, order=order)
 
     if "N" not in mspec:
         raise ConfigError("mesh.N is required")
@@ -210,7 +212,7 @@ def load_config(args) -> dict:
             raise ConfigError(
                 f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}"
             )
-        config = json.loads(json.dumps(PRESETS[args.preset]))  # deep copy
+        config = PRESETS[args.preset]
     elif args.config:
         try:
             config = json.loads(Path(args.config).read_text())
@@ -281,14 +283,13 @@ def cmd_converge(args) -> int:
 def cmd_coeffs(args) -> int:
     config = load_config(args)
     problem, mesh, rule, _, _ = build_run(config)
-    if args.fast_path:
-        translation_invariant(problem.order, mesh, rule)
+    # the fast table first, so that an input it refuses writes nothing
+    fast = assemble(problem.order, mesh, rule, fast_path=True) if args.fast_path else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dense = assemble(problem.order, mesh, rule, fast_path=False)
     dense.dump_csv(out / "weights.csv")
-    if args.fast_path:
-        fast = assemble(problem.order, mesh, rule, fast_path=True)
+    if fast is not None:
         disc = max(
             float(np.max(np.abs(dense.history_row(n) - fast.history_row(n))))
             for n in range(1, mesh.N + 1)

@@ -7,6 +7,7 @@ Evaluation callables must be pure and accept numpy arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -17,25 +18,28 @@ import numpy as np
 class VariableOrder:
     """The order function alpha(t) on [0, T] with its derivative.
 
-    Nothing is declared about the shape of alpha: whether a solve may read
-    gap-indexed coefficient rows is worked out from alpha's values
+    alpha0 = alpha(0) is read from alpha, never given, so the grading
+    r = 1/alpha(0) and the regime cannot disagree with alpha. Nothing is
+    declared about the shape of alpha: whether a solve may read gap-indexed
+    coefficient rows is worked out from alpha's values
     (assembly.translation_invariant).
     """
 
     alpha: Callable
     dalpha: Callable
-    alpha0: float
-    T: float = 1.0
+    T: float = field(default=1.0, kw_only=True)
+    alpha0: float = field(init=False)
 
-    def __call__(self, t):
-        return self.alpha(t)
+    def __post_init__(self):
+        object.__setattr__(self, "alpha0", float(self.alpha(0.0)))
 
 
 def make_sine_order(a0: float, a1: float) -> VariableOrder:
     """Order family alpha(t) = a1 + (a0-a1)((1-t) - sin(2 pi (1-t))/(2 pi)).
 
     Defined on [0, 1], so T = 1. Monotone between a0 = alpha(0) and
-    a1 = alpha(1), with alpha'(0) = alpha'(1) = 0 analytically.
+    a1 = alpha(1), with alpha'(0) = alpha'(1) = 0 analytically. The order's
+    alpha0 is alpha evaluated at 0, which equals a0 to one rounding.
     """
     if not (0 < a0 <= 1):
         raise ValueError(f"a0 must lie in (0, 1], got {a0}")
@@ -50,31 +54,15 @@ def make_sine_order(a0: float, a1: float) -> VariableOrder:
         s = 1.0 - np.asarray(t, dtype=float)
         return (a0 - a1) * (-1.0 + np.cos(2 * np.pi * s))
 
-    return VariableOrder(
-        alpha=alpha,
-        dalpha=dalpha,
-        alpha0=a0,
-        T=1.0,
-    )
+    return VariableOrder(alpha, dalpha)
 
 
 def make_constant_order(value: float, T: float = 1.0) -> VariableOrder:
-    """Constant order alpha(t) = value, value in (0, 1]."""
+    """Constant order alpha(t) = value, value in (0, 1]: the linear order
+    from value to value."""
     if not (0 < value <= 1):
         raise ValueError(f"constant order must lie in (0, 1], got {value}")
-
-    def alpha(t):
-        return np.full_like(np.asarray(t, dtype=float), value)
-
-    def dalpha(t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    return VariableOrder(
-        alpha=alpha,
-        dalpha=dalpha,
-        alpha0=value,
-        T=T,
-    )
+    return make_linear_order(value, value, T)
 
 
 def make_linear_order(start: float, end: float, T: float = 1.0) -> VariableOrder:
@@ -83,6 +71,8 @@ def make_linear_order(start: float, end: float, T: float = 1.0) -> VariableOrder
         raise ValueError(
             f"linear order endpoints must lie in (0, 1], got ({start}, {end})"
         )
+    if not 0 < T < math.inf:
+        raise ValueError(f"horizon T must be positive and finite, got {T}")
     slope = (end - start) / T
 
     def alpha(t):
@@ -91,12 +81,7 @@ def make_linear_order(start: float, end: float, T: float = 1.0) -> VariableOrder
     def dalpha(t):
         return np.full_like(np.asarray(t, dtype=float), slope)
 
-    return VariableOrder(
-        alpha=alpha,
-        dalpha=dalpha,
-        alpha0=start,
-        T=T,
-    )
+    return VariableOrder(alpha, dalpha, T=T)
 
 
 def make_custom_order(alpha: Callable, dalpha: Callable, *, T: float = 1.0) -> VariableOrder:
@@ -106,7 +91,7 @@ def make_custom_order(alpha: Callable, dalpha: Callable, *, T: float = 1.0) -> V
     affine alpha needs no declaration: on a uniform mesh a solve finds it
     from alpha's values and reads the gap-indexed rows.
     """
-    return VariableOrder(alpha=alpha, dalpha=dalpha, alpha0=float(alpha(0.0)), T=T)
+    return VariableOrder(alpha, dalpha, T=T)
 
 
 @dataclass(frozen=True)

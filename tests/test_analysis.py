@@ -59,6 +59,11 @@ class TestRunConvergence:
         with pytest.raises(ValueError):
             run_convergence(problem, "III", N_list=[50], ref_N=120)
 
+    def test_n_below_one_is_refused(self):
+        problem = sin4_problem(make_sine_order(0.6, 0.4))
+        with pytest.raises(ValueError, match="N = 0 must be >= 1"):
+            run_convergence(problem, "II", N_list=[0, 48], ref_N=96)
+
     def test_small_study_case_ii(self):
         # scaled-down version of the graded-mesh experiment
         problem = sin4_problem(make_sine_order(0.6, 0.4))

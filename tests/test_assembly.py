@@ -793,3 +793,16 @@ def test_sine_orders_far_field_matches_direct(a0, a1, grading, N):
     mesh, rule = make_mesh(1.0, N, 1.0 + grading * (1.0 / a0 - 1.0)), gauss_nodes()
     _, known, direct = far_sums(order, mesh, rule)
     np.testing.assert_allclose(known, direct, rtol=0, atol=5e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(8, 6000), r=st.floats(1.0, 10.0))
+def test_panel_ready_rows_are_nondecreasing(N, r):
+    # _groups counts the leaves ready by a row, and _Panels._make the panels
+    # of each level, with searchsorted, which needs these rows in order
+    nodes = make_mesh(1.0, N, r).nodes
+    size = assembly.PANEL_LEAF_CELLS
+    while size <= N:
+        ready = assembly._ready_rows(nodes, np.arange(0, N - size + 1, size), size)
+        assert np.all(np.diff(ready) >= 0), size
+        size *= 2

@@ -37,6 +37,13 @@ class TestConfigResolution:
             assert rule.count == 8  # the library rule, gauss_nodes()
             assert cfg.tol == 1e-10
 
+    def test_runs_leave_the_presets_unchanged(self, tmp_path):
+        before = json.dumps(PRESETS)
+        for preset in PRESETS.values():
+            build_run(preset)
+        assert main(["solve", "--preset", "table2_col1", "--out", str(tmp_path)]) == 0
+        assert json.dumps(PRESETS) == before
+
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         config = zero_config()
         config["mesh"]["flavor"] = "spicy"
@@ -66,6 +73,10 @@ class TestConfigResolution:
             ("order", "family", "bessel", "unknown order family: 'bessel'"),
             ("convergence", "N_list", 48, "convergence.N_list"),
             ("problem", "T", 2.0, "sine family is defined on [0, 1]"),
+            # a key of another family is refused, not dropped
+            pytest.param(None, "problem", {"f": "sin4", "c": 7.0, "u0": 1.0}, "problem.c",
+                         id="sin4-with-problem-c"),
+            ("order", "value", 0.9, "order.value"),
         ],
     )
     def test_bad_config_value_is_refused_by_key(self, tmp_path, capsys, section, key, value, named):
@@ -345,6 +356,20 @@ class TestCmdConverge:
         }
         rc = main(["converge", "--config", write_config(tmp_path, config), "--out", str(tmp_path)])
         assert rc == 1
+
+    def test_zero_in_n_list_is_a_config_error(self, tmp_path, capsys):
+        config = {
+            "problem": {"f": "sin4", "u0": 1.0, "T": 1.0},
+            "order": {"family": "sine", "a0": 0.6, "a1": 0.4},
+            "mesh": {"N": 48, "case": "II"},
+            "convergence": {"N_list": [0, 48], "ref_N": 96},
+        }
+        out = tmp_path / "out"
+        rc = main(["converge", "--config", write_config(tmp_path, config), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "N = 0" in err
+        assert not out.exists()
 
 
 class TestCmdCoeffs:

@@ -4,6 +4,7 @@ import pytest
 from vofie.assembly import translation_invariant
 from vofie.mesh import make_mesh
 from vofie.order import (
+    VariableOrder,
     make_constant_order,
     make_custom_order,
     make_linear_order,
@@ -77,6 +78,21 @@ class TestOtherFamilies:
         with pytest.raises(TypeError):
             make_custom_order(order.alpha, order.dalpha, 0.7)
 
+    @pytest.mark.parametrize("value,T", [(0.5, 1.0), (1.0, 2.0), (0.3, 0.7)])
+    def test_constant_is_flat(self, value, T):
+        order = make_constant_order(value, T)
+        ts = np.linspace(0.0, T, 33)
+        assert np.array_equal(order.alpha(ts), np.full(33, value))
+        assert np.array_equal(order.dalpha(ts), np.zeros(33))
+        assert order.alpha0 == value and order.T == T
+        translation_invariant(order, make_mesh(T, 16, 1.0))  # raises where it fails
+
+    def test_linear_refuses_a_horizon_it_cannot_divide_by(self):
+        with pytest.raises(ValueError, match="horizon T must be positive"):
+            make_linear_order(0.9, 0.4, 0.0)
+        with pytest.raises(ValueError, match="horizon T must be positive"):
+            make_constant_order(0.5, 0.0)
+
     def test_linear(self):
         order = make_linear_order(0.9, 0.4)
         assert float(order.alpha(0.0)) == pytest.approx(0.9)
@@ -84,25 +100,19 @@ class TestOtherFamilies:
         assert float(order.dalpha(0.3)) == pytest.approx(-0.5)
         translation_invariant(order, make_mesh(1.0, 16, 1.0))  # raises where it fails
 
-    @pytest.mark.parametrize(
-        "make,args",
-        [
-            (make_constant_order, (0.0,)),
-            (make_constant_order, (1.2,)),
-            (make_linear_order, (0.0, 0.4)),
-            (make_linear_order, (0.9, 1.1)),
-        ],
-    )
-    def test_domain_errors(self, make, args):
-        with pytest.raises(ValueError, match="must lie in"):
-            make(*args)
 
-    def test_custom_reads_alpha0_and_takes_T_by_keyword(self):
-        order = make_custom_order(lambda t: 0.7 - 0.2 * np.asarray(t),
-                                  lambda t: -0.2 + 0.0 * np.asarray(t), T=2.0)
-        assert order.alpha0 == 0.7 and order.T == 2.0
+class TestVariableOrder:
+    def test_alpha0_is_read_from_alpha(self):
+        order = VariableOrder(lambda t: 0.8 - 0.3 * np.asarray(t) ** 2,
+                              lambda t: -0.6 * np.asarray(t))
+        assert order.alpha0 == 0.8 and order.T == 1.0
+
+    def test_alpha0_and_a_positional_T_are_refused(self):
+        line = make_linear_order(0.6, 0.4)
         with pytest.raises(TypeError):
-            make_custom_order(order.alpha, order.dalpha, 0.7)
+            VariableOrder(line.alpha, line.dalpha, 0.6)
+        with pytest.raises(TypeError):
+            VariableOrder(line.alpha, line.dalpha, alpha0=0.6)
 
 
 class TestValidation:
