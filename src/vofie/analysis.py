@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,16 +70,22 @@ def run_convergence(
 ) -> ConvergenceReport:
     """Solve at each N and at ref_N on the same grading; report nodal errors.
 
-    Every N must be >= 1 and divide ref_N so each coarse node is shared with
-    the reference mesh (errors are exact nodal comparisons, no
-    interpolation).
+    N_list needs at least two entries (a rate compares two), ref_N must be
+    an integer >= 1, and every N must be >= 1 and divide ref_N so each
+    coarse node is shared with the reference mesh (errors are exact nodal
+    comparisons, no interpolation). All of this is checked before any
+    solve, and each error begins with the name of the argument it refuses.
     """
     N_list = list(N_list)
+    if len(N_list) < 2:
+        raise ValueError(f"N_list needs at least two entries to fit a rate, got {N_list}")
+    if not isinstance(ref_N, numbers.Integral) or ref_N < 1:
+        raise ValueError(f"ref_N must be an integer >= 1, got {ref_N!r}")
     for N in N_list:
         if N < 1:
-            raise ValueError(f"N = {N} must be >= 1")
+            raise ValueError(f"N_list entry N = {N} must be >= 1")
         if ref_N % N != 0:
-            raise ValueError(f"N = {N} does not divide ref_N = {ref_N}")
+            raise ValueError(f"N_list entry N = {N} does not divide ref_N = {ref_N}")
     r = grading_for_case(problem.order, case)
     coarse = [solve(problem, make_mesh(problem.T, N, r), rule, cfg) for N in N_list]
     ref = solve(problem, make_mesh(problem.T, ref_N, r), rule, cfg)

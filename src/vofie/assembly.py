@@ -38,13 +38,15 @@ panels (PANEL_LEAF_CELLS cells per leaf), split on index. Each panel
 carries charges int L_d f_h ds and int L_d u_h' ds at PANEL_NODES
 Chebyshev nodes s_d, made once, when the march reaches the first row that
 may read the panel (it ends at least FAR_SEPARATION panel widths before
-that row), and checked once there against direct quadrature of its cells:
-where either term misses by more than FAR_CHECK_TOL of its absolute
-contributions, which happens where alpha varies on the scale of the panel,
-the panel fails. A group of GROUP_ROWS rows walks the tree from its root
-(_Panels._read): a panel that its first row may read and that passed is
-read, any other splits into its two children, and a leaf that is not read
-ends the far field. So panels widen with distance; cells 1..far of the
+that row): a leaf's from its cells, a parent's from its two children's, on
+a uniform mesh through two bases shared by all panels. Each is checked
+once there against direct quadrature of its cells: where either term
+misses by more than FAR_CHECK_TOL of its absolute contributions, which
+happens where alpha varies on the scale of the panel, the panel fails. A
+group of GROUP_ROWS rows walks the tree from its root (_Panels._read): a
+panel that its first row may read and that passed is read, any other
+splits into its two children, and a leaf that is not read ends the far
+field. So panels widen with distance; cells 1..far of the
 panels read are the group's far field, the cells far+1..n of each row are
 near, and a row's far sum is sum over panels and d of
 W(t_n - s_d) q_f,d - (K(t_n, s_d) - 1) q_B,d. Near cells cost O(1) per row
@@ -334,6 +336,14 @@ def _lagrange(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return q / q.sum(axis=-1, keepdims=True)
 
 
+# L_d in coordinates relative to a panel, which on a uniform mesh are the
+# same for every panel: at a leaf's charge rule points (k + x_q) /
+# PANEL_LEAF_CELLS, cell by cell, and at a parent's two children's nodes
+_LEAF_BASIS = _lagrange(_CHEB, ((np.arange(PANEL_LEAF_CELLS)[:, None] + _CHARGE_RULE.nodes)
+                                / PANEL_LEAF_CELLS).ravel())
+_PARENT_BASIS = _lagrange(_CHEB, np.concatenate((_CHEB, 1.0 + _CHEB)) / 2)
+
+
 def _far_weight(v, al):
     """The singular weight v^{al-1}/Gamma(al) of the moments, v = t - s."""
     return v ** (al - 1.0) / special.gamma(al)
@@ -359,14 +369,19 @@ class _Panels:
     gap rows take it exactly). A leaf's charges are a Gauss sum per cell and
     a parent's are its two children's taken through the children's nodes;
     both are exact, as L_d is a polynomial of degree PANEL_NODES - 1, on
-    each child too.
+    each child too. Both sums weigh by L_d at points fixed in the panel's own
+    coordinates, so on a uniform mesh all leaves share one basis
+    (_LEAF_BASIS) and all parents another (_PARENT_BASIS); on a graded mesh
+    each panel's is taken at its points in t.
 
     The panels that end by t_N are held level by level in flat arrays, O(N)
     in all; level l holds the panels of size PANEL_LEAF_CELLS 2^l, each
     starting at a multiple of its size. Each is made when the march reaches
     its `ready` row, the first that may read it (FAR_SEPARATION panel widths
     past its end): its cells are solved by then, and that row, the nearest
-    the panel serves, is where it is checked.
+    the panel serves, is where it is checked. A level's panels are ready in
+    order, so those one _make call adds to a level are a slice of ids, and
+    so are their children.
     """
 
     def __init__(self, cq: _CellQuadrature, fvals: np.ndarray, incs: np.ndarray | None):
@@ -394,45 +409,54 @@ class _Panels:
         new = []
         for level, (first, count, made) in enumerate(zip(self.first, self.counts, self.made)):
             stop = int(np.searchsorted(self.ready[first : first + count], lo, "right"))
-            new.append(np.arange(first + made, first + stop))
+            new.append(slice(first + made, first + stop))
             self.made[level] = stop
-        ids = np.concatenate(new)
+        ids = np.concatenate([np.arange(span.start, span.stop) for span in new])
         if ids.size:
-            self.q[new[0]] = self._leaf_charges(new[0])
-            self._parent_charges(new)
+            self._leaf_charges(new[0])
+            for level, parents in enumerate(new[1:], 1):
+                if parents.stop > parents.start:
+                    self._parent_charges(level, parents)
             self.passed[ids] = self._check(ids)
 
-    def _leaf_charges(self, ids: np.ndarray) -> np.ndarray:
-        """Charges (q_f[, q_B]) of leaves ids: Gauss sums per cell."""
+    def _leaf_charges(self, ids: slice):
+        """Charges (q_f[, q_B]) of the leaves ids: Gauss sums per cell,
+        through the fixed _LEAF_BASIS on a uniform mesh."""
         x, w = _CHARGE_RULE.nodes, _CHARGE_RULE.weights
-        mesh = self.cq.mesh
-        cells = self.start[ids, None] + np.arange(PANEL_LEAF_CELLS)  # cell j + 1
-        tau = mesh.steps[cells][..., None]
-        f0, f1 = self.fvals[cells][..., None], self.fvals[cells + 1][..., None]
+        mesh, n = self.cq.mesh, ids.stop - ids.start
+        # leaf i holds cells j + 1 for PANEL_LEAF_CELLS i <= j < PANEL_LEAF_CELLS
+        # (i + 1): one row of j per leaf
+        j = slice(PANEL_LEAF_CELLS * ids.start, PANEL_LEAF_CELLS * ids.stop)
+        j1 = slice(j.start + 1, j.stop + 1)
+        shape = (n, PANEL_LEAF_CELLS, 1)
+        tau = mesh.steps[j].reshape(shape)
+        f0, f1 = self.fvals[j].reshape(shape), self.fvals[j1].reshape(shape)
         values = [tau * w * (f0 * (1.0 - x) + f1 * x)]
         if self.incs is not None:
-            values.append(np.broadcast_to(w * self.incs[cells + 1][..., None], values[0].shape))
-        basis = _lagrange(self.s[ids], (mesh.nodes[cells][..., None] + tau * x).reshape(len(ids), -1))
-        return np.swapaxes(basis, 1, 2) @ np.stack(values, axis=-1).reshape(len(ids), -1, len(values))
+            values.append(np.broadcast_to(w * self.incs[j1].reshape(shape), values[0].shape))
+        values = np.stack(values, axis=-1).reshape(n, len(_LEAF_BASIS), len(values))
+        if mesh.is_uniform:
+            basis = _LEAF_BASIS.T
+        else:
+            points = (mesh.nodes[j].reshape(shape) + tau * x).reshape(n, len(_LEAF_BASIS))
+            basis = np.swapaxes(_lagrange(self.s[ids], points), 1, 2)
+        self.q[ids] = basis @ values
 
-    def _parent_charges(self, new: list[np.ndarray]):
-        """Charges of the new panels of levels 1 and up (new[l] holds level
-        l's ids) from their two children's, made earlier or one level before
-        in this loop: q_d = sum over the children's nodes s_e of
-        L_d(s_e) q_e."""
+    def _parent_charges(self, level: int, ids: slice):
+        """Charges of the panels ids of level `level` from their two
+        children's, made earlier or one level before in this _make: q_d =
+        sum over the children's nodes s_e of L_d(s_e) q_e, through the fixed
+        _PARENT_BASIS on a uniform mesh."""
+        n = ids.stop - ids.start
         # children of panel first[l] + i are first[l - 1] + 2i and 2i + 1
-        kids = [self.first[level - 1] + 2 * (ids[:, None] - self.first[level]) + np.arange(2)
-                for level, ids in enumerate(new) if level]
-        parents = np.concatenate(new)[len(new[0]) :]
-        if not parents.size:
-            return
-        points = self.s[np.concatenate(kids)].reshape(len(parents), 2 * PANEL_NODES)
-        basis = np.swapaxes(_lagrange(self.s[parents], points), 1, 2)
-        start = 0
-        for ids, children in zip(new[1:], kids):
-            part = basis[start : start + len(ids)]
-            self.q[ids] = part @ self.q[children].reshape(len(ids), 2 * PANEL_NODES, self.q.shape[2])
-            start += len(ids)
+        a = self.first[level - 1] + 2 * (ids.start - self.first[level])
+        kids = slice(a, a + 2 * n)
+        charges = self.q[kids].reshape(n, 2 * PANEL_NODES, self.q.shape[2])
+        if self.cq.mesh.is_uniform:
+            basis = _PARENT_BASIS.T
+        else:
+            basis = np.swapaxes(_lagrange(self.s[ids], self.s[kids].reshape(n, 2 * PANEL_NODES)), 1, 2)
+        self.q[ids] = basis @ charges
 
     def _check(self, ids: np.ndarray) -> np.ndarray:
         """Whether each far term of each panel of ids at its ready row is

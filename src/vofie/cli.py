@@ -270,9 +270,16 @@ def cmd_converge(args) -> int:
             case = "II"
         if mesh.r != (r := grading_for_case(problem.order, case)):
             raise ConfigError(f"mesh.r = {mesh.r!r} is not the grading of case {case}, r = {r!r}")
-    report = run_convergence(
-        problem, case, rule=rule, cfg=cfg, config_id=args.preset or args.config or "", **conv
-    )
+    try:
+        report = run_convergence(
+            problem, case, rule=rule, cfg=cfg, config_id=args.preset or args.config or "", **conv
+        )
+    except ValueError as exc:
+        # run_convergence names an argument it refuses first, and the
+        # convergence keys are its arguments
+        if str(exc).split(maxsplit=1)[0] in SCHEMA["convergence"]:
+            raise ConfigError(f"convergence.{exc}") from exc
+        raise
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.to_csv(out / "convergence.csv")

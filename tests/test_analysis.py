@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vofie import analysis
 from vofie.analysis import (
     InsufficientDataError,
     fit_rate,
@@ -56,8 +57,25 @@ class TestFitRate:
 class TestRunConvergence:
     def test_divisibility_precondition(self):
         problem = sin4_problem(make_sine_order(0.6, 0.4))
-        with pytest.raises(ValueError):
-            run_convergence(problem, "III", N_list=[50], ref_N=120)
+        with pytest.raises(ValueError, match="N = 50 does not divide ref_N = 120"):
+            run_convergence(problem, "III", N_list=[40, 50], ref_N=120)
+
+    @pytest.mark.parametrize(
+        "N_list,ref_N,message",
+        [
+            ([48], 96, "N_list needs at least two entries"),
+            ([], 96, "N_list needs at least two entries"),
+            ([24, 48], 0, "ref_N must be an integer >= 1, got 0"),
+            ([24, 48], 96.0, "ref_N must be an integer >= 1, got 96.0"),
+        ],
+    )
+    def test_arguments_are_checked_before_any_solve(self, monkeypatch, N_list, ref_N, message):
+        solves = []
+        monkeypatch.setattr(analysis, "solve", lambda *args: solves.append(args))
+        problem = sin4_problem(make_sine_order(0.6, 0.4))
+        with pytest.raises(ValueError, match=message):
+            run_convergence(problem, "II", N_list=N_list, ref_N=ref_N)
+        assert solves == []
 
     def test_n_below_one_is_refused(self):
         problem = sin4_problem(make_sine_order(0.6, 0.4))

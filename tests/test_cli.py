@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vofie import cli
+from vofie import analysis, cli
 from vofie.assembly import DIAG_PANELS, gauss_nodes
 from vofie.cli import PRESETS, build_run, main
 from vofie.mesh import make_mesh
@@ -72,6 +72,9 @@ class TestConfigResolution:
             ("problem", "f", "cubic", "unknown builtin f: 'cubic'"),
             ("order", "family", "bessel", "unknown order family: 'bessel'"),
             ("convergence", "N_list", 48, "convergence.N_list"),
+            # refused by run_convergence, before any solve
+            ("convergence", "N_list", [48], "convergence.N_list"),
+            ("convergence", "ref_N", 0, "convergence.ref_N"),
             ("problem", "T", 2.0, "sine family is defined on [0, 1]"),
             # a key of another family is refused, not dropped
             pytest.param(None, "problem", {"f": "sin4", "c": 7.0, "u0": 1.0}, "problem.c",
@@ -79,17 +82,21 @@ class TestConfigResolution:
             ("order", "value", 0.9, "order.value"),
         ],
     )
-    def test_bad_config_value_is_refused_by_key(self, tmp_path, capsys, section, key, value, named):
+    def test_bad_config_value_is_refused_by_key(self, tmp_path, capsys, monkeypatch, section, key, value, named):
         # counts must be integers and numbers finite; nothing is rounded or
-        # coerced into a solve
+        # coerced into a solve, and no solve runs
+        solves = []
+        for module in (cli, analysis):
+            monkeypatch.setattr(module, "solve", lambda *args: solves.append(args))
         config = zero_config(N=16)
         (config.setdefault(section, {}) if section else config)[key] = value
         out = tmp_path / "out"
-        rc = main(["solve", "--config", write_config(tmp_path, config), "--out", str(out)])
+        command = "converge" if section == "convergence" else "solve"
+        rc = main([command, "--config", write_config(tmp_path, config), "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
-        assert not out.exists()
+        assert not out.exists() and solves == []
 
     @pytest.mark.parametrize(
         "text,message",
@@ -347,15 +354,16 @@ class TestCmdConverge:
         assert rc == 0
         assert "case II, r = 1.66667" in capsys.readouterr().out
 
-    def test_non_nesting_n_list(self, tmp_path):
+    def test_non_nesting_n_list(self, tmp_path, capsys):
         config = {
             "problem": {"f": "sin4", "u0": 1.0, "T": 1.0},
             "order": {"family": "sine", "a0": 0.6, "a1": 0.4},
             "mesh": {"N": 50, "r": 1.0},
-            "convergence": {"N_list": [50], "ref_N": 120},
+            "convergence": {"N_list": [40, 50], "ref_N": 120},
         }
         rc = main(["converge", "--config", write_config(tmp_path, config), "--out", str(tmp_path)])
         assert rc == 1
+        assert "convergence.N_list entry N = 50 does not divide ref_N = 120" in capsys.readouterr().err
 
     def test_zero_in_n_list_is_a_config_error(self, tmp_path, capsys):
         config = {
