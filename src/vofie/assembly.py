@@ -68,6 +68,7 @@ coefficient.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -103,13 +104,16 @@ PANEL_LEAF_CELLS = 8
 FAR_SEPARATION = 1.5
 # Rows per group: the cells between a group's far field and its first row
 # are near for all its rows, while every group makes and checks the panels
-# that became readable. The gap rows' near cells cost one moment each (their
-# B is a view), so their groups are longer.
-GROUP_ROWS = 32
+# that became readable, at a cost mostly per call. On graded sine solves 64
+# rows beat 32, 48, 96 and 128 from N = 1440 to 92160. The gap rows' near
+# cells cost one moment each (their B is a view), so their groups are longer.
+GROUP_ROWS = 64
 GAP_GROUP_ROWS = 128
 # Kernel and moment points (rule.count + 1 per far cell and row) a group must
 # save for its far field to be read: every solve with N <= 192 and the
-# 8-node rule stays direct.
+# 8-node rule stays direct. The closest is the uniform N = 192 group at
+# lo = 129, whose 64 rows find 112 cells in ready leaves and would save
+# 112 * 576 = 64,512 points, 1.6 % short.
 FAR_MIN_SAVED_POINTS = 4 * HISTORY_BLOCK_POINTS
 # Largest miss of each of a panel's far terms at the nearest row that reads
 # it, relative to the sum of that term's absolute contributions there, for
@@ -236,7 +240,11 @@ class _CellQuadrature:
 
     Cell j = [t_{j-1}, t_j] is row j-1 of `s`/`alpha_s`: the rule's points
     there and alpha at them, evaluated once per assembly. The diagonal cell
-    of a row gets geometric panels instead, built per row block.
+    of a row gets the rule on each of its geometric panels instead
+    (_diag_edges). Those panels are fixed fractions of the cell, so the
+    points and weights are too: diagonal cell n - 1 of row n has its points
+    at t_{n-1} + tau_n diag_nodes, and diag_weights, which sum to one, give
+    its average.
     """
 
     order: VariableOrder
@@ -245,11 +253,15 @@ class _CellQuadrature:
     alpha_t: np.ndarray
     s: np.ndarray
     alpha_s: np.ndarray
+    diag_nodes: np.ndarray
+    diag_weights: np.ndarray
 
 
 def _cell_quadrature(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: int):
     """_CellQuadrature for rows up to n (cells 1..n-1 off the diagonal)."""
     s = mesh.nodes[: n - 1, None] + mesh.steps[: n - 1, None] * rule.nodes
+    edges = _diag_edges(0.0, 1.0)
+    width = np.diff(edges)[:, None]
     return _CellQuadrature(
         order=order,
         mesh=mesh,
@@ -257,6 +269,8 @@ def _cell_quadrature(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: 
         alpha_t=np.asarray(order.alpha(mesh.nodes[: n + 1]), dtype=float),
         s=s,
         alpha_s=np.asarray(order.alpha(s), dtype=float),
+        diag_nodes=(edges[:-1, None] + width * rule.nodes).ravel(),
+        diag_weights=(width * rule.weights).ravel(),
     )
 
 
@@ -270,9 +284,9 @@ def _cell_averages(cq: _CellQuadrature, rows: np.ndarray, first: int = 0) -> np.
     cell j = first + 1 + c, over the cells first+1..rows[-1]; columns past
     n are zero. The off-diagonal cells are gathered point by point, the
     rule's points of all rows in one sweep; the diagonal cell gets
-    geometric panels toward the v ln v corner at s = t_n.
+    geometric panels toward the v ln v corner at s = t_n (cq.diag_nodes).
     """
-    nodes, x, w = cq.mesh.nodes, cq.rule.nodes, cq.rule.weights
+    nodes, w = cq.mesh.nodes, cq.rule.weights
     tn, an = nodes[rows], cq.alpha_t[rows]
     out = np.zeros((len(rows), rows[-1] - first))
 
@@ -282,12 +296,9 @@ def _cell_averages(cq: _CellQuadrature, rows: np.ndarray, first: int = 0) -> np.
     j = first + c
     out[k, c] = _kernel_minus_one(an[k, None] - cq.alpha_s[j], tn[k, None] - cq.s[j]) @ w
 
-    edges = _diag_edges(nodes[rows - 1], tn)
-    width = np.diff(edges, axis=1)[:, :, None]
-    s = (edges[:, :-1, None] + width * x).reshape(len(rows), -1)
-    wgt = (width * w / cq.mesh.steps[rows - 1, None, None]).reshape(len(rows), -1)
+    s = nodes[rows - 1, None] + cq.mesh.steps[rows - 1, None] * cq.diag_nodes
     da = an[:, None] - np.asarray(cq.order.alpha(s), dtype=float)
-    out[np.arange(len(rows)), counts] = np.sum(_kernel_minus_one(da, tn[:, None] - s) * wgt, axis=1)
+    out[np.arange(len(rows)), counts] = _kernel_minus_one(da, tn[:, None] - s) @ cq.diag_weights
     return out
 
 
@@ -328,12 +339,16 @@ def _lagrange(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """L_d(x) of panel Chebyshev `nodes` at the points x, one row per point
     and one column per node, batched over leading axes (barycentric form);
     a point on a node takes that node's value."""
-    gap = x[..., :, None] - nodes[..., None, :]
-    hit = gap == 0.0
-    q = _BARY / np.where(hit, 1.0, gap)
-    on_node = hit.any(axis=-1)
-    q[on_node] = hit[on_node]
-    return q / q.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = _BARY / (x[..., :, None] - nodes[..., None, :])
+        total = q.sum(axis=-1, keepdims=True)
+        basis = q / total
+    # only a point on a node has an infinite term, and so a sum that is not
+    # finite: its row is that node's unit row
+    on_node = ~np.isfinite(total[..., 0])
+    if on_node.any():
+        basis[on_node] = np.isinf(q[on_node])
+    return basis
 
 
 # L_d in coordinates relative to a panel, which on a uniform mesh are the
@@ -372,7 +387,8 @@ class _Panels:
     each child too. Both sums weigh by L_d at points fixed in the panel's own
     coordinates, so on a uniform mesh all leaves share one basis
     (_LEAF_BASIS) and all parents another (_PARENT_BASIS); on a graded mesh
-    each panel's is taken at its points in t.
+    each panel's is taken at its points in t, those of all the parents one
+    _make adds in one _lagrange call.
 
     The panels that end by t_N are held level by level in flat arrays, O(N)
     in all; level l holds the panels of size PANEL_LEAF_CELLS 2^l, each
@@ -380,8 +396,8 @@ class _Panels:
     its `ready` row, the first that may read it (FAR_SEPARATION panel widths
     past its end): its cells are solved by then, and that row, the nearest
     the panel serves, is where it is checked. A level's panels are ready in
-    order, so those one _make call adds to a level are a slice of ids, and
-    so are their children.
+    order, so those one _make call adds to a level are a slice of ids, found
+    by bisection of the level's ready rows, and so are their children.
     """
 
     def __init__(self, cq: _CellQuadrature, fvals: np.ndarray, incs: np.ndarray | None):
@@ -391,12 +407,14 @@ class _Panels:
         counts = N // sizes
         # level l holds ids first[l] .. first[l] + counts[l] - 1, of which
         # the first made[l] are made: a level's panels are ready in order
-        self.counts, self.first = counts, np.cumsum(counts) - counts
-        self.made = np.zeros(len(sizes), dtype=int)
+        self.counts, self.first = counts, (np.cumsum(counts) - counts).tolist()
+        self.made = [0] * len(sizes)
         self.size = np.repeat(sizes, counts)
         self.start = _runs(np.zeros_like(counts), counts) * self.size
         t0, t1 = nodes[self.start], nodes[self.start + self.size]
         self.ready = _ready_rows(nodes, self.start, self.size)
+        self.level_ready = [self.ready[first : first + count].tolist()
+                            for first, count in zip(self.first, counts)]
         self.s = t0[:, None] + (t1 - t0)[:, None] * _CHEB
         self.alpha_s = np.asarray(cq.order.alpha(self.s), dtype=float)
         self.q = np.zeros((len(self.size), PANEL_NODES, 1 if incs is None else 2))
@@ -406,18 +424,20 @@ class _Panels:
         """Make every panel whose ready row is lo or earlier: the new leaves'
         charges, then the new parents', level by level, then one check of
         them all."""
-        new = []
-        for level, (first, count, made) in enumerate(zip(self.first, self.counts, self.made)):
-            stop = int(np.searchsorted(self.ready[first : first + count], lo, "right"))
-            new.append(slice(first + made, first + stop))
-            self.made[level] = stop
-        ids = np.concatenate([np.arange(span.start, span.stop) for span in new])
-        if ids.size:
-            self._leaf_charges(new[0])
-            for level, parents in enumerate(new[1:], 1):
-                if parents.stop > parents.start:
-                    self._parent_charges(level, parents)
-            self.passed[ids] = self._check(ids)
+        new = []  # (level, ids) of each level with new panels
+        for level, (first, made, ready) in enumerate(zip(self.first, self.made, self.level_ready)):
+            stop = bisect.bisect_right(ready, lo, made)
+            if stop > made:
+                new.append((level, slice(first + made, first + stop)))
+                self.made[level] = stop
+        if not new:
+            return
+        if new[0][0] == 0:
+            self._leaf_charges(new[0][1])
+        if new[-1][0] > 0:
+            self._parent_charges([(level, ids) for level, ids in new if level > 0])
+        ids = np.concatenate([np.arange(ids.start, ids.stop) for _, ids in new])
+        self.passed[ids] = self._check(ids)
 
     def _leaf_charges(self, ids: slice):
         """Charges (q_f[, q_B]) of the leaves ids: Gauss sums per cell,
@@ -442,21 +462,28 @@ class _Panels:
             basis = np.swapaxes(_lagrange(self.s[ids], points), 1, 2)
         self.q[ids] = basis @ values
 
-    def _parent_charges(self, level: int, ids: slice):
-        """Charges of the panels ids of level `level` from their two
-        children's, made earlier or one level before in this _make: q_d =
-        sum over the children's nodes s_e of L_d(s_e) q_e, through the fixed
-        _PARENT_BASIS on a uniform mesh."""
-        n = ids.stop - ids.start
-        # children of panel first[l] + i are first[l - 1] + 2i and 2i + 1
-        a = self.first[level - 1] + 2 * (ids.start - self.first[level])
-        kids = slice(a, a + 2 * n)
-        charges = self.q[kids].reshape(n, 2 * PANEL_NODES, self.q.shape[2])
+    def _parent_charges(self, new: list[tuple[int, slice]]):
+        """Charges of the new parents, (level, ids) per level in increasing
+        order, from their two children's, made earlier or one level before
+        in this _make: q_d = sum over the children's nodes s_e of L_d(s_e)
+        q_e, through the fixed _PARENT_BASIS on a uniform mesh, and on a
+        graded mesh through the bases of every level from one _lagrange
+        call."""
+        counts, kids = [], []
+        for level, ids in new:
+            n = ids.stop - ids.start
+            # children of panel first[l] + i are first[l - 1] + 2i and 2i + 1
+            a = self.first[level - 1] + 2 * (ids.start - self.first[level])
+            counts.append(n)
+            kids.append(slice(a, a + 2 * n))
         if self.cq.mesh.is_uniform:
-            basis = _PARENT_BASIS.T
+            bases = [_PARENT_BASIS.T] * len(new)
         else:
-            basis = np.swapaxes(_lagrange(self.s[ids], self.s[kids].reshape(n, 2 * PANEL_NODES)), 1, 2)
-        self.q[ids] = basis @ charges
+            nodes = np.concatenate([self.s[ids] for _, ids in new])
+            points = np.concatenate([self.s[k] for k in kids]).reshape(len(nodes), 2 * PANEL_NODES)
+            bases = np.split(np.swapaxes(_lagrange(nodes, points), 1, 2), np.cumsum(counts[:-1]))
+        for (_, ids), k, n, basis in zip(new, kids, counts, bases):
+            self.q[ids] = basis @ self.q[k].reshape(n, 2 * PANEL_NODES, self.q.shape[2])
 
     def _check(self, ids: np.ndarray) -> np.ndarray:
         """Whether each far term of each panel of ids at its ready row is
@@ -543,7 +570,7 @@ def _groups(cq: _CellQuadrature, fvals, incs, size: int):
     N, panels = cq.mesh.N, None
     leaves = np.arange(0, N - PANEL_LEAF_CELLS + 1, PANEL_LEAF_CELLS)
     # reach(lo) = PANEL_LEAF_CELLS * #{i : ready[i] <= lo}. The leaves' ready
-    # rows are nondecreasing, as _Panels._make's searchsorted also needs: a
+    # rows are nondecreasing, as _Panels._make's bisection also needs: a
     # leaf's end plus FAR_SEPARATION widths grows from leaf to leaf, because
     # a Mesh's steps do not shrink (r >= 1)
     ready = _ready_rows(cq.mesh.nodes, leaves, PANEL_LEAF_CELLS)

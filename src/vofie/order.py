@@ -1,8 +1,12 @@
 """Variable fractional order alpha(t): representation, families, validation.
 
-The order carries its derivative explicitly because the differentiated kernel
-needs alpha'(s) and numerical differentiation would pollute kernel accuracy.
-Evaluation callables must be pure and accept numpy arrays.
+An order carries alpha and its derivative alpha'. A solve reads alpha only:
+its history coefficients are cell averages of the kernel K, not of K_s.
+alpha' is read by kernel.kernel_Ks, the differentiated kernel that the
+reference residual solver.vie_residual and the acceptance tests' kernel
+suite evaluate, and by validate_assumption_a, which cross-checks it
+against differences of alpha. Evaluation callables must be pure and accept
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -87,7 +91,9 @@ def make_linear_order(start: float, end: float, T: float = 1.0) -> VariableOrder
 def make_custom_order(alpha: Callable, dalpha: Callable, *, T: float = 1.0) -> VariableOrder:
     """Wrap user-supplied (alpha, alpha') callables on [0, T].
 
-    The derivative is required explicitly; alpha(0) is read from alpha. An
+    The derivative is required, but no solve reads it: only kernel_Ks and
+    validate_assumption_a do (see the module docstring). alpha(0) is read
+    from alpha. An
     affine alpha needs no declaration: on a uniform mesh a solve finds it
     from alpha's values and reads the gap-indexed rows.
     """

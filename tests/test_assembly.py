@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from vofie import assembly
 from vofie.assembly import (
+    QuadratureRule,
     _row_blocks,
     assemble,
     gauss_nodes,
@@ -433,6 +434,56 @@ class TestIntegrationByParts:
             np.testing.assert_allclose(table.history_row(n), row, rtol=0, atol=1e-15)
 
 
+def per_row_diagonal_averages(cq, rows):
+    """B[n][n] for n in rows from each row's own _diag_edges panels in t,
+    with cq.rule on each: the average that the fixed diagonal rule of
+    _CellQuadrature stands for."""
+    nodes, x, w = cq.mesh.nodes, cq.rule.nodes, cq.rule.weights
+    tn = nodes[rows]
+    edges = assembly._diag_edges(nodes[rows - 1], tn)
+    width = np.diff(edges, axis=1)[:, :, None]
+    s = (edges[:, :-1, None] + width * x).reshape(len(rows), -1)
+    wgt = (width * w / cq.mesh.steps[rows - 1, None, None]).reshape(len(rows), -1)
+    da = cq.alpha_t[rows, None] - np.asarray(cq.order.alpha(s), dtype=float)
+    return np.sum(assembly._kernel_minus_one(da, tn[:, None] - s) * wgt, axis=1)
+
+
+# a rule built by hand, not by gauss_nodes: exact for degree 1 only
+SKEWED_RULE = QuadratureRule(nodes=np.array([0.2, 0.7]), weights=np.array([0.4, 0.6]))
+
+
+class TestDiagonalRule:
+    """The diagonal cell's geometric panels are fixed fractions of the cell,
+    so _CellQuadrature holds their points and weights once, built from the
+    rule the rows are built with."""
+
+    @pytest.mark.parametrize("rule", [gauss_nodes(), gauss_nodes(3), gauss_nodes(80), SKEWED_RULE],
+                             ids=["gauss8", "gauss3", "gauss80", "by-hand"])
+    def test_weights_sum_to_one(self, rule):
+        mesh = make_mesh(1.0, 16, 1.0)
+        cq = assembly._cell_quadrature(make_sine_order(0.6, 0.4), mesh, rule, mesh.N)
+        assert cq.diag_nodes.shape == cq.diag_weights.shape == (assembly.DIAG_PANELS * rule.count,)
+        assert abs(cq.diag_weights.sum() - 1.0) <= 4 * np.finfo(float).eps
+        # the rule's points, panel by panel toward the cell's right end
+        assert np.all(np.diff(cq.diag_nodes) > 0) and 0.0 < cq.diag_nodes[0] and cq.diag_nodes[-1] < 1.0
+
+    @pytest.mark.parametrize("rule", [gauss_nodes(), SKEWED_RULE], ids=["gauss8", "by-hand"])
+    def test_blocks_match_per_row_panels(self, rule):
+        # every diagonal average the stream yields on a graded N = 1440 solve
+        # agrees with each row's own panels in t to rounding, relative to
+        # K = 1 + B (alpha's rounding leaves B an absolute error of about eps)
+        order, mesh = make_sine_order(0.6, 0.4), make_mesh(1.0, 1440, 1.0 / 0.6)
+        fvals, incs = march_values(order, mesh, rule)
+        cq = assembly._cell_quadrature(order, mesh, rule, mesh.N)
+        rows = 0
+        for lo, hi, far, _, _, b, _ in assembly.coefficient_rows(order, mesh, rule, fvals, incs):
+            n = np.arange(lo, hi + 1)
+            expected = per_row_diagonal_averages(cq, n)
+            assert np.all(np.abs(b[n - lo, n - far - 1] - expected) <= 1e-15 * np.abs(1.0 + expected))
+            rows += len(n)
+        assert rows == mesh.N
+
+
 def sin4_problem(order):
     return Problem(f=lambda u, t: 0.5 * np.sin(u) ** 4,
                    df_du=lambda u, t: 2.0 * np.sin(u) ** 3 * np.cos(u),
@@ -632,7 +683,8 @@ class TestFarField:
 
             assert [lo for lo, *_ in groups] == [1] + [hi + 1 for _, hi, *_ in groups[:-1]]
             assert groups[-1][1] == N
-            assert sum(far > 0 for _, _, far, _ in groups) > 30
+            # most groups read a far field
+            assert sum(far > 0 for _, _, far, _ in groups) > -(-N // assembly.GROUP_ROWS) / 2
             split = ended = 0
             for lo, hi, far, _ in groups:
                 if not far:
@@ -682,6 +734,23 @@ class TestFarField:
             expected = basis.T @ np.stack((1.0 + 2.0 * s, np.full_like(s, 3.0)), axis=1)
             np.testing.assert_allclose(panels.q[i], expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
+    def test_lagrange_takes_the_unit_row_on_a_node(self):
+        # one batch of two panels: a point of the first lies exactly on its
+        # node 5, and no point of the second on any of its nodes. The hit
+        # gets node 5's unit row; every other row is the barycentric formula,
+        # bit for bit
+        nodes = np.stack((assembly._CHEB, 0.3 + 0.5 * assembly._CHEB))
+        x = np.stack((np.linspace(0.0, 1.0, 7), np.linspace(0.3, 0.8, 7)))
+        x[0, 3] = nodes[0, 5]
+        got = assembly._lagrange(nodes, x)
+        np.testing.assert_array_equal(got[0, 3], np.eye(assembly.PANEL_NODES)[5])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = assembly._BARY / (x[..., :, None] - nodes[..., None, :])
+            expected = q / q.sum(axis=-1, keepdims=True)
+        assert np.isnan(expected[0, 3]).any() and np.all(np.isfinite(expected[1]))
+        expected[0, 3] = got[0, 3]
+        np.testing.assert_array_equal(got, expected)
+
     def test_parent_charges_match_the_leaf_formula(self, monkeypatch):
         # a parent's charges come from its two children's; taken instead
         # through all its leaves' nodes they agree to rounding, and every
@@ -703,8 +772,9 @@ class TestFarField:
                 out.append(assembly._lagrange(nodes, points).T @ panels.q[lv].reshape(-1, panels.q.shape[2]))
             return np.stack(out)
 
-        def by_leaves(self, level, ids):
-            self.q[ids] = leaf_formula(self, np.arange(ids.start, ids.stop))
+        def by_leaves(self, new):
+            for _, ids in new:
+                self.q[ids] = leaf_formula(self, np.arange(ids.start, ids.stop))
 
         made = []
         init = assembly._Panels.__init__
