@@ -282,17 +282,24 @@ def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _cell_averages(cq: _CellQuadrature, rows: np.ndarray, first: int = 0) -> np.ndarray:
     """B[k, c] = (1/tau_j) int_{cell j} K(t_n, s) ds - 1 for n = rows[k] and
     cell j = first + 1 + c, over the cells first+1..rows[-1]; columns past
-    n are zero. The off-diagonal cells are gathered point by point, the
-    rule's points of all rows in one sweep; the diagonal cell gets
-    geometric panels toward the v ln v corner at s = t_n (cq.diag_nodes).
+    n are zero. The rows are consecutive. The cells first+1..rows[0]-1 are
+    off the diagonal of every row, one broadcast rectangle of the rule's
+    points; the later off-diagonal cells, a triangle, are gathered point by
+    point; the diagonal cell gets geometric panels toward the v ln v corner
+    at s = t_n (cq.diag_nodes).
     """
     nodes, w = cq.mesh.nodes, cq.rule.weights
     tn, an = nodes[rows], cq.alpha_t[rows]
     out = np.zeros((len(rows), rows[-1] - first))
 
     counts = rows - 1 - first
-    k = np.repeat(np.arange(len(rows)), counts)
-    c = _runs(np.zeros_like(counts), counts)
+    near = slice(first, first + counts[0])
+    rect = _kernel_minus_one(an[:, None, None] - cq.alpha_s[near], tn[:, None, None] - cq.s[near])
+    out[:, : counts[0]] = (rect.reshape(-1, len(w)) @ w).reshape(len(rows), -1)
+
+    rest = counts - counts[0]
+    k = np.repeat(np.arange(len(rows)), rest)
+    c = _runs(np.full_like(rest, counts[0]), rest)
     j = first + c
     out[k, c] = _kernel_minus_one(an[k, None] - cq.alpha_s[j], tn[k, None] - cq.s[j]) @ w
 

@@ -7,9 +7,18 @@ Summation by parts turns collocation row n into the increment form
 with B[n][j] the cell-j average of K(t_n, .) minus 1 (see assembly). Every
 term but the node's own increment and f(U_n) is known once the earlier nodes
 are, so the march is a sequence of scalar Newton solves for the increment
-U_n - U_{n-1}, started from zero. The initial-data term and the u0 history
-coefficient cancel out of this form, and f = 0 gives zero increments, so
-u = u0 is kept exactly.
+U_n - U_{n-1}. Each starts from the increment the solved cells predict:
+tau_n times the quadratic through the slopes (U_j - U_{j-1}) / tau_j of
+the last three cells at their midpoints, taken at cell n's midpoint (a
+line after two cells, a constant after one, zero at node 1). The slopes
+vary smoothly from cell to cell (on a graded mesh because of the grading),
+so on fine meshes the first Newton step from there is already within the
+tolerance and a node takes one iteration, not two or three from zero. A
+node whose start fails (a non-finite residual or Jacobian, a vanishing
+Jacobian, or max_iter) is solved again from zero, and only that attempt's
+failure is raised. The initial-data term and the u0 history coefficient
+cancel out of this form, and f = 0 gives zero increments, whose
+extrapolation is zero, so u = u0 is kept exactly.
 
 The march reads row n only while it solves node n, so it consumes the rows
 as `assembly.coefficient_rows` streams them, one block of rows lo..hi at a
@@ -185,8 +194,9 @@ class Solution:
 
 
 def _newton_increment(problem: Problem, u_prev, tn, diag: float, wrnn: float,
-                      known: float, cfg: NewtonConfig, n: int):
-    """Root d of diag * d - wrnn * f(u_prev + d, t_n) = known, from d = 0.
+                      known: float, cfg: NewtonConfig, n: int, d: float = 0.0):
+    """Root d of diag * d - wrnn * f(u_prev + d, t_n) = known, from the given
+    start d (zero by default).
 
     Returns (d, newton_iterations). The step test is relative to the nodal
     value u_prev + d. A NewtonError carries |g| at each iterate. f and df_du
@@ -195,7 +205,6 @@ def _newton_increment(problem: Problem, u_prev, tn, diag: float, wrnn: float,
     itself runs on Python floats.
     """
     f, df, tol, u_start = problem.f, problem.df_du, cfg.tol, float(u_prev)
-    d = 0.0
     residuals = []
     for it in range(1, cfg.max_iter + 1):
         u = u_prev + d
@@ -230,7 +239,8 @@ def solve(
     """March the collocation scheme over the whole mesh.
 
     U(t_0) = u0 by definition; each later node is a scalar Newton solve for
-    its increment. The coefficient rows are streamed in blocks
+    its increment, started from the one the last three cells extrapolate to
+    (see the module docstring). The coefficient rows are streamed in blocks
     (`coefficient_rows`), so memory is O(N) on every input, and each row
     adds its far cells as one known sum. The mesh must have the problem's
     horizon T. A NewtonError carries the values solved so far.
@@ -248,6 +258,10 @@ def solve(
     values[0] = u0
     fvals[0] = problem.f(problem.u0, 0.0)
     rows = coefficient_rows(problem.order, mesh, rule, _read_only(fvals), _read_only(incs))
+    # Newton's start at each node: tau_n p(m_n), p the quadratic through the
+    # slopes of the last three solved cells at their midpoints, in Newton
+    # form y2 + (x - x2) (dd1 + (x - x1) dd2); zero at node 1
+    x1 = x2 = y2 = dd1 = dd2 = 0.0
     for lo, hi, far, wl, wr, b, far_known in rows:
         # the far sums read fvals[:far + 1] and incs[1:far + 1], solved by now
         assert far < lo, f"rows from {lo} read unsolved nodes up to {far}"
@@ -264,19 +278,39 @@ def solve(
         np.negative(b[:, c:-1], out=coef[:, 1::2])
         solved = np.full(2 * m, np.nan)
         diag, wrnn = (1.0 + b.diagonal(c)).tolist(), wr.diagonal(c).tolist()
+        edges = nodes[lo - 1 : hi + 1].tolist()
         u = values[lo - 1]
         for k in range(m):
             n = lo + k
             tn = nodes[n]
             rhs = known[k] + float(coef[k, : 2 * k] @ solved[: 2 * k]) - (float(u) - u0)
+            tau, mid = edges[k + 1] - edges[k], 0.5 * (edges[k] + edges[k + 1])
+            start = tau * (y2 + (mid - x2) * (dd1 + (mid - x1) * dd2))
             try:
-                d, stats[n] = _newton_increment(problem, u, tn, diag[k], wrnn[k], rhs, cfg, n)
+                try:
+                    d, stats[n] = _newton_increment(problem, u, tn, diag[k], wrnn[k], rhs, cfg, n,
+                                                    start)
+                except NewtonError as miss:
+                    if not start:
+                        raise
+                    # again from zero, as without a start: a failure there is the node's
+                    d, it = _newton_increment(problem, u, tn, diag[k], wrnn[k], rhs, cfg, n)
+                    stats[n] = len(miss.residuals) + it
             except NewtonError as exc:
                 exc.partial = Solution(mesh=mesh, values=values, newton_stats=stats)
-                raise
+                raise exc from None
             values[n] = u = u + d
             solved[2 * k] = problem.f(u, tn)
             solved[2 * k + 1] = d
+            # divided differences of the last three cells' slopes d / tau at
+            # their midpoints, fewer while fewer cells are solved
+            y = d / tau
+            if n > 1:
+                slope = (y - y2) / (mid - x2)
+                if n > 2:
+                    dd2 = (slope - dd1) / (mid - x1)
+                dd1 = slope
+            x1, x2, y2 = x2, mid, y
         fvals[lo : hi + 1], incs[lo : hi + 1] = solved[0::2], solved[1::2]
         del coef  # freed before the stream builds the next block, at the peak
     return Solution(mesh=mesh, values=values, newton_stats=stats)

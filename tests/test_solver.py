@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from vofie import assembly
+from vofie import assembly, solver
 from vofie.assembly import _moments, singular_moments
 from vofie.kernel import initial_coefficient
 from vofie.mesh import make_mesh
@@ -54,6 +54,15 @@ def solve_on_direct_rows(problem, mesh):
     as affine: the reference the gap rows are compared with."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assembly, "_chord_gap", lambda cq: (math.inf, 0.0))
+        return solve(problem, mesh)
+
+
+def solve_from_zero(problem, mesh):
+    """solve with every node's Newton started from zero, by dropping the
+    predicted start: the reference the extrapolated start is compared with."""
+    newton = solver._newton_increment
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_newton_increment", lambda *args: newton(*args[:8]))
         return solve(problem, mesh)
 
 
@@ -531,6 +540,71 @@ def test_blow_up_names_its_node(u0, N, a0):
     summary = exc.summary()
     assert summary["failed_node"] == node
     assert summary["residuals"] == [r if math.isfinite(r) else None for r in residuals]
+
+
+class TestNewtonStart:
+    @pytest.mark.parametrize(
+        "order,N,r,mean",
+        [
+            (make_linear_order(0.9, 0.4), 4000, 1.0, 1.1),  # 2.21 from zero
+            (make_sine_order(0.6, 0.4), 1440, 1.0 / 0.6, 1.3),  # 2.61 from zero
+            (make_sine_order(0.6, 0.4), 96, 1.0 / 0.6, 2.5),  # 3.00 from zero
+        ],
+    )
+    def test_extrapolated_start_takes_one_iteration(self, order, N, r, mean):
+        # the first step from the predicted increment is within the
+        # tolerance, so it lands where the march from zero does
+        problem, mesh = sin4_problem(order), make_mesh(1.0, N, r)
+        sol, zero = solve(problem, mesh), solve_from_zero(problem, mesh)
+        assert sol.newton_stats[1:].mean() <= mean < zero.newton_stats[1:].mean()
+        assert sol.newton_stats[1] == zero.newton_stats[1]  # node 1 starts from zero
+        np.testing.assert_allclose(sol.values, zero.values, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "order,N,r",
+        [
+            (make_linear_order(0.9, 0.4), 4000, 1.0),  # gap rows, far moments
+            (make_sine_order(0.6, 0.4), 1440, 1.0 / 0.6),  # far panels
+        ],
+    )
+    def test_f_zero_starts_every_node_at_zero(self, monkeypatch, order, N, r):
+        # zero increments extrapolate to an exact zero start: u0 is kept bit
+        # for bit, in one iteration per node
+        problem = Problem(f=f_zero, df_du=df_zero, u0=1.3, T=1.0, order=order)
+        calls = count_far_sums(monkeypatch)
+        sol = solve(problem, make_mesh(1.0, N, r))
+        assert calls and all(calls)
+        assert np.all(sol.values == 1.3)
+        assert np.all(sol.newton_stats[1:] == 1)
+
+    def test_failed_start_is_solved_again_from_zero(self):
+        # f is +1 up to t = 0.5 and -1 after: u peaks at t_8 = 0.5 and turns
+        # down at once, but the slopes before extrapolate further up, into u
+        # where f is NaN. Node 9 fails from there and is solved from zero
+        order = make_constant_order(0.5)
+        mesh = make_mesh(1.0, 16, 1.0)
+
+        def step(u, t):
+            return (1.0 if t <= 0.5 else -1.0) - 0.1 * u
+
+        def df(u, t):
+            return -0.1 + 0.0 * u
+
+        zero = solve_from_zero(Problem(f=step, df_du=df, u0=1.0, T=1.0, order=order), mesh)
+        peak = zero.values.max()
+        assert peak == zero.values[8]
+        misses = []
+
+        def capped(u, t):
+            if u > peak + 1e-3:
+                misses.append(t)
+                return math.nan
+            return step(u, t)
+
+        sol = solve(Problem(f=capped, df_du=df, u0=1.0, T=1.0, order=order), mesh)
+        assert misses and set(misses) <= set(mesh.nodes[9:].tolist())
+        np.testing.assert_allclose(sol.values, zero.values, rtol=0, atol=1e-15)
+        assert sol.newton_stats[9] == 1 + zero.newton_stats[9]
 
 
 class TestBoundedness:
