@@ -73,8 +73,9 @@ def run_convergence(
     N_list needs at least two entries (a rate compares two), ref_N must be
     an integer >= 1, and every N must be >= 1 and divide ref_N so each
     coarse node is shared with the reference mesh (errors are exact nodal
-    comparisons, no interpolation). All of this is checked before any
-    solve, and each error begins with the name of the argument it refuses.
+    comparisons, no interpolation), and none may repeat or equal ref_N (no
+    rate would be a number). All of this is checked before any solve, and
+    each error begins with the name of the argument it refuses.
     """
     N_list = list(N_list)
     if len(N_list) < 2:
@@ -86,6 +87,10 @@ def run_convergence(
             raise ValueError(f"N_list entry N = {N} must be >= 1")
         if ref_N % N != 0:
             raise ValueError(f"N_list entry N = {N} does not divide ref_N = {ref_N}")
+        if N == ref_N:
+            raise ValueError(f"N_list entry N = {N} equals ref_N: its error would be zero")
+        if N_list.count(N) > 1:
+            raise ValueError(f"N_list entry N = {N} is repeated")
     r = grading_for_case(problem.order, case)
     coarse = [solve(problem, make_mesh(problem.T, N, r), rule, cfg) for N in N_list]
     ref = solve(problem, make_mesh(problem.T, ref_N, r), rule, cfg)

@@ -148,9 +148,10 @@ def _build(spec: dict, section: str, name: str, families: dict, what: str, *args
 def build_run(config: dict):
     """Resolve a config dict to (problem, mesh, rule, newton_cfg, conv_spec).
 
-    conv_spec holds the mesh's case (None without one) and the
-    run_convergence arguments the config sets. Keys a config leaves out take
-    the defaults of the library function that reads them."""
+    mesh is None without mesh.N, which only solve and coeffs require.
+    conv_spec holds the mesh's case (None without one), its grading r and
+    the run_convergence arguments the config sets. Keys a config leaves out
+    take the defaults of the library function that reads them."""
     config = _read(config, SCHEMA)
     pspec, mspec = config.get("problem", {}), config.get("mesh", {})
     T = pspec.get("T", 1.0)
@@ -158,20 +159,18 @@ def build_run(config: dict):
     order = _build(config.get("order", {}), "order", "family", _ORDERS, "order family", T)
     problem = Problem(f=f, df_du=df, u0=pspec.get("u0", 1.0), T=T, order=order)
 
-    if "N" not in mspec:
-        raise ConfigError("mesh.N is required")
     grading = {key: mspec[key] for key in ("N", "r") if key in mspec}
     case = mspec.get("case")
     if case is not None:
         if "r" in mspec:
             raise ConfigError("mesh takes case or r, not both: case sets the grading")
         grading["r"] = grading_for_case(problem.order, case)
-    mesh = make_mesh(T, **grading)
+    mesh = make_mesh(T, **grading) if "N" in grading else None
 
     quad_nodes = config.get("quad_nodes")
     rule = gauss_nodes() if quad_nodes is None else gauss_nodes(quad_nodes)
     cfg = NewtonConfig(**config.get("newton", {}))
-    conv = {"case": case, **config.get("convergence", {})}
+    conv = {"case": case, "r": grading.get("r", 1.0), **config.get("convergence", {})}
     return problem, mesh, rule, cfg, conv
 
 
@@ -228,6 +227,8 @@ def load_config(args) -> dict:
 def cmd_solve(args) -> int:
     config = load_config(args)
     problem, mesh, rule, cfg, _ = build_run(config)
+    if mesh is None:
+        raise ConfigError("mesh.N is required")
     if args.fast_path:
         # a check only: solve takes the fast path whenever the inputs qualify
         translation_invariant(problem.order, mesh, rule)
@@ -260,16 +261,16 @@ def cmd_solve(args) -> int:
 
 def cmd_converge(args) -> int:
     config = load_config(args)
-    problem, mesh, rule, cfg, conv = build_run(config)
-    case = conv.pop("case")
+    problem, _, rule, cfg, conv = build_run(config)
+    case, r = conv.pop("case"), conv.pop("r")
     if case is None:
         # infer the regime from the grading actually configured
-        if mesh.r == 1.0:
+        if r == 1.0:
             case = "I" if problem.order.alpha0 == 1.0 else "III"
         else:
             case = "II"
-        if mesh.r != (r := grading_for_case(problem.order, case)):
-            raise ConfigError(f"mesh.r = {mesh.r!r} is not the grading of case {case}, r = {r!r}")
+        if r != (r_case := grading_for_case(problem.order, case)):
+            raise ConfigError(f"mesh.r = {r!r} is not the grading of case {case}, r = {r_case!r}")
     try:
         report = run_convergence(
             problem, case, rule=rule, cfg=cfg, config_id=args.preset or args.config or "", **conv
@@ -290,6 +291,8 @@ def cmd_converge(args) -> int:
 def cmd_coeffs(args) -> int:
     config = load_config(args)
     problem, mesh, rule, _, _ = build_run(config)
+    if mesh is None:
+        raise ConfigError("mesh.N is required")
     # the fast table first, so that an input it refuses writes nothing
     fast = assemble(problem.order, mesh, rule, fast_path=True) if args.fast_path else None
     out = Path(args.out)

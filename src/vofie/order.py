@@ -1,12 +1,12 @@
 """Variable fractional order alpha(t): representation, families, validation.
 
 An order carries alpha and its derivative alpha'. A solve reads alpha only:
-its history coefficients are cell averages of the kernel K, not of K_s.
-alpha' is read by kernel.kernel_Ks, the differentiated kernel that the
-reference residual solver.vie_residual and the acceptance tests' kernel
-suite evaluate, and by validate_assumption_a, which cross-checks it
-against differences of alpha. Evaluation callables must be pure and accept
-numpy arrays.
+its history coefficients are cell averages of the kernel K, not of K_s,
+and so does the reference residual solver.vie_residual. alpha' is read
+only by kernel.kernel_Ks, the differentiated kernel that the acceptance
+tests' kernel suite evaluates, and by validate_assumption_a, which
+cross-checks it against differences of alpha. Evaluation callables must be
+pure and accept numpy arrays.
 """
 
 from __future__ import annotations

@@ -67,6 +67,9 @@ class TestRunConvergence:
             ([], 96, "N_list needs at least two entries"),
             ([24, 48], 0, "ref_N must be an integer >= 1, got 0"),
             ([24, 48], 96.0, "ref_N must be an integer >= 1, got 96.0"),
+            ([24, 24], 96, "N_list entry N = 24 is repeated"),
+            ([24, 48, 24], 96, "N_list entry N = 24 is repeated"),
+            ([24, 48], 48, "N_list entry N = 48 equals ref_N"),
         ],
     )
     def test_arguments_are_checked_before_any_solve(self, monkeypatch, N_list, ref_N, message):

@@ -379,8 +379,53 @@ class TestCmdConverge:
         assert err.startswith("config error:") and "N = 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "convergence,message",
+        [
+            ({"N_list": [24, 24], "ref_N": 96}, "convergence.N_list entry N = 24 is repeated"),
+            ({"N_list": [24, 48], "ref_N": 48}, "convergence.N_list entry N = 48 equals ref_N"),
+        ],
+        ids=["repeated", "equals-ref_N"],
+    )
+    def test_n_list_without_a_rate_is_a_config_error(self, tmp_path, capsys, convergence, message):
+        # a repeated N wrote a NaN rate and exited 0; N = ref_N ran every
+        # solve before its zero error was refused
+        config = {
+            "problem": {"f": "sin4", "u0": 1.0, "T": 1.0},
+            "order": {"family": "sine", "a0": 0.6, "a1": 0.4},
+            "mesh": {"case": "II"},
+            "convergence": convergence,
+        }
+        out = tmp_path / "out"
+        rc = main(["converge", "--config", write_config(tmp_path, config), "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mesh", [{"case": "II"}, {"r": 1.0 / 0.6}], ids=["case", "r"])
+    def test_mesh_n_is_not_required(self, tmp_path, mesh):
+        # converge takes its grading from mesh.case or mesh.r and never reads N
+        config = {
+            "problem": {"f": "sin4", "u0": 1.0, "T": 1.0},
+            "order": {"family": "sine", "a0": 0.6, "a1": 0.4},
+            "mesh": mesh,
+            "convergence": {"N_list": [12, 24], "ref_N": 48},
+        }
+        rc = main(["converge", "--config", write_config(tmp_path, config), "--out", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "convergence.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["N", "12", "24"]
+
 
 class TestCmdCoeffs:
+    def test_mesh_n_is_required(self, tmp_path, capsys):
+        config = {**zero_config(), "mesh": {"r": 1.0}}
+        out = tmp_path / "out"
+        rc = main(["coeffs", "--config", write_config(tmp_path, config), "--out", str(out)])
+        assert rc == 1
+        assert "mesh.N is required" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_linear_fast_path_discrepancy(self, tmp_path, capsys):
         config = {
             "problem": {"f": "zero", "u0": 1.0, "T": 1.0},

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from vofie import assembly, solver
-from vofie.assembly import _moments, singular_moments
-from vofie.kernel import initial_coefficient
+from vofie.assembly import _moments, gauss_nodes, singular_moments
+from vofie.kernel import initial_coefficient, kernel_Ks
 from vofie.mesh import make_mesh
 from vofie.order import (
     make_constant_order,
@@ -668,6 +668,35 @@ class TestSolutionObject:
         assert problem.check_derivative() <= 1e-5
 
 
+def oscillating_order():
+    return make_custom_order(lambda t: 0.5 + 0.3 * np.sin(40.0 * np.asarray(t, dtype=float)),
+                             lambda t: 12.0 * np.cos(40.0 * np.asarray(t, dtype=float)))
+
+
+def paper_form_residual(problem, sol, t):
+    """|u_h(t) - RHS(t)| in the paper's form u = int K_s u + int W f +
+    u0 K(t, 0), on a refined rule: 200 Gauss nodes per cell or panel, ten
+    panels of ratio 0.2 toward the log singularity of K_s at s = t on the
+    last cell, and there the f weight removed by v = (t - s)^alpha(t)."""
+    order, nodes, steps = problem.order, sol.mesh.nodes, sol.mesh.steps
+    rule = gauss_nodes(200)
+    x, w = rule.nodes, rule.weights
+    m = int(np.searchsorted(nodes, t))
+    edges = t - (t - nodes[m - 1]) * 0.2 ** np.arange(11.0)
+    edges[-1] = t
+    lo = np.concatenate((nodes[: m - 1], edges[:-1]))
+    width = np.concatenate((steps[: m - 1], np.diff(edges)))
+    s = lo[:, None] + width[:, None] * x
+    hist = np.sum(kernel_Ks(order, t, s) * sol(s) * w * width[:, None])
+    alt = float(order.alpha(t))
+    sw = s[: m - 1]
+    fterm = np.sum(problem.f(sol(sw), sw) * (t - sw) ** (alt - 1.0) * w * steps[: m - 1, None])
+    vmax = (t - nodes[m - 1]) ** alt
+    sv = t - (vmax * x) ** (1.0 / alt)
+    fterm = (fterm + vmax * np.sum(w * problem.f(sol(sv), sv)) / alt) / math.gamma(alt)
+    return abs(float(sol(t)) - hist - fterm - initial_coefficient(order, t, problem.u0))
+
+
 class TestVieResidual:
     def test_constant_solution(self):
         # u = u0 solves the equation with f = 0 for any admissible order
@@ -697,6 +726,53 @@ class TestVieResidual:
         sol = solve(problem, make_mesh(1.0, 8, 1.0))
         with pytest.raises(ValueError):
             vie_residual(problem, sol, 0.0)
+
+    @pytest.mark.parametrize(
+        "order,N,r",
+        [
+            (make_sine_order(0.6, 0.4), 400, 1 / 0.6),
+            (make_sine_order(0.6, 0.4), 1440, 1 / 0.6),
+            (make_sine_order(0.3, 0.9), 401, 1 / 0.3),
+            (make_linear_order(0.9, 0.4), 400, 1.0),  # gap rows
+            (make_sine_order(1.0, 0.1), 1440, 1.0),
+            (oscillating_order(), 1440, 1.0),
+        ],
+        ids=["graded-400", "graded-1440", "sine-0.3-0.9", "affine", "sine-1-0.1", "oscillating"],
+    )
+    def test_scheme_quadrature_error_at_nodes(self, order, N, r):
+        # with f = 1 the scheme integrates f exactly, so at a node the
+        # residual is the error of its K averages, moments and far-field
+        # panels alone (measured at most 9.3e-13); far sums or wL scaled by
+        # 1 + 1e-9 read 4.5e-10 or more
+        problem = problem_one(order)
+        mesh = make_mesh(1.0, N, r)
+        sol = solve(problem, mesh)
+        cells = np.linspace(1, N, 24).round().astype(int)
+        for n in cells:
+            assert vie_residual(problem, sol, mesh.nodes[n]) <= 1e-11, n
+        # between nodes the interpolation error shows, so the residual is
+        # not zero everywhere (largest midpoint measured 2.7e-7 to 6.2e-3)
+        mids = 0.5 * (mesh.nodes[cells - 1] + mesh.nodes[cells])
+        assert max(vie_residual(problem, sol, t) for t in mids) >= 1e-7
+
+    @pytest.mark.parametrize(
+        "order,N,r",
+        [
+            (make_sine_order(0.6, 0.4), 96, 1 / 0.6),
+            (make_linear_order(0.9, 0.4), 200, 1.0),
+            (make_sine_order(1.0, 0.1), 64, 1.0),
+        ],
+        ids=["graded-sine", "affine", "sine-1-0.1"],
+    )
+    def test_equals_the_paper_form(self, order, N, r):
+        # summation by parts turns int K_s u_h + u0 K(t, 0) into
+        # u_h(t) - int K u_h'; measured agreement at most 6e-14
+        problem = sin4_problem(order)
+        mesh = make_mesh(1.0, N, r)
+        sol = solve(problem, mesh)
+        for t in (mesh.nodes[3], 0.25, 1.0):
+            assert vie_residual(problem, sol, t) == pytest.approx(
+                paper_form_residual(problem, sol, t), rel=0, abs=1e-11)
 
 
 class TestHorizonContract:
