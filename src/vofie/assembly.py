@@ -52,7 +52,7 @@ near, and a row's far sum is sum over panels and d of
 W(t_n - s_d) q_f,d - (K(t_n, s_d) - 1) q_B,d. Near cells cost O(1) per row
 and far panels O(log N), so a solve costs O(N log N) points and O(N)
 memory. The gap rows (above) take the far moment term from the panels in
-groups of GAP_GROUP_ROWS rows and keep the far B term an exact dot of
+the same groups of GROUP_ROWS rows and keep the far B term an exact dot of
 row N. Groups with few far cells stay fully direct (FAR_MIN_SAVED_POINTS),
 those whose first row finds too few leaves ready before any panel is built.
 With f = 0 both terms are exactly zero.
@@ -105,10 +105,9 @@ FAR_SEPARATION = 1.5
 # Rows per group: the cells between a group's far field and its first row
 # are near for all its rows, while every group makes and checks the panels
 # that became readable, at a cost mostly per call. On graded sine solves 64
-# rows beat 32, 48, 96 and 128 from N = 1440 to 92160. The gap rows' near
-# cells cost one moment each (their B is a view), so their groups are longer.
+# rows beat 32, 48, 96 and 128 from N = 1440 to 92160; on the gap rows 64,
+# 96 and 128 are equal and 192 slower.
 GROUP_ROWS = 64
-GAP_GROUP_ROWS = 128
 # Kernel and moment points (rule.count + 1 per far cell and row) a group must
 # save for its far field to be read: every solve with N <= 192 and the
 # 8-node rule stays direct. The closest is the uniform N = 192 group at
@@ -560,12 +559,12 @@ class _Panels:
         return known
 
 
-def _groups(cq: _CellQuadrature, fvals, incs, size: int):
+def _groups(cq: _CellQuadrature, fvals, incs):
     """(lo, hi, far, known) for row groups covering rows 1..N in order:
     known[n - lo] is row n's far sum (_Panels.far_sums), and far is 0 (known
     zero) where the group is direct.
 
-    Groups have `size` rows (the last may have fewer) and read their far
+    Groups have GROUP_ROWS rows (the last may have fewer) and read their far
     field only if it saves at least FAR_MIN_SAVED_POINTS points. A walk from
     row lo (_Panels._read) reads only panels ready by row lo, so it ends by
     the end of the last leaf ready by then (reach, from the mesh alone): a
@@ -582,8 +581,8 @@ def _groups(cq: _CellQuadrature, fvals, incs, size: int):
     # a Mesh's steps do not shrink (r >= 1)
     ready = _ready_rows(cq.mesh.nodes, leaves, PANEL_LEAF_CELLS)
     start = 1  # first row not yet yielded
-    for lo in range(1, N + 1, size) if fvals is not None else ():
-        hi = min(lo + size - 1, N)
+    for lo in range(1, N + 1, GROUP_ROWS) if fvals is not None else ():
+        hi = min(lo + GROUP_ROWS - 1, N)
         saved = (hi - lo + 1) * (cq.rule.count + 1)
         reach = PANEL_LEAF_CELLS * int(np.searchsorted(ready, lo, "right"))
         if reach * saved < FAR_MIN_SAVED_POINTS:
@@ -737,7 +736,7 @@ def _gap_rows(cq: _CellQuadrature, fvals=None, incs=None):
     # N - n + far of `gaps`
     last = np.concatenate((_cell_averages(cq, np.array([N]))[0], np.zeros(N)))
     gaps = sliding_window_view(last, N)
-    for lo, hi, far, known in _groups(cq, fvals, None, GAP_GROUP_ROWS):
+    for lo, hi, far, known in _groups(cq, fvals, None):
         if far:
             # the far B term exactly: B[n][j] = last[N - n + j - 1]
             known -= np.correlate(last[N - hi : N - lo + far], incs[1 : far + 1], "valid")[::-1]
@@ -753,7 +752,7 @@ def _direct_rows(cq: _CellQuadrature, fvals=None, incs=None):
     each block of a row group gets the moments and cell averages of its
     near cells in one go."""
     nodes = cq.mesh.nodes
-    for lo, hi, far, known in _groups(cq, fvals, incs, GROUP_ROWS):
+    for lo, hi, far, known in _groups(cq, fvals, incs):
         for rows in _row_blocks(lo, hi, far, HISTORY_BLOCK_POINTS // cq.rule.count):
             r0, r1 = int(rows[0]), int(rows[-1])
             wl, wr = _moments(nodes[rows], nodes[far : r1 + 1], cq.alpha_t[rows])

@@ -18,10 +18,18 @@ from typing import Callable
 import numpy as np
 
 
+# Assumption A's bounds, 0 < alpha(t) <= 1, are checked at ALPHA_SAMPLES
+# equispaced points of [0, T], with ALPHA_SLACK of rounding allowed above 1.
+ALPHA_SAMPLES, ALPHA_SLACK = 1001, 1e-12
+
+
 @dataclass(frozen=True)
 class VariableOrder:
     """The order function alpha(t) on [0, T] with its derivative.
 
+    An order is admissible or is not built: T must be positive and finite,
+    and alpha must lie in (0, 1] at ALPHA_SAMPLES equispaced points of
+    [0, T] (NaN fails), else a ValueError names the first t that fails.
     alpha0 = alpha(0) is read from alpha, never given, so the grading
     r = 1/alpha(0) and the regime cannot disagree with alpha. Nothing is
     declared about the shape of alpha: whether a solve may read gap-indexed
@@ -35,6 +43,16 @@ class VariableOrder:
     alpha0: float = field(init=False)
 
     def __post_init__(self):
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"horizon T must be positive and finite, got {self.T}")
+        ts = np.linspace(0.0, self.T, ALPHA_SAMPLES)
+        vals = np.asarray(self.alpha(ts), dtype=float)
+        bad = ~((vals > 0) & (vals <= 1 + ALPHA_SLACK))
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise ValueError(
+                f"alpha must lie in (0, 1], got alpha(t) = {float(vals[k])!r} at t = {float(ts[k])!r}"
+            )
         object.__setattr__(self, "alpha0", float(self.alpha(0.0)))
 
 
@@ -42,13 +60,10 @@ def make_sine_order(a0: float, a1: float) -> VariableOrder:
     """Order family alpha(t) = a1 + (a0-a1)((1-t) - sin(2 pi (1-t))/(2 pi)).
 
     Defined on [0, 1], so T = 1. Monotone between a0 = alpha(0) and
-    a1 = alpha(1), with alpha'(0) = alpha'(1) = 0 analytically. The order's
-    alpha0 is alpha evaluated at 0, which equals a0 to one rounding.
+    a1 = alpha(1), with alpha'(0) = alpha'(1) = 0 analytically. Each of a0
+    and a1 may be any value in (0, 1], 1 included. The order's alpha0 is
+    alpha evaluated at 0, which equals a0 to one rounding.
     """
-    if not (0 < a0 <= 1):
-        raise ValueError(f"a0 must lie in (0, 1], got {a0}")
-    if not (0 < a1 < 1):
-        raise ValueError(f"a1 must lie in (0, 1), got {a1}")
 
     def alpha(t):
         s = 1.0 - np.asarray(t, dtype=float)
@@ -64,26 +79,19 @@ def make_sine_order(a0: float, a1: float) -> VariableOrder:
 def make_constant_order(value: float, T: float = 1.0) -> VariableOrder:
     """Constant order alpha(t) = value, value in (0, 1]: the linear order
     from value to value."""
-    if not (0 < value <= 1):
-        raise ValueError(f"constant order must lie in (0, 1], got {value}")
     return make_linear_order(value, value, T)
 
 
 def make_linear_order(start: float, end: float, T: float = 1.0) -> VariableOrder:
     """Affine order alpha(t) = start + (end - start) t / T."""
-    if not (0 < start <= 1) or not (0 < end <= 1):
-        raise ValueError(
-            f"linear order endpoints must lie in (0, 1], got ({start}, {end})"
-        )
-    if not 0 < T < math.inf:
-        raise ValueError(f"horizon T must be positive and finite, got {T}")
-    slope = (end - start) / T
 
+    # the slope is worked out inside alpha, which VariableOrder calls only
+    # once T has passed its check
     def alpha(t):
-        return start + slope * np.asarray(t, dtype=float)
+        return start + (end - start) / T * np.asarray(t, dtype=float)
 
     def dalpha(t):
-        return np.full_like(np.asarray(t, dtype=float), slope)
+        return np.full_like(np.asarray(t, dtype=float), (end - start) / T)
 
     return VariableOrder(alpha, dalpha, T=T)
 
@@ -91,24 +99,25 @@ def make_linear_order(start: float, end: float, T: float = 1.0) -> VariableOrder
 def make_custom_order(alpha: Callable, dalpha: Callable, *, T: float = 1.0) -> VariableOrder:
     """Wrap user-supplied (alpha, alpha') callables on [0, T].
 
-    The derivative is required, but no solve reads it: only kernel_Ks and
-    validate_assumption_a do (see the module docstring). alpha(0) is read
-    from alpha. An
-    affine alpha needs no declaration: on a uniform mesh a solve finds it
-    from alpha's values and reads the gap-indexed rows.
+    The order is checked as every VariableOrder is: an alpha outside (0, 1]
+    at a sampled t, or a T that is not positive and finite, raises
+    ValueError here. The derivative is required, but no solve reads it:
+    only kernel_Ks and validate_assumption_a do (see the module docstring).
+    alpha(0) is read from alpha. An affine alpha needs no declaration: on a
+    uniform mesh a solve finds it from alpha's values and reads the
+    gap-indexed rows.
     """
     return VariableOrder(alpha, dalpha, T=T)
 
 
 @dataclass(frozen=True)
 class OrderValidationReport:
-    """Sampled check of the admissibility conditions on alpha."""
+    """Sampled description of alpha and check of its declared derivative."""
 
     samples: int
     alpha_min: float
     alpha_max: float
     max_deriv_discrepancy: float
-    bounds_ok: bool
     deriv_ok: bool
     case_i_eligible: bool
     smoothness_warning: bool  # alpha(0)=1 with alpha'(0) != 0
@@ -116,52 +125,37 @@ class OrderValidationReport:
 
     @property
     def passed(self) -> bool:
-        return self.bounds_ok and self.deriv_ok
+        return self.deriv_ok
 
 
 def validate_assumption_a(order: VariableOrder) -> OrderValidationReport:
-    """Sample-based admissibility report for a variable order.
+    """Sample-based report on what a VariableOrder cannot check itself.
 
-    Checks, at 1001 equispaced samples of [0, T], 0 < alpha(t) <= 1 with
-    alpha(t) < 1 required strictly for t > 0 (alpha(0) = 1 is permitted:
-    that is the smooth-solution configuration), and cross-checks the
-    declared derivative against central differences.
-    Report-only; never raises on a failing order.
+    Its bounds, 0 < alpha(t) <= 1 at ALPHA_SAMPLES equispaced samples of
+    [0, T], hold for every order that was built: 1 is allowed at any t, not
+    only at t = 0 (the constant order 1 and linear orders ending at 1 are
+    in use). The report gives alpha's sampled range, cross-checks the
+    declared derivative against central differences, and reads the smooth
+    regime from alpha(0) and alpha'(0). Report-only; never raises.
     """
-    ts = np.linspace(0.0, order.T, 1001)
-    vals = np.asarray(order.alpha(ts), dtype=float)
-    amin, amax = float(np.min(vals)), float(np.max(vals))
-
-    notes = []
-    interior = vals[1:]
-    bounds_ok = bool(amin > 0 and np.all(interior < 1.0 + 1e-12) and amax <= 1.0 + 1e-12)
-    if np.any(interior >= 1.0 + 1e-12):
-        notes.append("alpha(t) >= 1 at some sampled t > 0")
-    if amin <= 0:
-        notes.append("alpha(t) <= 0 at some sampled t")
+    vals = np.asarray(order.alpha(np.linspace(0.0, order.T, ALPHA_SAMPLES)), dtype=float)
 
     h = 1e-6 * order.T
     ti = np.linspace(h, order.T - h, 100)
     fd = (np.asarray(order.alpha(ti + h)) - np.asarray(order.alpha(ti - h))) / (2 * h)
     disc = float(np.max(np.abs(fd - np.asarray(order.dalpha(ti)))))
-    deriv_ok = disc <= 1e-6
 
     d0 = float(order.dalpha(0.0))
-    at0 = float(order.alpha(0.0))
-    case_i = abs(at0 - 1.0) <= 1e-14 and abs(d0) <= 1e-12
-    warn = abs(at0 - 1.0) <= 1e-14 and abs(d0) > 1e-12
-    if warn:
-        notes.append(
-            "alpha(0)=1 with alpha'(0) != 0: outside both smooth-case regimes"
-        )
+    at_one = abs(order.alpha0 - 1.0) <= 1e-14
+    warn = at_one and abs(d0) > 1e-12
+    notes = ("alpha(0)=1 with alpha'(0) != 0: outside both smooth-case regimes",) if warn else ()
     return OrderValidationReport(
-        samples=len(ts),
-        alpha_min=amin,
-        alpha_max=amax,
+        samples=ALPHA_SAMPLES,
+        alpha_min=float(np.min(vals)),
+        alpha_max=float(np.max(vals)),
         max_deriv_discrepancy=disc,
-        bounds_ok=bounds_ok,
-        deriv_ok=deriv_ok,
-        case_i_eligible=case_i,
+        deriv_ok=disc <= 1e-6,
+        case_i_eligible=at_one and abs(d0) <= 1e-12,
         smoothness_warning=warn,
-        notes=tuple(notes),
+        notes=notes,
     )

@@ -671,7 +671,7 @@ class TestFarField:
             t, N = mesh.nodes, mesh.N
             fvals, incs = march_values(order, mesh, rule)
             cq = assembly._cell_quadrature(order, mesh, rule, N)
-            groups = list(assembly._groups(cq, fvals, incs, assembly.GROUP_ROWS))
+            groups = list(assembly._groups(cq, fvals, incs))
 
             def near_enough(a, size, lo):
                 return a + size <= N and t[a + size] <= t[lo] - assembly.FAR_SEPARATION * (t[a + size] - t[a])

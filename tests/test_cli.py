@@ -99,6 +99,28 @@ class TestConfigResolution:
         assert not out.exists() and solves == []
 
     @pytest.mark.parametrize(
+        "order,T,message",
+        [
+            ({"family": "sine", "a0": 1.5, "a1": 0.4}, 1.0, "alpha must lie in (0, 1], got alpha(t) = 1.5 at t = 0.0"),
+            ({"family": "linear", "start": 0.9, "end": 0.0}, 1.0, "alpha must lie in (0, 1], got alpha(t) = 0.0 at t = 1.0"),
+            ({"family": "constant", "value": 1.2}, 1.0, "alpha must lie in (0, 1], got alpha(t) = 1.2 at t = 0.0"),
+            ({"family": "linear", "start": 0.9, "end": 0.4}, 0.0, "horizon T must be positive and finite, got 0.0"),
+        ],
+        ids=["sine-a0-1.5", "linear-end-0", "constant-1.2", "linear-T-0"],
+    )
+    def test_inadmissible_order_is_a_config_error(self, tmp_path, capsys, monkeypatch, order, T, message):
+        # the order refuses itself when built, and the CLI reports its message
+        solves = []
+        monkeypatch.setattr(cli, "solve", lambda *args: solves.append(args))
+        config = {"problem": {"f": "sin4", "u0": 1.0, "T": T}, "order": order, "mesh": {"N": 16}}
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", write_config(tmp_path, config), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
+        assert not out.exists() and solves == []
+
+    @pytest.mark.parametrize(
         "text,message",
         [
             ("[1, 2]", "config must be a JSON object"),

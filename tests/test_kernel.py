@@ -14,10 +14,10 @@ from vofie.order import make_constant_order, make_custom_order, make_sine_order
 
 
 def ramp_order():
-    # alpha(t) = t on [0, 1]; handy because alpha(t) - alpha(s) = t - s
+    # alpha(t) = (1 + t)/2 on [0, 1]; handy because alpha(t) - alpha(s) = (t - s)/2
     return make_custom_order(
-        lambda t: np.asarray(t, dtype=float),
-        lambda t: np.ones_like(np.asarray(t, dtype=float)),
+        lambda t: (1.0 + np.asarray(t, dtype=float)) / 2,
+        lambda t: np.full_like(np.asarray(t, dtype=float), 0.5),
     )
 
 
@@ -28,9 +28,9 @@ class TestKernelK:
             assert kernel_K(order, t, s) == pytest.approx(1.0, abs=1e-14)
 
     def test_ramp_order_value(self):
-        # 0.5^0.5 / Gamma(1.5)
-        expected = math.sqrt(0.5) / math.gamma(1.5)
-        assert expected == pytest.approx(0.797885, abs=1e-6)
+        # da = alpha(1) - alpha(0.5) = 0.25: 0.5^0.25 / Gamma(1.25)
+        expected = 0.5**0.25 / math.gamma(1.25)
+        assert expected == pytest.approx(0.927730, abs=1e-6)
         assert kernel_K(ramp_order(), 1.0, 0.5) == pytest.approx(expected, rel=1e-13)
 
     def test_limit_toward_diagonal(self):
@@ -56,7 +56,9 @@ class TestKernelKs:
 
     def test_ramp_order_value(self):
         got = kernel_Ks(ramp_order(), 1.0, 0.5)
-        assert got == pytest.approx(-0.21572, abs=1e-4)
+        # K (alpha'(s) psi(1 + da) - alpha'(s) ln(t - s) - da/(t - s)) with
+        # alpha' = 0.5, da = 0.25 and t - s = 0.5
+        assert got == pytest.approx(-0.24785, abs=1e-4)
         h = 1e-6
         fd = (kernel_K(ramp_order(), 1.0, 0.5 + h) - kernel_K(ramp_order(), 1.0, 0.5 - h)) / (2 * h)
         assert got == pytest.approx(fd, abs=1e-5)

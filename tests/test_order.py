@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vofie.assembly import translation_invariant
 from vofie.mesh import make_mesh
 from vofie.order import (
+    ALPHA_SAMPLES,
     VariableOrder,
     make_constant_order,
     make_custom_order,
@@ -11,6 +16,7 @@ from vofie.order import (
     make_sine_order,
     validate_assumption_a,
 )
+from vofie.solver import Problem, solve
 
 
 class TestSineFamily:
@@ -42,11 +48,9 @@ class TestSineFamily:
         assert np.all(np.diff(increasing) >= -1e-15)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
             make_sine_order(1.2, 0.1)
-        with pytest.raises(ValueError):
-            make_sine_order(0.5, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
             make_sine_order(0.0, 0.5)
 
 
@@ -102,6 +106,54 @@ class TestOtherFamilies:
 
 
 class TestVariableOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(0, ALPHA_SAMPLES - 1),
+        T=st.sampled_from([1.0, 0.3, 2.0]),
+        bad=st.one_of(
+            st.floats(-1.0, 0.0, exclude_min=True),
+            st.floats(1.0 + 1e-9, 3.0, exclude_max=True),
+            st.just(math.nan),
+        ),
+    )
+    def test_one_bad_sample_is_refused_by_its_t(self, k, T, bad):
+        # admissible everywhere but at the k-th of the sampled points
+        ts = np.linspace(0.0, T, ALPHA_SAMPLES)
+        line = make_linear_order(0.9, 0.4, T)
+
+        def alpha(t):
+            t = np.asarray(t, dtype=float)
+            return np.where(t == ts[k], bad, line.alpha(t))
+
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]") as refused:
+            make_custom_order(alpha, line.dalpha, T=T)
+        assert str(refused.value).endswith(f"at t = {float(ts[k])!r}")
+        assert f"alpha(t) = {bad!r}" in str(refused.value)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_horizon_is_refused_before_alpha_is_called(self, T):
+        def alpha(t):
+            raise AssertionError("alpha called")
+
+        with pytest.raises(ValueError, match="horizon T must be positive and finite"):
+            make_custom_order(alpha, alpha, T=T)
+        with pytest.raises(ValueError, match="horizon T must be positive and finite"):
+            make_linear_order(0.9, 0.4, T)
+
+    @pytest.mark.parametrize(
+        "make,args",
+        [(make_constant_order, (1.0,)), (make_linear_order, (0.9, 1.0)),
+         (make_sine_order, (1.0, 0.1)), (make_sine_order, (0.5, 1.0))],
+        ids=["constant-1", "linear-0.9-1", "sine-1-0.1", "sine-0.5-1"],
+    )
+    def test_orders_that_reach_one_build_and_solve(self, make, args):
+        order = make(*args)
+        problem = Problem(f=lambda u, t: 0.5 * np.sin(u) ** 4,
+                          df_du=lambda u, t: 2.0 * np.sin(u) ** 3 * np.cos(u),
+                          u0=1.0, T=1.0, order=order)
+        values = solve(problem, make_mesh(1.0, 64, 1.0)).values
+        assert np.all(np.isfinite(values)) and values[0] == 1.0 and values[-1] > 1.0
+
     def test_alpha0_is_read_from_alpha(self):
         order = VariableOrder(lambda t: 0.8 - 0.3 * np.asarray(t) ** 2,
                               lambda t: -0.6 * np.asarray(t))
@@ -129,13 +181,12 @@ class TestValidation:
         assert not report.case_i_eligible
 
     def test_bound_violation(self):
-        bad = make_custom_order(
-            lambda t: 1.2 + 0.0 * np.asarray(t),
-            lambda t: 0.0 * np.asarray(t),
-        )
-        report = validate_assumption_a(bad)
-        assert not report.bounds_ok
-        assert not report.passed
+        # refused when built, so no report can describe it
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got alpha\(t\) = 1.2 at t = 0.0"):
+            make_custom_order(
+                lambda t: 1.2 + 0.0 * np.asarray(t),
+                lambda t: 0.0 * np.asarray(t),
+            )
 
     def test_derivative_discrepancy_detected(self):
         # declared derivative is wrong on purpose
