@@ -38,7 +38,6 @@ from .order import (
     validate_assumption_a,
 )
 from .solver import (
-    NewtonConfig,
     NewtonDivergedError,
     NewtonError,
     Problem,
@@ -61,7 +60,6 @@ __all__ = [
     "MLParams",
     "Mesh",
     "MittagLefflerConvergenceError",
-    "NewtonConfig",
     "NewtonDivergedError",
     "NewtonError",
     "OrderValidationReport",

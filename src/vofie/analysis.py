@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import QuadratureRule
 from .mesh import grading_for_case, make_mesh
-from .solver import NewtonConfig, Problem, Solution, solve
+from .solver import Problem, Solution, solve
 
 
 class InsufficientDataError(RuntimeError):
@@ -64,11 +63,12 @@ def run_convergence(
     case: str,
     N_list=(48, 72, 96, 120),
     ref_N: int = 1440,
-    rule: QuadratureRule | None = None,
-    cfg: NewtonConfig | None = None,
     config_id: str = "",
 ) -> ConvergenceReport:
     """Solve at each N and at ref_N on the same grading; report nodal errors.
+
+    Each solve is `solve(problem, mesh)`, so the study reads the problem,
+    the regime `case` (which sets the grading) and the N levels only.
 
     N_list needs at least two entries (a rate compares two), ref_N must be
     an integer >= 1, and every N must be >= 1 and divide ref_N so each
@@ -92,8 +92,8 @@ def run_convergence(
         if N_list.count(N) > 1:
             raise ValueError(f"N_list entry N = {N} is repeated")
     r = grading_for_case(problem.order, case)
-    coarse = [solve(problem, make_mesh(problem.T, N, r), rule, cfg) for N in N_list]
-    ref = solve(problem, make_mesh(problem.T, ref_N, r), rule, cfg)
+    coarse = [solve(problem, make_mesh(problem.T, N, r)) for N in N_list]
+    ref = solve(problem, make_mesh(problem.T, ref_N, r))
 
     errors = np.empty(len(N_list))
     for j, (N, sol) in enumerate(zip(N_list, coarse)):

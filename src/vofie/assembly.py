@@ -235,7 +235,8 @@ def _kernel_minus_one(da, v):
 
 @dataclass(frozen=True)
 class _CellQuadrature:
-    """Row-independent quadrature data of cells 1..n for the history rows.
+    """Row-independent quadrature data of the mesh's cells for the history
+    rows.
 
     Cell j = [t_{j-1}, t_j] is row j-1 of `s`/`alpha_s`: the rule's points
     there and alpha at them, evaluated once per assembly. The diagonal cell
@@ -256,16 +257,17 @@ class _CellQuadrature:
     diag_weights: np.ndarray
 
 
-def _cell_quadrature(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: int):
-    """_CellQuadrature for rows up to n (cells 1..n-1 off the diagonal)."""
-    s = mesh.nodes[: n - 1, None] + mesh.steps[: n - 1, None] * rule.nodes
+def _cell_quadrature(order: VariableOrder, mesh: Mesh, rule: QuadratureRule):
+    """_CellQuadrature for rows 1..N (cells 1..N-1 off the diagonal)."""
+    cells = mesh.N - 1
+    s = mesh.nodes[:cells, None] + mesh.steps[:cells, None] * rule.nodes
     edges = _diag_edges(0.0, 1.0)
     width = np.diff(edges)[:, None]
     return _CellQuadrature(
         order=order,
         mesh=mesh,
         rule=rule,
-        alpha_t=np.asarray(order.alpha(mesh.nodes[: n + 1]), dtype=float),
+        alpha_t=np.asarray(order.alpha(mesh.nodes), dtype=float),
         s=s,
         alpha_s=np.asarray(order.alpha(s), dtype=float),
         diag_nodes=(edges[:-1, None] + width * rule.nodes).ravel(),
@@ -613,8 +615,8 @@ def history_weights(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: i
     """
     if not (1 <= n <= mesh.N):
         raise IndexError(f"need 1 <= n <= N, got n={n}, N={mesh.N}")
-    cq = _cell_quadrature(order, mesh, rule, n)
-    col0 = _kernel_minus_one(cq.alpha_t[n:] - cq.alpha_t[0], mesh.nodes[n : n + 1])
+    cq = _cell_quadrature(order, mesh, rule)
+    col0 = _kernel_minus_one(cq.alpha_t[n : n + 1] - cq.alpha_t[0], mesh.nodes[n : n + 1])
     return _hat_weights(np.concatenate((col0, _cell_averages(cq, np.array([n]))[0])))
 
 
@@ -667,8 +669,7 @@ class WeightTable:
     def h_entry(self, n: int, i: int) -> float:
         if not (1 <= i <= n <= self.N):
             raise IndexError(f"need 1 <= i <= n <= N, got i={i}, n={n}")
-        b = self.averages(n)
-        return float((b[i] if i < n else 0.0) - b[i - 1])
+        return float(self.history_row(n)[i])
 
     def history_storage_entries(self) -> int:
         """Number of stored history coefficients (structural footprint)."""
@@ -699,7 +700,7 @@ def translation_invariant(order: VariableOrder, mesh: Mesh,
     if not mesh.is_uniform:
         raise ValueError(f"the fast path needs a uniform mesh (r = 1), got r = {mesh.r:g}")
     rule = gauss_nodes() if rule is None else rule
-    gap, where = _chord_gap(_cell_quadrature(order, mesh, rule, mesh.N))
+    gap, where = _chord_gap(_cell_quadrature(order, mesh, rule))
     if gap > AFFINE_TOL:
         raise ValueError(
             f"the fast path needs an affine order: alpha departs from its chord "
@@ -782,7 +783,7 @@ def coefficient_rows(order: VariableOrder, mesh: Mesh, rule: QuadratureRule | No
     values the rows are built from) they are _gap_rows, elsewhere
     _direct_rows. `rule` is as for `assemble`.
     """
-    cq = _cell_quadrature(order, mesh, gauss_nodes() if rule is None else rule, mesh.N)
+    cq = _cell_quadrature(order, mesh, gauss_nodes() if rule is None else rule)
     affine = mesh.is_uniform and _chord_gap(cq)[0] <= AFFINE_TOL
     yield from (_gap_rows if affine else _direct_rows)(cq, fvals, incs)
 
@@ -808,7 +809,7 @@ def assemble(
     if fast_path:
         translation_invariant(order, mesh, rule)
     N = mesh.N
-    cq = _cell_quadrature(order, mesh, rule, N)
+    cq = _cell_quadrature(order, mesh, rule)
     wL = np.zeros((N + 1, N + 1))
     wR = np.zeros((N + 1, N + 1))
     B = None if fast_path else np.zeros((N + 1, N + 1))

@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import run_convergence
-from .assembly import assemble, gauss_nodes, translation_invariant
+from .assembly import assemble, translation_invariant
 from .mesh import grading_for_case, make_mesh
 from .order import make_constant_order, make_linear_order, make_sine_order
-from .solver import NewtonConfig, NewtonError, Problem, solve
+from .solver import NewtonError, Problem, solve
 
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
@@ -87,8 +87,6 @@ SCHEMA = {
     "problem": {"f": _STRING, **_keys(_RHS), "u0": _NUMBER, "T": _NUMBER},
     "order": {"family": _STRING, **_keys(_ORDERS)},
     "mesh": {"N": _COUNT, "r": _NUMBER, "case": _STRING},
-    "quad_nodes": _COUNT,
-    "newton": {"tol": _NUMBER, "max_iter": _COUNT},
     "convergence": {"N_list": _COUNTS, "ref_N": _COUNT},
 }
 
@@ -146,12 +144,13 @@ def _build(spec: dict, section: str, name: str, families: dict, what: str, *args
 
 
 def build_run(config: dict):
-    """Resolve a config dict to (problem, mesh, rule, newton_cfg, conv_spec).
+    """Resolve a config dict to (problem, mesh, conv_spec).
 
     mesh is None without mesh.N, which only solve and coeffs require.
     conv_spec holds the mesh's case (None without one), its grading r and
     the run_convergence arguments the config sets. Keys a config leaves out
-    take the defaults of the library function that reads them."""
+    take the defaults of the library function that reads them. Nothing else
+    is configurable: a solve reads only the problem and the mesh."""
     config = _read(config, SCHEMA)
     pspec, mspec = config.get("problem", {}), config.get("mesh", {})
     T = pspec.get("T", 1.0)
@@ -167,11 +166,8 @@ def build_run(config: dict):
         grading["r"] = grading_for_case(problem.order, case)
     mesh = make_mesh(T, **grading) if "N" in grading else None
 
-    quad_nodes = config.get("quad_nodes")
-    rule = gauss_nodes() if quad_nodes is None else gauss_nodes(quad_nodes)
-    cfg = NewtonConfig(**config.get("newton", {}))
     conv = {"case": case, "r": grading.get("r", 1.0), **config.get("convergence", {})}
-    return problem, mesh, rule, cfg, conv
+    return problem, mesh, conv
 
 
 # --- bundled presets ----------------------------------------------------------
@@ -226,16 +222,16 @@ def load_config(args) -> dict:
 
 def cmd_solve(args) -> int:
     config = load_config(args)
-    problem, mesh, rule, cfg, _ = build_run(config)
+    problem, mesh, _ = build_run(config)
     if mesh is None:
         raise ConfigError("mesh.N is required")
     if args.fast_path:
         # a check only: solve takes the fast path whenever the inputs qualify
-        translation_invariant(problem.order, mesh, rule)
+        translation_invariant(problem.order, mesh)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        solution = solve(problem, mesh, rule, cfg)
+        solution = solve(problem, mesh)
     except NewtonError as exc:
         # where the march stopped, for callers that only read the outputs
         with open(out / "summary.json", "w") as fh:
@@ -261,7 +257,7 @@ def cmd_solve(args) -> int:
 
 def cmd_converge(args) -> int:
     config = load_config(args)
-    problem, _, rule, cfg, conv = build_run(config)
+    problem, _, conv = build_run(config)
     case, r = conv.pop("case"), conv.pop("r")
     if case is None:
         # infer the regime from the grading actually configured
@@ -272,9 +268,7 @@ def cmd_converge(args) -> int:
         if r != (r_case := grading_for_case(problem.order, case)):
             raise ConfigError(f"mesh.r = {r!r} is not the grading of case {case}, r = {r_case!r}")
     try:
-        report = run_convergence(
-            problem, case, rule=rule, cfg=cfg, config_id=args.preset or args.config or "", **conv
-        )
+        report = run_convergence(problem, case, config_id=args.preset or args.config or "", **conv)
     except ValueError as exc:
         # run_convergence names an argument it refuses first, and the
         # convergence keys are its arguments
@@ -290,14 +284,14 @@ def cmd_converge(args) -> int:
 
 def cmd_coeffs(args) -> int:
     config = load_config(args)
-    problem, mesh, rule, _, _ = build_run(config)
+    problem, mesh, _ = build_run(config)
     if mesh is None:
         raise ConfigError("mesh.N is required")
     # the fast table first, so that an input it refuses writes nothing
-    fast = assemble(problem.order, mesh, rule, fast_path=True) if args.fast_path else None
+    fast = assemble(problem.order, mesh, fast_path=True) if args.fast_path else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dense = assemble(problem.order, mesh, rule, fast_path=False)
+    dense = assemble(problem.order, mesh, fast_path=False)
     dense.dump_csv(out / "weights.csv")
     if fast is not None:
         disc = max(

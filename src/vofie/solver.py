@@ -15,10 +15,10 @@ vary smoothly from cell to cell (on a graded mesh because of the grading),
 so on fine meshes the first Newton step from there is already within the
 tolerance and a node takes one iteration, not two or three from zero. A
 node whose start fails (a non-finite residual or Jacobian, a vanishing
-Jacobian, or max_iter) is solved again from zero, and only that attempt's
-failure is raised. The initial-data term and the u0 history coefficient
-cancel out of this form, and f = 0 gives zero increments, whose
-extrapolation is zero, so u = u0 is kept exactly.
+Jacobian, or NEWTON_MAX_ITER iterations) is solved again from zero, and
+only that attempt's failure is raised. The initial-data term and the u0
+history coefficient cancel out of this form, and f = 0 gives zero
+increments, whose extrapolation is zero, so u = u0 is kept exactly.
 
 The march reads row n only while it solves node n, so it consumes the rows
 as `assembly.coefficient_rows` streams them, one block of rows lo..hi at a
@@ -39,6 +39,11 @@ own block as one dot over the interleaved (f_j, U_j - U_{j-1}) solved so
 far in the block, whose unsolved entries are NaN too, and solves for its
 increment with scalar Newton on Python floats.
 
+A solve reads the problem and the mesh and nothing else. The per-cell
+Gauss rule is `gauss_nodes()`, 8 nodes: 12 or 20 move the tested solutions
+by at most 2.5e-13, and fewer lose digits. Newton's step tolerance
+NEWTON_TOL and iteration cap NEWTON_MAX_ITER are module constants.
+
 The reference residual `vie_residual` takes the same form on a fine rule,
 so it reads neither K_s, alpha' nor the initial-data term.
 """
@@ -47,7 +52,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,10 +61,15 @@ from scipy import special
 # assemble is not called here any more; the name stays importable from this
 # module because perfbench's traced run hooks it.
 from .assembly import assemble  # noqa: F401
-from .assembly import QuadratureRule, coefficient_rows, gauss_nodes, _diag_edges
+from .assembly import coefficient_rows, gauss_nodes, _diag_edges
 from .kernel import kernel_K
 from .mesh import Mesh
 from .order import VariableOrder
+
+
+# Newton's step tolerance, relative to the nodal value, and its iteration cap
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -145,18 +154,6 @@ class Problem:
         return worst
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    tol: float = 1e-10
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"Newton tolerance must be positive and finite, got {self.tol}")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
-
-
 @dataclass
 class Solution:
     """Nodal values with piecewise-linear evaluation between nodes."""
@@ -197,19 +194,21 @@ class Solution:
 
 
 def _newton_increment(problem: Problem, u_prev, tn, diag: float, wrnn: float,
-                      known: float, cfg: NewtonConfig, n: int, d: float = 0.0):
+                      known: float, n: int, d: float = 0.0):
     """Root d of diag * d - wrnn * f(u_prev + d, t_n) = known, from the given
     start d (zero by default).
 
-    Returns (d, newton_iterations). The step test is relative to the nodal
-    value u_prev + d. A NewtonError carries |g| at each iterate. f and df_du
-    are called at u_prev + d and tn as given (the march passes numpy
-    floats, so an overflow in f is an inf, not an exception); the iteration
-    itself runs on Python floats.
+    Returns (d, newton_iterations). The step test is NEWTON_TOL relative to
+    the nodal value u_prev + d, and at most NEWTON_MAX_ITER iterates are
+    tried; both are read at each call. A NewtonError carries |g| at each
+    iterate. f and df_du are called at u_prev + d and tn as given (the
+    march passes numpy floats, so an overflow in f is an inf, not an
+    exception); the iteration itself runs on Python floats.
     """
-    f, df, tol, u_start = problem.f, problem.df_du, cfg.tol, float(u_prev)
+    f, df, u_start = problem.f, problem.df_du, float(u_prev)
+    tol, cap = NEWTON_TOL, NEWTON_MAX_ITER
     residuals = []
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, cap + 1):
         u = u_prev + d
         gd = diag * d - wrnn * float(f(u, tn)) - known
         gp = diag - wrnn * float(df(u, tn))
@@ -223,7 +222,7 @@ def _newton_increment(problem: Problem, u_prev, tn, diag: float, wrnn: float,
         if abs(d_new - d) <= tol * (1.0 + abs(u_start + d_new)):
             return d_new, it
         d = d_new
-    raise NewtonDivergedError(n, abs(gd), f"no convergence in {cfg.max_iter} iterations at node {n}",
+    raise NewtonDivergedError(n, abs(gd), f"no convergence in {cap} iterations at node {n}",
                               residuals)
 
 
@@ -233,12 +232,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def solve(
-    problem: Problem,
-    mesh: Mesh,
-    rule: QuadratureRule | None = None,
-    cfg: NewtonConfig | None = None,
-) -> Solution:
+def solve(problem: Problem, mesh: Mesh) -> Solution:
     """March the collocation scheme over the whole mesh.
 
     U(t_0) = u0 by definition; each later node is a scalar Newton solve for
@@ -246,12 +240,12 @@ def solve(
     (see the module docstring). The coefficient rows are streamed in blocks
     (`coefficient_rows`), so memory is O(N) on every input, and each row
     adds its far cells as one known sum. The mesh must have the problem's
-    horizon T. A NewtonError carries the values solved so far.
+    horizon T. The quadrature rule and Newton's tolerance and cap are fixed
+    (see the module docstring). A NewtonError carries the values solved so
+    far.
     """
     if mesh.T != problem.T:
         raise ValueError(f"horizon mismatch: mesh T = {mesh.T}, problem T = {problem.T}")
-    if cfg is None:
-        cfg = NewtonConfig()
 
     N, u0, nodes = mesh.N, float(problem.u0), mesh.nodes
     values = np.full(N + 1, np.nan)
@@ -260,7 +254,7 @@ def solve(
     stats = np.zeros(N + 1, dtype=int)
     values[0] = u0
     fvals[0] = problem.f(problem.u0, 0.0)
-    rows = coefficient_rows(problem.order, mesh, rule, _read_only(fvals), _read_only(incs))
+    rows = coefficient_rows(problem.order, mesh, None, _read_only(fvals), _read_only(incs))
     # Newton's start at each node: tau_n p(m_n), p the quadratic through the
     # slopes of the last three solved cells at their midpoints, in Newton
     # form y2 + (x - x2) (dd1 + (x - x1) dd2); zero at node 1
@@ -291,13 +285,12 @@ def solve(
             start = tau * (y2 + (mid - x2) * (dd1 + (mid - x1) * dd2))
             try:
                 try:
-                    d, stats[n] = _newton_increment(problem, u, tn, diag[k], wrnn[k], rhs, cfg, n,
-                                                    start)
+                    d, stats[n] = _newton_increment(problem, u, tn, diag[k], wrnn[k], rhs, n, start)
                 except NewtonError as miss:
                     if not start:
                         raise
                     # again from zero, as without a start: a failure there is the node's
-                    d, it = _newton_increment(problem, u, tn, diag[k], wrnn[k], rhs, cfg, n)
+                    d, it = _newton_increment(problem, u, tn, diag[k], wrnn[k], rhs, n)
                     stats[n] = len(miss.residuals) + it
             except NewtonError as exc:
                 exc.partial = Solution(mesh=mesh, values=values, newton_stats=stats)

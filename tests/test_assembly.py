@@ -461,7 +461,7 @@ class TestDiagonalRule:
                              ids=["gauss8", "gauss3", "gauss80", "by-hand"])
     def test_weights_sum_to_one(self, rule):
         mesh = make_mesh(1.0, 16, 1.0)
-        cq = assembly._cell_quadrature(make_sine_order(0.6, 0.4), mesh, rule, mesh.N)
+        cq = assembly._cell_quadrature(make_sine_order(0.6, 0.4), mesh, rule)
         assert cq.diag_nodes.shape == cq.diag_weights.shape == (assembly.DIAG_PANELS * rule.count,)
         assert abs(cq.diag_weights.sum() - 1.0) <= 4 * np.finfo(float).eps
         # the rule's points, panel by panel toward the cell's right end
@@ -473,8 +473,8 @@ class TestDiagonalRule:
         # agrees with each row's own panels in t to rounding, relative to
         # K = 1 + B (alpha's rounding leaves B an absolute error of about eps)
         order, mesh = make_sine_order(0.6, 0.4), make_mesh(1.0, 1440, 1.0 / 0.6)
-        fvals, incs = march_values(order, mesh, rule)
-        cq = assembly._cell_quadrature(order, mesh, rule, mesh.N)
+        fvals, incs = march_values(order, mesh)
+        cq = assembly._cell_quadrature(order, mesh, rule)
         rows = 0
         for lo, hi, far, _, _, b, _ in assembly.coefficient_rows(order, mesh, rule, fvals, incs):
             n = np.arange(lo, hi + 1)
@@ -490,11 +490,11 @@ def sin4_problem(order):
                    u0=1.0, T=1.0, order=order)
 
 
-def march_values(order, mesh, rule):
+def march_values(order, mesh):
     """(fvals, incs) of a sin^4 solve: the f values and increments that the
     far sums weigh, incs[0] unused."""
     problem = sin4_problem(order)
-    values = solve(problem, mesh, rule).values
+    values = solve(problem, mesh).values
     return problem.f(values, mesh.nodes), np.diff(values, prepend=np.nan)
 
 
@@ -502,7 +502,7 @@ def far_sums(order, mesh, rule):
     """(far, known, direct) per row n of a sin^4 solve: the row's far cells
     1..far[n], its far sum as the stream yields it, and the same sum from
     assemble's table, where every cell is by direct quadrature."""
-    fvals, incs = march_values(order, mesh, rule)
+    fvals, incs = march_values(order, mesh)
     far, known, direct = np.zeros(mesh.N + 1, dtype=int), np.zeros(mesh.N + 1), np.zeros(mesh.N + 1)
     for lo, hi, j, *_, k in assembly.coefficient_rows(order, mesh, rule, fvals, incs):
         far[lo : hi + 1], known[lo : hi + 1] = j, k
@@ -517,7 +517,7 @@ def far_sums(order, mesh, rule):
 def far_fields(order, mesh, rule):
     """(walked, used): row groups that walked the panel tree, and those
     whose rows read far cells, in a sin^4 solve."""
-    fvals, incs = march_values(order, mesh, rule)
+    fvals, incs = march_values(order, mesh)
     walked, read = [], assembly._Panels._read
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assembly._Panels, "_read", lambda self, lo: walked.append(lo) or read(self, lo))
@@ -599,7 +599,7 @@ class TestFarField:
         for r in (1.0, 1.0 / 0.6, 1.0 / 0.3):
             assert far_fields(make_sine_order(0.6, 0.4), make_mesh(1.0, 192, r), rule) == (0, 0)
         # the gap rows, in their longer groups, too
-        fvals, incs = march_values(make_linear_order(0.9, 0.4), make_mesh(1.0, 192, 1.0), rule)
+        fvals, incs = march_values(make_linear_order(0.9, 0.4), make_mesh(1.0, 192, 1.0))
         blocks = assembly.coefficient_rows(make_linear_order(0.9, 0.4), make_mesh(1.0, 192, 1.0), rule, fvals, incs)
         assert not any(far for _, _, far, *_ in blocks)
 
@@ -636,7 +636,7 @@ class TestFarField:
         monkeypatch.setattr(assembly._Panels, "_read", recorded)
         monkeypatch.setattr(assembly._Panels, "far_sums",
                             lambda self, used, lo, hi: evaluated.append(lo) or far_sums(self, used, lo, hi))
-        march_values(bump_order(0.03, 0.01), make_mesh(1.0, 1440, 1.0), gauss_nodes())
+        march_values(bump_order(0.03, 0.01), make_mesh(1.0, 1440, 1.0))
         assert walks and set(walks) == {24}
         assert evaluated == []
 
@@ -669,8 +669,8 @@ class TestFarField:
                                              (bump_order(), 1.0, True, True)):
             mesh, rule = make_mesh(1.0, 1440, r), gauss_nodes()
             t, N = mesh.nodes, mesh.N
-            fvals, incs = march_values(order, mesh, rule)
-            cq = assembly._cell_quadrature(order, mesh, rule, N)
+            fvals, incs = march_values(order, mesh)
+            cq = assembly._cell_quadrature(order, mesh, rule)
             groups = list(assembly._groups(cq, fvals, incs))
 
             def near_enough(a, size, lo):
@@ -721,7 +721,7 @@ class TestFarField:
         # leaves narrow panels far from t = 0 a relative error of about 4e-14
         order, mesh = make_sine_order(0.6, 0.4), make_mesh(1.0, 256, r)
         t = mesh.nodes
-        cq = assembly._cell_quadrature(order, mesh, gauss_nodes(), mesh.N)
+        cq = assembly._cell_quadrature(order, mesh, gauss_nodes())
         panels = assembly._Panels(cq, 1.0 + 2.0 * t, np.diff(3.0 * t, prepend=np.nan))
         panels._make(mesh.N)
         made = np.flatnonzero(panels.ready <= mesh.N)
@@ -806,7 +806,7 @@ class TestFarField:
         rule = gauss_nodes()
         for order, N, gap in ((make_sine_order(0.6, 0.4), 1440, False), (make_linear_order(0.9, 0.4), 4000, True)):
             mesh = make_mesh(1.0, N, 1.0 / 0.6 if not gap else 1.0)
-            fvals, incs = march_values(order, mesh, rule)
+            fvals, incs = march_values(order, mesh)
             rows, far_blocks = 0, 0
             for lo, hi, far, *blocks, known in assembly.coefficient_rows(order, mesh, rule, fvals, incs):
                 n = np.arange(lo, hi + 1)[:, None]
@@ -826,7 +826,7 @@ class TestFarField:
         # the stream is driven as the march drives it, with NaN in every
         # entry not yet solved: a far sum that read one would be NaN
         order, mesh, rule = make_sine_order(0.6, 0.4), make_mesh(1.0, 1440, 1.0 / 0.6), gauss_nodes()
-        solved_f, solved_d = march_values(order, mesh, rule)
+        solved_f, solved_d = march_values(order, mesh)
         fvals, incs = np.full(mesh.N + 1, np.nan), np.full(mesh.N + 1, np.nan)
         fvals[0] = solved_f[0]
         used = 0

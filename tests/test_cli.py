@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vofie import analysis, cli
+from vofie import analysis, cli, solver
 from vofie.assembly import DIAG_PANELS, gauss_nodes
 from vofie.cli import PRESETS, build_run, main
 from vofie.mesh import make_mesh
@@ -25,17 +25,14 @@ def zero_config(N=64, r=1.0):
         "problem": {"f": "zero", "u0": 1.0, "T": 1.0},
         "order": {"family": "sine", "a0": 0.6, "a1": 0.1},
         "mesh": {"N": N, "r": r},
-        "quad_nodes": 40,
     }
 
 
 class TestConfigResolution:
     def test_presets_resolve(self):
         for name, preset in PRESETS.items():
-            problem, mesh, rule, cfg, conv = build_run(json.loads(json.dumps(preset)))
+            problem, mesh, conv = build_run(json.loads(json.dumps(preset)))
             assert mesh.N >= 48, name
-            assert rule.count == 8  # the library rule, gauss_nodes()
-            assert cfg.tol == 1e-10
 
     def test_runs_leave_the_presets_unchanged(self, tmp_path):
         before = json.dumps(PRESETS)
@@ -61,13 +58,10 @@ class TestConfigResolution:
         "section,key,value,named",
         [
             ("mesh", "N", 16.7, "mesh.N"),
-            (None, "quad_nodes", 8.9, "quad_nodes"),
-            ("newton", "max_iter", 2.5, "newton.max_iter"),
             ("problem", "u0", float("nan"), "problem.u0"),
             ("mesh", "r", float("inf"), "mesh.r"),
             ("problem", "u0", True, "problem.u0"),
             ("order", "a0", "0.6", "order.a0"),
-            ("newton", "damping", True, "newton keys: ['damping']"),
             pytest.param("problem", "u0", 10**400, "problem.u0", id="problem-u0-400-digits"),
             ("problem", "f", "cubic", "unknown builtin f: 'cubic'"),
             ("order", "family", "bessel", "unknown order family: 'bessel'"),
@@ -96,6 +90,23 @@ class TestConfigResolution:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
+        assert not out.exists() and solves == []
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("quad_nodes", 8.9), ("quad_nodes", 8), ("newton", {"tol": 1e-10})],
+        ids=["quad_nodes-8.9", "quad_nodes-8", "newton-tol"],
+    )
+    def test_removed_setting_is_an_unknown_key(self, tmp_path, capsys, monkeypatch, key, value):
+        # the per-cell rule and Newton's stopping test are fixed: a config that
+        # sets them, even to the values a solve reads, is refused unsolved
+        solves = []
+        monkeypatch.setattr(cli, "solve", lambda *args: solves.append(args))
+        config = {**zero_config(N=16), key: value}
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", write_config(tmp_path, config), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"config error: unknown top-level keys: ['{key}']\n"
         assert not out.exists() and solves == []
 
     @pytest.mark.parametrize(
@@ -230,13 +241,13 @@ class TestCmdSolve:
         assert main(["solve", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
 
-    def test_newton_failure_writes_summary(self, tmp_path, capsys):
+    def test_newton_failure_writes_summary(self, tmp_path, capsys, monkeypatch):
         config = {
             "problem": {"f": "sin4", "u0": 1.0, "T": 1.0},
             "order": {"family": "sine", "a0": 0.6, "a1": 0.4},
             "mesh": {"N": 16, "r": 1.0},
-            "newton": {"max_iter": 1},
         }
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 1)
         out = tmp_path / "out"
         rc = main(["solve", "--config", write_config(tmp_path, config), "--out", str(out)])
         assert rc == 2
@@ -291,7 +302,7 @@ class TestCmdSolve:
         rows = (out / "solution.csv").read_text().splitlines()[1:]
         problem = Problem(f=lambda u, t: -2.0 * u, df_du=lambda u, t: -2.0 + 0.0 * u,
                           u0=1.0, T=1.0, order=make_sine_order(0.6, 0.1))
-        expected = solve(problem, make_mesh(1.0, 32, 1.0), gauss_nodes(40))
+        expected = solve(problem, make_mesh(1.0, 32, 1.0))
         np.testing.assert_array_equal([float(r.split(",")[1]) for r in rows], expected.values)
 
     @pytest.mark.parametrize(
@@ -470,7 +481,6 @@ class TestCmdCoeffs:
             "problem": {"f": "zero", "u0": 1.0, "T": 1.0},
             "order": {"family": "constant", "value": 0.5},
             "mesh": {"N": 8, "r": 1.0},
-            "quad_nodes": 20,
         }
         out = tmp_path / "out"
         rc = main(["coeffs", "--config", write_config(tmp_path, config), "--out", str(out)])

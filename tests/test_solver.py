@@ -18,7 +18,6 @@ from vofie.order import (
     make_sine_order,
 )
 from vofie.solver import (
-    NewtonConfig,
     NewtonDivergedError,
     NewtonError,
     Problem,
@@ -62,7 +61,7 @@ def solve_from_zero(problem, mesh):
     predicted start: the reference the extrapolated start is compared with."""
     newton = solver._newton_increment
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_newton_increment", lambda *args: newton(*args[:8]))
+        mp.setattr(solver, "_newton_increment", lambda *args: newton(*args[:7]))
         return solve(problem, mesh)
 
 
@@ -265,6 +264,31 @@ class TestBlockMarch:
         np.testing.assert_array_equal(small.newton_stats, default.newton_stats)
 
 
+class TestFixedRule:
+    @pytest.mark.parametrize(
+        "make_order,N,r,atol",
+        [
+            (lambda: make_sine_order(0.6, 0.4), 1440, 1.0 / 0.6, 1e-14),
+            (lambda: make_sine_order(0.3, 0.9), 1440, 1.0 / 0.3, 1e-14),
+            (lambda: make_linear_order(0.9, 0.4), 4000, 1.0, 1e-14),  # gap rows
+            (lambda: oscillating_order(), 1440, 1.0, 1e-12),
+        ],
+        ids=["sine-0.6-0.4-graded", "sine-0.3-0.9-graded", "linear-0.9-0.4", "sin-40t"],
+    )
+    def test_more_nodes_per_cell_move_no_solution(self, make_order, N, r, atol):
+        # a solve always reads the 8-node rule; 12 and 20 nodes per cell and
+        # per diagonal panel leave its values where they are
+        problem, mesh = sin4_problem(make_order()), make_mesh(1.0, N, r)
+        default = solve(problem, mesh)
+        rows = solver.coefficient_rows
+        for count in (12, 20):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver, "coefficient_rows", lambda order, mesh, rule, *arrays:
+                           rows(order, mesh, gauss_nodes(count), *arrays))
+                finer = solve(problem, mesh)
+            np.testing.assert_allclose(finer.values, default.values, rtol=0, atol=atol)
+
+
 class TestFarField:
     def direct_solve(self, problem, mesh):
         with pytest.MonkeyPatch.context() as mp:
@@ -437,14 +461,16 @@ class TestNewtonBehavior:
         sol = solve(problem, make_mesh(1.0, 96, 1.0))
         assert np.max(sol.newton_stats[1:]) <= 10
 
-    def test_diverged_error_carries_node(self):
+    def test_diverged_error_carries_node(self, monkeypatch):
+        # one iterate per attempt: the cap is exhausted at the first node
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 1)
         order = make_constant_order(0.5)
         problem = Problem(
             f=lambda u, t: np.sinh(5 * u), df_du=lambda u, t: 5 * np.cosh(5 * u),
             u0=1.0, T=1.0, order=order,
         )
-        with pytest.raises(NewtonDivergedError) as err:
-            solve(problem, make_mesh(1.0, 4, 1.0), cfg=NewtonConfig(max_iter=1))
+        with pytest.raises(NewtonDivergedError, match="no convergence in 1 iterations") as err:
+            solve(problem, make_mesh(1.0, 4, 1.0))
         assert err.value.node >= 1
 
     def test_diverged_error_carries_partial_solution(self):
@@ -499,24 +525,6 @@ class TestNewtonBehavior:
         assert summary["t_reached"] == 0.5
         np.testing.assert_array_equal(exc.partial.values[:9], 1.0)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NewtonConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            NewtonConfig(max_iter=0)
-
-    @pytest.mark.parametrize(
-        "setting",
-        [
-            {"tol": math.nan},  # would never converge
-            {"tol": math.inf},  # would accept the first iterate
-            {"max_iter": 2.5},
-        ],
-    )
-    def test_non_finite_or_fractional_setting_is_refused(self, setting):
-        with pytest.raises(ValueError, match="finite|integer"):
-            NewtonConfig(**setting)
-
 
 @settings(max_examples=20, deadline=None)
 @given(
@@ -535,7 +543,7 @@ def test_blow_up_names_its_node(u0, N, a0):
     node, partial, residuals = exc.node, exc.partial, exc.residuals
     assert 1 <= node <= N and f"node {node}" in str(exc)
     assert np.all(np.isfinite(partial.values[:node])) and np.all(np.isnan(partial.values[node:]))
-    assert 1 <= len(residuals) <= NewtonConfig().max_iter
+    assert 1 <= len(residuals) <= solver.NEWTON_MAX_ITER
     assert residuals[-1] == exc.residual or not math.isfinite(exc.residual)
     summary = exc.summary()
     assert summary["failed_node"] == node
