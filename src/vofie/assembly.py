@@ -7,8 +7,8 @@ Two coefficient families are built per collocation row n:
   against the hats (their slopes are constant per cell) turns the K_s
   history term of row n into U_n - u0 + sum_j B[n][j] (U_j - U_{j-1}),
   which is the increment form the march solves. A short Gauss-Legendre
-  rule per cell resolves the averages; the diagonal cell gets geometric
-  sub-panels toward s = t_n, where K has a v ln v corner;
+  rule per cell resolves the averages; the diagonal cell gets one fixed
+  rule graded into s = t_n, where K has a v ln v corner;
 * singular moments wL/wR: integrals of the two hat pieces on each cell
   against the weakly singular weight (t_n - s)^{alpha(t_n)-1}/Gamma(alpha(t_n)),
   in closed form (product integration), with wL + wR equal to the cell's
@@ -82,11 +82,6 @@ from .kernel import kernel_Ks  # noqa: F401
 from .mesh import Mesh
 from .order import VariableOrder
 
-# Geometric subdivision of the diagonal cell toward s = t_n: K(t_n, .) has a
-# v ln v corner there (v = t_n - s), which one open panel resolves only to
-# ~1e-7.
-DIAG_PANELS = 6
-DIAG_RATIO = 0.15
 # Kernel evaluations per block of history rows, and moments per block where
 # no kernel points come with them (the gap rows): large enough that numpy
 # call overhead is amortised, small enough that the temporaries stay in
@@ -109,10 +104,11 @@ FAR_SEPARATION = 1.5
 # 96 and 128 are equal and 192 slower.
 GROUP_ROWS = 64
 # Kernel and moment points (rule.count + 1 per far cell and row) a group must
-# save for its far field to be read: every solve with N <= 192 and the
-# 8-node rule stays direct. The closest is the uniform N = 192 group at
-# lo = 129, whose 64 rows find 112 cells in ready leaves and would save
-# 112 * 576 = 64,512 points, 1.6 % short.
+# save for its far field to be read: with the 7-node rule, 8 points per far
+# cell and row, every solve with N <= 192 stays direct, on any grading. The
+# closest is the N = 192 group at lo = 129 on a mesh with r >= 5.07, whose
+# 64 rows find 120 cells in ready leaves and would save 120 * 512 = 61,440
+# points, 6.3 % short; on a uniform mesh they find 112 cells, 12.5 % short.
 FAR_MIN_SAVED_POINTS = 4 * HISTORY_BLOCK_POINTS
 # Largest miss of each of a panel's far terms at the nearest row that reads
 # it, relative to the sum of that term's absolute contributions there, for
@@ -141,12 +137,13 @@ class QuadratureRule:
         return len(self.nodes)
 
 
-def gauss_nodes(count: int = 8) -> QuadratureRule:
+def gauss_nodes(count: int = 7) -> QuadratureRule:
     """Gauss-Legendre rule on (0, 1); exact for degree <= 2*count - 1.
 
-    The default is the per-cell rule of the history assembly: the cell
-    averages of the bounded kernel K it integrates need few nodes. Each
-    rule is built once per count and shared, so its arrays are read-only.
+    The default is the per-cell rule of the history assembly: off the
+    diagonal, the cell averages of the bounded kernel K it integrates need
+    few nodes. Each rule is built once per count and shared, so its arrays
+    are read-only.
     """
     if count < 1:
         raise ValueError(f"need at least one quadrature node, got {count}")
@@ -161,16 +158,27 @@ def _gauss_rule(count: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def _diag_edges(lo, hi) -> np.ndarray:
-    """Panel edges from lo to hi accumulating geometrically toward hi.
+def _corner_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the diagonal cell's rule as fractions of the
+    cell, nodes ascending: count-node Gauss-Legendre in w on (0, 1) with
+    s = t_n - tau_n w^4, so nodes 1 - w^4 and weights 4 w^3 W, scaled to sum
+    to one (unscaled, the nodes' rounding leaves them 1e-15 off)."""
+    rule = gauss_nodes(count)
+    w, W = rule.nodes[::-1], rule.weights[::-1]
+    weights = 4.0 * w**3 * W
+    nodes, weights = 1.0 - w**4, weights / weights.sum()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
-    Scalars give DIAG_PANELS + 1 edges; arrays of cells give one such row
-    per cell.
-    """
-    lo = np.asarray(lo, dtype=float)[..., None]
-    hi = np.asarray(hi, dtype=float)[..., None]
-    inner = hi - (hi - lo) * DIAG_RATIO ** np.arange(1, DIAG_PANELS, dtype=float)
-    return np.concatenate((lo, inner, hi), axis=-1)
+
+# The diagonal cell's rule, the same for every row. With v = t_n - s,
+# alpha(t_n) - alpha(s) = O(v), so K(t_n, .) - 1 there is smooth plus terms
+# v^k (ln v)^m with k >= m >= 1; v = tau_n w^4 turns v ln v into
+# 16 w^7 ln w, which 20 Gauss nodes in w integrate to rounding.
+DIAG_NODES, DIAG_WEIGHTS = _corner_rule(20)
+# The diagonal rule's points in cells of the default per-cell rule, rounded
+# up: what a row's diagonal costs beside its other near cells (_row_blocks)
+DIAG_CELLS = -(-len(DIAG_NODES) // gauss_nodes().count)
 
 
 def _moments(t: np.ndarray, edges: np.ndarray, al: np.ndarray):
@@ -240,11 +248,9 @@ class _CellQuadrature:
 
     Cell j = [t_{j-1}, t_j] is row j-1 of `s`/`alpha_s`: the rule's points
     there and alpha at them, evaluated once per assembly. The diagonal cell
-    of a row gets the rule on each of its geometric panels instead
-    (_diag_edges). Those panels are fixed fractions of the cell, so the
-    points and weights are too: diagonal cell n - 1 of row n has its points
-    at t_{n-1} + tau_n diag_nodes, and diag_weights, which sum to one, give
-    its average.
+    of a row gets the fixed diagonal rule instead, whatever the rule: cell n
+    of row n has its points at t_{n-1} + tau_n DIAG_NODES, and DIAG_WEIGHTS,
+    which sum to one, give its average.
     """
 
     order: VariableOrder
@@ -253,16 +259,12 @@ class _CellQuadrature:
     alpha_t: np.ndarray
     s: np.ndarray
     alpha_s: np.ndarray
-    diag_nodes: np.ndarray
-    diag_weights: np.ndarray
 
 
 def _cell_quadrature(order: VariableOrder, mesh: Mesh, rule: QuadratureRule):
     """_CellQuadrature for rows 1..N (cells 1..N-1 off the diagonal)."""
     cells = mesh.N - 1
     s = mesh.nodes[:cells, None] + mesh.steps[:cells, None] * rule.nodes
-    edges = _diag_edges(0.0, 1.0)
-    width = np.diff(edges)[:, None]
     return _CellQuadrature(
         order=order,
         mesh=mesh,
@@ -270,8 +272,6 @@ def _cell_quadrature(order: VariableOrder, mesh: Mesh, rule: QuadratureRule):
         alpha_t=np.asarray(order.alpha(mesh.nodes), dtype=float),
         s=s,
         alpha_s=np.asarray(order.alpha(s), dtype=float),
-        diag_nodes=(edges[:-1, None] + width * rule.nodes).ravel(),
-        diag_weights=(width * rule.weights).ravel(),
     )
 
 
@@ -286,8 +286,8 @@ def _cell_averages(cq: _CellQuadrature, rows: np.ndarray, first: int = 0) -> np.
     n are zero. The rows are consecutive. The cells first+1..rows[0]-1 are
     off the diagonal of every row, one broadcast rectangle of the rule's
     points; the later off-diagonal cells, a triangle, are gathered point by
-    point; the diagonal cell gets geometric panels toward the v ln v corner
-    at s = t_n (cq.diag_nodes).
+    point; the diagonal cell gets the fixed rule graded into the v ln v
+    corner at s = t_n (DIAG_NODES), alpha sampled at its points row by row.
     """
     nodes, w = cq.mesh.nodes, cq.rule.weights
     tn, an = nodes[rows], cq.alpha_t[rows]
@@ -304,9 +304,9 @@ def _cell_averages(cq: _CellQuadrature, rows: np.ndarray, first: int = 0) -> np.
     j = first + c
     out[k, c] = _kernel_minus_one(an[k, None] - cq.alpha_s[j], tn[k, None] - cq.s[j]) @ w
 
-    s = nodes[rows - 1, None] + cq.mesh.steps[rows - 1, None] * cq.diag_nodes
+    s = nodes[rows - 1, None] + cq.mesh.steps[rows - 1, None] * DIAG_NODES
     da = an[:, None] - np.asarray(cq.order.alpha(s), dtype=float)
-    out[np.arange(len(rows)), counts] = _kernel_minus_one(da, tn[:, None] - s) @ cq.diag_weights
+    out[np.arange(len(rows)), counts] = _kernel_minus_one(da, tn[:, None] - s) @ DIAG_WEIGHTS
     return out
 
 
@@ -322,10 +322,10 @@ def _hat_weights(averages: np.ndarray) -> np.ndarray:
 
 
 def _row_blocks(lo: int, hi: int, first: int, cells: int):
-    """Consecutive row ranges of lo..hi, each within `cells` near cells
-    first+1..n and diagonal panels (a row with more is a block of its
-    own)."""
-    cost = np.cumsum(np.arange(lo, hi + 1) - first + DIAG_PANELS)
+    """Consecutive row ranges of lo..hi, each within `cells` cells: row n
+    counts its near cells first+1..n-1 and DIAG_CELLS for its diagonal (a
+    row with more is a block of its own)."""
+    cost = np.cumsum(np.arange(lo, hi + 1) - first - 1 + DIAG_CELLS)
     start = 0
     while start < len(cost):
         base = cost[start - 1] if start else 0
@@ -611,7 +611,7 @@ def history_weights(order: VariableOrder, mesh: Mesh, rule: QuadratureRule, n: i
     two supporting cells, and h[n][0] the u0 coefficient from the
     descending hat on [t_0, t_1]: differences of the row's cell averages of
     K (_hat_weights), each by direct quadrature, with `rule` applied per
-    cell and per diagonal panel.
+    cell off the diagonal and the fixed diagonal rule on it.
     """
     if not (1 <= n <= mesh.N):
         raise IndexError(f"need 1 <= n <= N, got n={n}, N={mesh.N}")
@@ -796,8 +796,9 @@ def assemble(
 ) -> WeightTable:
     """Build the full weight table from the collocation rows.
 
-    rule is the Gauss rule applied per mesh cell and per geometric panel of
-    each row's diagonal cell; None means gauss_nodes(), 8 nodes. The default
+    rule is the Gauss rule applied per mesh cell off each row's diagonal;
+    None means gauss_nodes(), 7 nodes. The diagonal cell always takes the
+    fixed rule graded into its corner (DIAG_NODES). The default
     table is dense, from _direct_rows on every input (a reference for the
     gap-indexed rows). fast_path stores the O(N) gap-indexed cell averages
     and nodal kernel values a solve reads where translation_invariant holds,

@@ -63,8 +63,8 @@ class TestGaussNodes:
     def test_rules_are_shared_and_read_only(self):
         # each rule is built once per count, so no caller may write to it
         rule = gauss_nodes()
-        assert gauss_nodes() is rule and gauss_nodes(8) is rule
-        assert gauss_nodes(9) is not rule
+        assert gauss_nodes() is rule and gauss_nodes(7) is rule
+        assert gauss_nodes(8) is not rule
         for values in (rule.nodes, rule.weights):
             with pytest.raises(ValueError):
                 values[0] = 0.0
@@ -435,17 +435,14 @@ class TestIntegrationByParts:
 
 
 def per_row_diagonal_averages(cq, rows):
-    """B[n][n] for n in rows from each row's own _diag_edges panels in t,
-    with cq.rule on each: the average that the fixed diagonal rule of
-    _CellQuadrature stands for."""
-    nodes, x, w = cq.mesh.nodes, cq.rule.nodes, cq.rule.weights
-    tn = nodes[rows]
-    edges = assembly._diag_edges(nodes[rows - 1], tn)
-    width = np.diff(edges, axis=1)[:, :, None]
-    s = (edges[:, :-1, None] + width * x).reshape(len(rows), -1)
-    wgt = (width * w / cq.mesh.steps[rows - 1, None, None]).reshape(len(rows), -1)
-    da = cq.alpha_t[rows, None] - np.asarray(cq.order.alpha(s), dtype=float)
-    return np.sum(assembly._kernel_minus_one(da, tn[:, None] - s) * wgt, axis=1)
+    """B[n][n] for n in rows from the diagonal rule taken in t, row by row:
+    20-node Gauss-Legendre in w on (0, 1) at s = t_n - tau_n w^4, with
+    weights 4 w^3 W. It is the average that DIAG_NODES and DIAG_WEIGHTS,
+    fractions of the cell, stand for."""
+    w, W = gauss_nodes(20).nodes, gauss_nodes(20).weights
+    tn, v = cq.mesh.nodes[rows, None], cq.mesh.steps[rows - 1, None] * w**4
+    da = cq.alpha_t[rows, None] - np.asarray(cq.order.alpha(tn - v), dtype=float)
+    return assembly._kernel_minus_one(da, v) @ (4.0 * w**3 * W)
 
 
 # a rule built by hand, not by gauss_nodes: exact for degree 1 only
@@ -453,24 +450,34 @@ SKEWED_RULE = QuadratureRule(nodes=np.array([0.2, 0.7]), weights=np.array([0.4, 
 
 
 class TestDiagonalRule:
-    """The diagonal cell's geometric panels are fixed fractions of the cell,
-    so _CellQuadrature holds their points and weights once, built from the
-    rule the rows are built with."""
+    """The diagonal cell takes one fixed rule graded into its v ln v corner,
+    whatever the per-cell rule the rows are built with: its points and
+    weights are fractions of the cell, held once (DIAG_NODES,
+    DIAG_WEIGHTS)."""
 
-    @pytest.mark.parametrize("rule", [gauss_nodes(), gauss_nodes(3), gauss_nodes(80), SKEWED_RULE],
+    @pytest.mark.parametrize("rule", [gauss_nodes(8), gauss_nodes(3), gauss_nodes(80), SKEWED_RULE],
                              ids=["gauss8", "gauss3", "gauss80", "by-hand"])
-    def test_weights_sum_to_one(self, rule):
-        mesh = make_mesh(1.0, 16, 1.0)
+    def test_weights_sum_to_one(self, rule, monkeypatch):
+        nodes, weights = assembly.DIAG_NODES, assembly.DIAG_WEIGHTS
+        assert nodes.shape == weights.shape == (20,)
+        assert abs(weights.sum() - 1.0) <= 4 * np.finfo(float).eps
+        assert np.all(np.diff(nodes) > 0) and 0.0 < nodes[0] and nodes[-1] < 1.0
+        # whatever the per-cell rule, the diagonal average of K - 1 = 1 is one
+        # and its points are those fractions of the cell
+        mesh = make_mesh(1.0, 16, 1.0 / 0.6)
         cq = assembly._cell_quadrature(make_sine_order(0.6, 0.4), mesh, rule)
-        assert cq.diag_nodes.shape == cq.diag_weights.shape == (assembly.DIAG_PANELS * rule.count,)
-        assert abs(cq.diag_weights.sum() - 1.0) <= 4 * np.finfo(float).eps
-        # the rule's points, panel by panel toward the cell's right end
-        assert np.all(np.diff(cq.diag_nodes) > 0) and 0.0 < cq.diag_nodes[0] and cq.diag_nodes[-1] < 1.0
+        gaps = []
+        monkeypatch.setattr(assembly, "_kernel_minus_one", lambda da, v: gaps.append(v) or np.ones_like(v))
+        rows = np.arange(1, mesh.N + 1)
+        diag = assembly._cell_averages(cq, rows)[rows - 1, rows - 1]
+        assert np.all(np.abs(diag - 1.0) <= 4 * np.finfo(float).eps)
+        tau = mesh.steps[rows - 1, None]
+        np.testing.assert_allclose(gaps[-1], tau * (1.0 - nodes), rtol=0, atol=4 * np.finfo(float).eps)
 
-    @pytest.mark.parametrize("rule", [gauss_nodes(), SKEWED_RULE], ids=["gauss8", "by-hand"])
-    def test_blocks_match_per_row_panels(self, rule):
+    @pytest.mark.parametrize("rule", [gauss_nodes(), SKEWED_RULE], ids=["gauss7", "by-hand"])
+    def test_blocks_match_per_row_rule(self, rule):
         # every diagonal average the stream yields on a graded N = 1440 solve
-        # agrees with each row's own panels in t to rounding, relative to
+        # agrees with each row's own rule in t to rounding, relative to
         # K = 1 + B (alpha's rounding leaves B an absolute error of about eps)
         order, mesh = make_sine_order(0.6, 0.4), make_mesh(1.0, 1440, 1.0 / 0.6)
         fvals, incs = march_values(order, mesh)
@@ -594,9 +601,10 @@ class TestFarField:
         assert all(np.all(dense.history_row(n) == 0.0) for n in range(1, mesh.N + 1))
 
     def test_small_solves_stay_direct(self):
-        # the far field engages only where it saves enough points
+        # the far field engages only where it saves enough points; a mesh
+        # graded with r >= 5.07 readies the most leaves by row 129
         rule = gauss_nodes()
-        for r in (1.0, 1.0 / 0.6, 1.0 / 0.3):
+        for r in (1.0, 1.0 / 0.6, 1.0 / 0.3, 6.0):
             assert far_fields(make_sine_order(0.6, 0.4), make_mesh(1.0, 192, r), rule) == (0, 0)
         # the gap rows, in their longer groups, too
         fvals, incs = march_values(make_linear_order(0.9, 0.4), make_mesh(1.0, 192, 1.0))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vofie import analysis, cli, solver
-from vofie.assembly import DIAG_PANELS, gauss_nodes
+from vofie.assembly import DIAG_NODES, gauss_nodes
 from vofie.cli import PRESETS, build_run, main
 from vofie.mesh import make_mesh
 from vofie.order import make_custom_order, make_linear_order, make_sine_order
@@ -263,7 +263,7 @@ class TestCmdSolve:
 
     def test_fast_path_check_and_solve_each_sample_alpha_once(self, tmp_path, monkeypatch):
         # the flag's check and the solve each sample alpha once at the nodes
-        # and the rule points; the gap rows add row N's diagonal panels
+        # and the rule points; the gap rows add row N's diagonal rule
         N, rule = 64, gauss_nodes()
         line = make_linear_order(0.9, 0.4)
         points = []
@@ -287,9 +287,9 @@ class TestCmdSolve:
         mesh = make_mesh(1.0, N, 1.0)
         rule_points = mesh.nodes[: N - 1, None] + mesh.steps[: N - 1, None] * rule.nodes
         expected = np.concatenate((mesh.nodes, rule_points.ravel()))
-        assert len(expected) == N + 1 + (N - 1) * 8
+        assert len(expected) == N + 1 + (N - 1) * rule.count
         sampled = np.concatenate(points)
-        assert len(sampled) == 2 * len(expected) + DIAG_PANELS * rule.count
+        assert len(sampled) == 2 * len(expected) + len(DIAG_NODES)
         values, counts = np.unique(sampled, return_counts=True)
         k = np.searchsorted(values, expected)
         assert np.array_equal(values[k], expected) and np.all(counts[k] == 2)

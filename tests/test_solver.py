@@ -276,15 +276,19 @@ class TestFixedRule:
         ids=["sine-0.6-0.4-graded", "sine-0.3-0.9-graded", "linear-0.9-0.4", "sin-40t"],
     )
     def test_more_nodes_per_cell_move_no_solution(self, make_order, N, r, atol):
-        # a solve always reads the 8-node rule; 12 and 20 nodes per cell and
-        # per diagonal panel leave its values where they are
+        # a solve always reads the 7-node rule per cell and the 20-node
+        # diagonal rule; 12 and 20 nodes per cell, with a 40-node diagonal
+        # rule, leave its values where they are
         problem, mesh = sin4_problem(make_order()), make_mesh(1.0, N, r)
         default = solve(problem, mesh)
         rows = solver.coefficient_rows
+        diag_nodes, diag_weights = assembly._corner_rule(40)
         for count in (12, 20):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(solver, "coefficient_rows", lambda order, mesh, rule, *arrays:
                            rows(order, mesh, gauss_nodes(count), *arrays))
+                mp.setattr(assembly, "DIAG_NODES", diag_nodes)
+                mp.setattr(assembly, "DIAG_WEIGHTS", diag_weights)
                 finer = solve(problem, mesh)
             np.testing.assert_allclose(finer.values, default.values, rtol=0, atol=atol)
 
@@ -750,8 +754,9 @@ class TestVieResidual:
     def test_scheme_quadrature_error_at_nodes(self, order, N, r):
         # with f = 1 the scheme integrates f exactly, so at a node the
         # residual is the error of its K averages, moments and far-field
-        # panels alone (measured at most 9.3e-13); far sums or wL scaled by
-        # 1 + 1e-9 read 4.5e-10 or more
+        # panels alone (measured at most 5.0e-15, and 9.3e-13 with the
+        # diagonal cell in six geometric panels of the 8-node rule); far sums
+        # or wL scaled by 1 + 1e-9 read 4.5e-10 or more
         problem = problem_one(order)
         mesh = make_mesh(1.0, N, r)
         sol = solve(problem, mesh)
@@ -762,6 +767,29 @@ class TestVieResidual:
         # not zero everywhere (largest midpoint measured 2.7e-7 to 6.2e-3)
         mids = 0.5 * (mesh.nodes[cells - 1] + mesh.nodes[cells])
         assert max(vie_residual(problem, sol, t) for t in mids) >= 1e-7
+
+    @pytest.mark.parametrize(
+        "order,N,r",
+        [
+            (make_sine_order(0.4, 0.2), 48, 2.5),
+            (make_sine_order(0.6, 0.4), 96, 1 / 0.6),
+            (make_sine_order(1.0, 0.8), 120, 1.0),
+            (oscillating_order(), 96, 1.0),
+            (oscillating_order(), 1440, 1.0),
+        ],
+        ids=["sine-0.4-0.2-graded-48", "sine-0.6-0.4-graded-96", "sine-1-0.8-uniform-120",
+             "sin-40t-96", "sin-40t-1440"],
+    )
+    def test_quadrature_error_at_nodes_is_rounding(self, order, N, r):
+        # with f = 1 the residual at a node is the scheme's own quadrature
+        # error (see above): the diagonal rule graded into the v ln v corner
+        # leaves only rounding (measured at most 5.0e-15, at sin 40t
+        # N = 1440; six geometric panels of the 8-node rule read 1.5e-12,
+        # 2.8e-13, 1.3e-13, 3.9e-11 and 9.3e-13)
+        problem, mesh = problem_one(order), make_mesh(1.0, N, r)
+        sol = solve(problem, mesh)
+        for n in np.linspace(1, N, 24).round().astype(int):
+            assert vie_residual(problem, sol, mesh.nodes[n]) <= 1e-14, n
 
     @pytest.mark.parametrize(
         "order,N,r",
