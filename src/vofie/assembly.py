@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,10 +83,14 @@ from .kernel import kernel_Ks  # noqa: F401
 from .mesh import Mesh
 from .order import VariableOrder
 
-# Kernel evaluations per block of history rows, and moments per block where
-# no kernel points come with them (the gap rows): large enough that numpy
-# call overhead is amortised, small enough that the temporaries stay in
-# cache and add nothing measurable to peak memory.
+# The most points of any one array a block of rows builds (_row_blocks):
+# kernel points, moments or cell averages. The ceiling is one array of 2^14
+# doubles, 128 KiB, glibc's default mmap threshold, not a cache size. On a
+# 2-core Xeon, alternating solve by solve in one process, a cap of 2^15 (one
+# block at graded N = 96, with a 31,920-point triangle) made N = 96 solves
+# 9 % slower, and 2 % faster once the process raised glibc's mmap and trim
+# thresholds. Under the old rule, which capped a block's total, 2^15 took
+# 267 minor page faults per N = 96 solve, against none at 2^14.
 HISTORY_BLOCK_POINTS = 2**14
 # Far field. The cells sit in a binary tree of source panels (_Panels): a
 # leaf holds PANEL_LEAF_CELLS cells and each parent its two children's. A
@@ -176,9 +181,6 @@ def _corner_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
 # v^k (ln v)^m with k >= m >= 1; v = tau_n w^4 turns v ln v into
 # 16 w^7 ln w, which 20 Gauss nodes in w integrate to rounding.
 DIAG_NODES, DIAG_WEIGHTS = _corner_rule(20)
-# The diagonal rule's points in cells of the default per-cell rule, rounded
-# up: what a row's diagonal costs beside its other near cells (_row_blocks)
-DIAG_CELLS = -(-len(DIAG_NODES) // gauss_nodes().count)
 
 
 def _moments(t: np.ndarray, edges: np.ndarray, al: np.ndarray):
@@ -206,19 +208,59 @@ def _moments(t: np.ndarray, edges: np.ndarray, al: np.ndarray):
     is about eps b/tau, as m's, and theta is clipped to its range against
     rounding as q -> 0.
     """
-    v = np.maximum(t[:, None] - edges, 0.0)
+    v = np.subtract(t[:, None], edges)
+    np.maximum(v, 0.0, out=v)
     al = al[:, None]
     m = v**al
-    m = (m[:, :-1] - m[:, 1:]) / (al * special.gamma(al))
-    b, a = v[:, :-1], v[:, 1:]
+    m = np.subtract(m[:, :-1], m[:, 1:])
+    q = np.subtract(v[:, :-1], v[:, 1:])
+    with np.errstate(invalid="ignore"):
+        q /= v[:, :-1]  # 0/0 in the zero columns past t
+    del v
+    return _split_masses(q, m, al)
+
+
+def _cell_moments(t: np.ndarray, left: np.ndarray, right: np.ndarray, al: np.ndarray):
+    """(wL, wR) of _moments for one cell [left[k], right[k]] per time t[k],
+    on flat arrays: the same operations, so the same values, without a
+    two-column edge array per time."""
+    b, a = t - left, t - right
+    np.maximum(b, 0.0, out=b)
+    np.maximum(a, 0.0, out=a)
+    m = b**al
+    m -= a**al
+    q = np.subtract(b, a)
+    with np.errstate(invalid="ignore"):
+        q /= b
+    del b, a
+    return _split_masses(q, m, al)
+
+
+def _split_masses(q, m, al):
+    """(wL, wR) of _moments from q = (b - a)/b and m = b^al - a^al, with
+    b = t - t_{i-1} and a = t - t_i clipped at zero, both of one shape (al
+    broadcast against them): m is divided by al G in place and returned as
+    wR, and q is overwritten."""
+    m /= al * special.gamma(al)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = (b - a) / b
-        e = np.expm1(al * np.log1p(-q))  # -D
-        theta = (q * (al - e) + e) / (q * e) * (-1.0 / (al + 1.0))
+        e = np.negative(q)  # -D = expm1(al log1p(-q))
+        np.log1p(e, out=e)
+        e *= al
+        np.expm1(e, out=e)
+        # theta = (q (al - e) + e) / (q e) * (-1 / (al + 1))
+        theta = np.subtract(al, e)
+        theta *= q
+        theta += e
+        q *= e
+        theta /= q
+        theta *= -1.0 / (al + 1.0)
     # fmax/fmin also map the NaN of the zero columns past t (q = 0/0)
     # into range, where m = 0
-    wl = np.fmin(np.fmax(theta, al / (al + 1.0), out=theta), 0.5, out=theta) * m
-    return wl, m - wl
+    np.fmax(theta, al / (al + 1.0), out=theta)
+    np.fmin(theta, 0.5, out=theta)
+    theta *= m
+    m -= theta
+    return theta, m
 
 
 def singular_moments(order: VariableOrder, mesh: Mesh, n: int, i: int):
@@ -235,10 +277,21 @@ def _kernel_minus_one(da, v):
 
     (t-s)^da / Gamma(1+da) - 1 written as (expm1(da ln v) - (G - 1)) / G,
     G = Gamma(1 + da): no cancellation against the leading 1, and exactly
-    zero wherever da = 0 (constant order).
+    zero wherever da = 0 (constant order). The steps run in place in two
+    arrays beside the inputs, which are left as they are. G - 1 is taken in
+    G's array: it is exact for G in [1/2, 2^53), where G lies for da in
+    (-1, 1), so adding the 1 back restores G bit for bit.
     """
-    g = special.gamma(1.0 + da)
-    return (np.expm1(da * np.log(v)) - (g - 1.0)) / g
+    g = np.add(da, 1.0)
+    special.gamma(g, out=g)
+    out = np.log(v)
+    out *= da
+    np.expm1(out, out=out)
+    g -= 1.0
+    out -= g
+    g += 1.0
+    out /= g
+    return out
 
 
 @dataclass(frozen=True)
@@ -297,6 +350,7 @@ def _cell_averages(cq: _CellQuadrature, rows: np.ndarray, first: int = 0) -> np.
     near = slice(first, first + counts[0])
     rect = _kernel_minus_one(an[:, None, None] - cq.alpha_s[near], tn[:, None, None] - cq.s[near])
     out[:, : counts[0]] = (rect.reshape(-1, len(w)) @ w).reshape(len(rows), -1)
+    del rect  # each kernel array is freed once reduced, before the next
 
     rest = counts - counts[0]
     k = np.repeat(np.arange(len(rows)), rest)
@@ -321,17 +375,28 @@ def _hat_weights(averages: np.ndarray) -> np.ndarray:
     return np.diff(averages, append=0.0)
 
 
-def _row_blocks(lo: int, hi: int, first: int, cells: int):
-    """Consecutive row ranges of lo..hi, each within `cells` cells: row n
-    counts its near cells first+1..n-1 and DIAG_CELLS for its diagonal (a
-    row with more is a block of its own)."""
-    cost = np.cumsum(np.arange(lo, hi + 1) - first - 1 + DIAG_CELLS)
-    start = 0
-    while start < len(cost):
-        base = cost[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(cost, base + cells, "right")))
-        yield np.arange(lo + start, lo + stop)
-        start = stop
+def _row_blocks(lo: int, hi: int, first: int, count: int):
+    """Consecutive row ranges of lo..hi, each as long as every array its
+    rows build stays within HISTORY_BLOCK_POINTS points; a row that alone
+    exceeds it is a block of its own. A block of R rows from r0 shares the
+    C0 = r0 - 1 - first cells first+1..r0-1 and builds R (C0 + R) moments
+    and, with `count` kernel points per near cell (0 on the gap rows, which
+    build no kernel points), the shared cells' rectangle R C0 count, the
+    in-block triangle R (R - 1)/2 count and the diagonal R len(DIAG_NODES)
+    (_cell_averages). Each bound on R is taken in closed form."""
+    cap = HISTORY_BLOCK_POINTS
+    r0 = lo
+    while r0 <= hi:
+        c0 = r0 - 1 - first
+        # the largest R with R (C0 + R) <= cap, then R (R - 1)/2 <= cap // count
+        R = (math.isqrt(c0 * c0 + 4 * cap) - c0) // 2
+        if count:
+            R = min(R, (1 + math.isqrt(1 + 8 * (cap // count))) // 2, cap // len(DIAG_NODES))
+            if c0:
+                R = min(R, cap // (c0 * count))
+        stop = min(hi + 1, r0 + max(R, 1))
+        yield np.arange(r0, stop)
+        r0 = stop
 
 
 # First-kind Chebyshev nodes of a panel, as fractions of its width, and their
@@ -369,7 +434,9 @@ _PARENT_BASIS = _lagrange(_CHEB, np.concatenate((_CHEB, 1.0 + _CHEB)) / 2)
 
 def _far_weight(v, al):
     """The singular weight v^{al-1}/Gamma(al) of the moments, v = t - s."""
-    return v ** (al - 1.0) / special.gamma(al)
+    out = v ** (al - 1.0)
+    out /= special.gamma(al)
+    return out
 
 
 def _ready_rows(nodes: np.ndarray, start: np.ndarray, size) -> np.ndarray:
@@ -424,7 +491,8 @@ class _Panels:
         self.level_ready = [self.ready[first : first + count].tolist()
                             for first, count in zip(self.first, counts)]
         self.s = t0[:, None] + (t1 - t0)[:, None] * _CHEB
-        self.alpha_s = np.asarray(cq.order.alpha(self.s), dtype=float)
+        # alpha at the nodes, which only the B term reads
+        self.alpha_s = None if incs is None else np.asarray(cq.order.alpha(self.s), dtype=float)
         self.q = np.zeros((len(self.size), PANEL_NODES, 1 if incs is None else 2))
         self.passed = np.zeros(len(self.size), dtype=bool)
 
@@ -508,7 +576,7 @@ class _Panels:
         step = HISTORY_BLOCK_POINTS // cq.rule.count
         for k in range(0, len(cells), step):
             c, o = cells[k : k + step], owner[k : k + step]
-            wl, wr = (m[:, 0] for m in _moments(t[o], nodes[c[:, None] + np.arange(2)], al[o]))
+            wl, wr = _cell_moments(t[o], nodes[c], nodes[c + 1], al[o])
             f0, f1 = self.fvals[c], self.fvals[c + 1]
             parts = [wl * f0 + wr * f1, wl * np.abs(f0) + wr * np.abs(f1)]
             if self.incs is not None:
@@ -741,7 +809,7 @@ def _gap_rows(cq: _CellQuadrature, fvals=None, incs=None):
         if far:
             # the far B term exactly: B[n][j] = last[N - n + j - 1]
             known -= np.correlate(last[N - hi : N - lo + far], incs[1 : far + 1], "valid")[::-1]
-        for rows in _row_blocks(lo, hi, far, HISTORY_BLOCK_POINTS):
+        for rows in _row_blocks(lo, hi, far, 0):
             r0, r1 = int(rows[0]), int(rows[-1])
             wl, wr = _moments(nodes[rows], nodes[far : r1 + 1], cq.alpha_t[rows])
             b = gaps[N - r1 + far : N - r0 + far + 1, : r1 - far][::-1]
@@ -754,10 +822,12 @@ def _direct_rows(cq: _CellQuadrature, fvals=None, incs=None):
     near cells in one go."""
     nodes = cq.mesh.nodes
     for lo, hi, far, known in _groups(cq, fvals, incs):
-        for rows in _row_blocks(lo, hi, far, HISTORY_BLOCK_POINTS // cq.rule.count):
+        for rows in _row_blocks(lo, hi, far, cq.rule.count):
             r0, r1 = int(rows[0]), int(rows[-1])
+            # the kernel arrays first, while the block holds nothing else
+            b = _cell_averages(cq, rows, far)
             wl, wr = _moments(nodes[rows], nodes[far : r1 + 1], cq.alpha_t[rows])
-            yield r0, r1, far, wl, wr, _cell_averages(cq, rows, far), known[r0 - lo : r1 - lo + 1]
+            yield r0, r1, far, wl, wr, b, known[r0 - lo : r1 - lo + 1]
 
 
 def coefficient_rows(order: VariableOrder, mesh: Mesh, rule: QuadratureRule | None,
@@ -777,11 +847,12 @@ def coefficient_rows(order: VariableOrder, mesh: Mesh, rule: QuadratureRule | No
     must have made entries 0..lo-1 final, as the march does. Consumers only
     read the arrays: the gap rows' B blocks are read-only views of one row.
 
-    Blocks are _row_blocks of HISTORY_BLOCK_POINTS kernel points (moments
-    on the gap rows) and dropped once consumed, so memory stays O(N),
-    whatever N is. Where translation_invariant holds (checked on the alpha
-    values the rows are built from) they are _gap_rows, elsewhere
-    _direct_rows. `rule` is as for `assemble`.
+    Blocks are _row_blocks, none of whose arrays exceeds
+    HISTORY_BLOCK_POINTS points unless one row's does, and are dropped once
+    consumed, so memory stays O(N), whatever N is. Where
+    translation_invariant holds (checked on the alpha values the rows are
+    built from) they are _gap_rows, elsewhere _direct_rows. `rule` is as
+    for `assemble`.
     """
     cq = _cell_quadrature(order, mesh, gauss_nodes() if rule is None else rule)
     affine = mesh.is_uniform and _chord_gap(cq)[0] <= AFFINE_TOL

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 
 from vofie import assembly
@@ -421,17 +422,130 @@ class TestIntegrationByParts:
     @pytest.mark.parametrize("count", [8, 80])
     def test_row_blocks_match_single_rows(self, count):
         order = make_sine_order(0.6, 0.4)
-        mesh = make_mesh(1.0, 200, 1.0 / 0.6)
+        mesh = make_mesh(1.0, 260, 1.0 / 0.6)
         rule = gauss_nodes(count)
-        blocks = list(_row_blocks(1, mesh.N, 0, assembly.HISTORY_BLOCK_POINTS // count))
+        blocks = list(_row_blocks(1, mesh.N, 0, count))
         assert len(blocks[0]) > 1
         if count == 80:
-            # the last rows exceed the point budget: one row per block
+            # past 204 shared cells one row's rectangle alone exceeds the
+            # cap: one row per block
             assert len(blocks[-1]) == 1
         table = assemble(order, mesh, rule)
         for n in range(1, mesh.N + 1):
             row = history_weights(order, mesh, rule, n)
             np.testing.assert_allclose(table.history_row(n), row, rtol=0, atol=1e-15)
+
+
+def block_arrays(rows, first, count):
+    """The points of each array a block of rows builds from cell first + 1:
+    moments R (C0 + R) and, with count kernel points per near cell, the
+    rectangle R C0 count, the triangle R (R - 1)/2 count and the diagonal
+    R len(DIAG_NODES), with C0 = rows[0] - 1 - first."""
+    R, c0 = len(rows), int(rows[0]) - 1 - first
+    kernel = [R * c0 * count, R * (R - 1) // 2 * count, R * len(assembly.DIAG_NODES)] if count else []
+    return [R * (c0 + R), *kernel]
+
+
+@settings(max_examples=80, deadline=None)
+@given(first=st.integers(0, 600), gap=st.integers(1, 200), span=st.integers(0, 400),
+       count=st.sampled_from([0, 3, 7]))
+def test_row_blocks_tile_and_bound_every_array(first, gap, span, count):
+    # direct rows (count kernel points per near cell) and gap rows (count
+    # 0): the blocks tile lo..hi, each array of each block stays within
+    # HISTORY_BLOCK_POINTS unless the block is one row, and each block but
+    # the last would exceed it with one row more
+    lo = first + gap
+    hi = lo + span
+    cap = assembly.HISTORY_BLOCK_POINTS
+    blocks = list(_row_blocks(lo, hi, first, count))
+    np.testing.assert_array_equal(np.concatenate(blocks), np.arange(lo, hi + 1))
+    for rows in blocks:
+        assert len(rows) == 1 or max(block_arrays(rows, first, count)) <= cap
+        if rows[-1] < hi:
+            assert max(block_arrays(np.arange(rows[0], rows[-1] + 2), first, count)) > cap
+
+
+@settings(max_examples=15, deadline=None)
+@given(first=st.integers(0, 300), gap=st.integers(1, 100), span=st.integers(0, 200))
+def test_blocks_build_the_arrays_they_are_sized_by(first, gap, span):
+    # the kernel and moment arrays the direct rows build for each block are
+    # those block_arrays counts
+    lo, order = first + gap, make_sine_order(0.6, 0.4)
+    hi = lo + span
+    cq = assembly._cell_quadrature(order, make_mesh(1.0, hi, 1.0 / 0.6), gauss_nodes())
+    kernel = assembly._kernel_minus_one
+    for rows in _row_blocks(lo, hi, first, cq.rule.count):
+        sizes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assembly, "_kernel_minus_one", lambda da, v: sizes.append(v.size) or kernel(da, v))
+            assembly._cell_averages(cq, rows, first)
+        wl, _ = assembly._moments(cq.mesh.nodes[rows], cq.mesh.nodes[first : rows[-1] + 1], cq.alpha_t[rows])
+        assert [wl.size, *sizes] == block_arrays(rows, first, cq.rule.count)
+
+
+class TestInPlaceKernels:
+    """The kernels compute in place; their values are those of the plain
+    expressions, bit for bit (array_equal, and the same signs of zero)."""
+
+    def assert_same_bits(self, got, expected):
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_kernel_minus_one(self):
+        rng = np.random.default_rng(3)
+        da, v = rng.uniform(-0.999, 0.999, (40, 7)), rng.uniform(1e-9, 2.0, (40, 7))
+        da[::3] = 0.0
+        # G = Gamma(1 + da) up to about 2^52 as da nears -1
+        da[1] = [-1.0 + 2.0**-52, -1.0 + 1e-9, -0.9999, -0.5, 0.5, 0.9999, 1.0 - 1e-9]
+        inputs = da.copy(), v.copy()
+        got = assembly._kernel_minus_one(da, v)
+        g = special.gamma(1.0 + da)
+        self.assert_same_bits(got, (np.expm1(da * np.log(v)) - (g - 1.0)) / g)
+        # da = 0 is an exact zero, and the inputs are left as they were
+        assert not got[::3].any()
+        np.testing.assert_array_equal(da, inputs[0])
+        np.testing.assert_array_equal(v, inputs[1])
+
+    def test_far_weight(self):
+        rng = np.random.default_rng(4)
+        v, al = rng.uniform(1e-6, 1.0, (30, 48)), rng.uniform(0.1, 1.0, (30, 1))
+        self.assert_same_bits(assembly._far_weight(v, al), v ** (al - 1.0) / special.gamma(al))
+
+    @pytest.mark.parametrize("r", [1.0, 1.0 / 0.3])
+    def test_moments(self, r):
+        # the textbook form over a block with zero columns past each t
+        nodes = make_mesh(1.0, 60, r).nodes
+        rows = np.arange(20, 61)
+        t, al = nodes[rows], 0.3 + 0.6 * nodes[rows] ** 2
+        wl, wr = assembly._moments(t, nodes, al)
+        v = np.maximum(t[:, None] - nodes, 0.0)
+        a2 = al[:, None]
+        m = v**a2
+        m = (m[:, :-1] - m[:, 1:]) / (a2 * special.gamma(a2))
+        b, a = v[:, :-1], v[:, 1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = (b - a) / b
+            e = np.expm1(a2 * np.log1p(-q))
+            theta = (q * (a2 - e) + e) / (q * e) * (-1.0 / (a2 + 1.0))
+        expected = np.fmin(np.fmax(theta, a2 / (a2 + 1.0)), 0.5) * m
+        self.assert_same_bits(wl, expected)
+        self.assert_same_bits(wr, m - expected)
+        past = np.arange(60) >= rows[:, None]
+        assert past.any() and not wl[past].any() and not wr[past].any()
+
+    @pytest.mark.parametrize("r", [1.0, 1.0 / 0.6])
+    def test_cell_moments_are_the_block_moments(self, r):
+        # the panel check's moments of one cell per time, on flat arrays, are
+        # the columns _moments gives each cell alone
+        rng = np.random.default_rng(5)
+        nodes = make_mesh(1.0, 500, r).nodes
+        c = rng.integers(0, 400, 3000)
+        t = nodes[np.minimum(c + rng.integers(1, 200, c.size), 500)]
+        al = 0.9 - 0.5 * t
+        flat = assembly._cell_moments(t, nodes[c], nodes[c + 1], al)
+        cells = assembly._moments(t, nodes[c[:, None] + np.arange(2)], al)
+        for got, expected in zip(flat, cells):
+            self.assert_same_bits(got, expected[:, 0])
 
 
 def per_row_diagonal_averages(cq, rows):
@@ -628,6 +742,19 @@ class TestFarField:
         # one direct group, as with the far field off
         monkeypatch.setattr(assembly, "FAR_MIN_SAVED_POINTS", math.inf)
         np.testing.assert_array_equal(values, solve(problem, mesh).values)
+
+    def test_alpha_is_sampled_only_at_panels_with_a_b_term(self, monkeypatch):
+        # the gap rows take the far B term exactly, so their panels carry
+        # no alpha; the direct rows' panels sample it at every node
+        built = []
+        init = assembly._Panels.__init__
+        monkeypatch.setattr(assembly._Panels, "__init__",
+                            lambda self, *args: built.append(self) or init(self, *args))
+        solve(sin4_problem(make_linear_order(0.9, 0.4)), make_mesh(1.0, 4000, 1.0))
+        solve(sin4_problem(make_sine_order(0.6, 0.4)), make_mesh(1.0, 1440, 1.0 / 0.6))
+        gap, direct = built
+        assert gap.incs is None and gap.alpha_s is None
+        assert direct.alpha_s.shape == direct.s.shape
 
     def test_short_walks_evaluate_no_far_sum(self, monkeypatch):
         # alpha varies fast near t = 0.03 only: the leaf there fails its

@@ -264,6 +264,18 @@ class TestBlockMarch:
         np.testing.assert_array_equal(small.newton_stats, default.newton_stats)
 
 
+    def test_graded_n96_solve_takes_two_blocks(self, monkeypatch):
+        # its one direct group: 68 rows from cell 1, whose triangle of
+        # 68 * 67 / 2 * 7 = 15,946 kernel points is the largest array within
+        # HISTORY_BLOCK_POINTS, then the last 28 rows over 68 shared cells
+        sizes = []
+        row_blocks = assembly._row_blocks
+        monkeypatch.setattr(assembly, "_row_blocks", lambda *args: (sizes.append(len(rows)) or rows
+                                                                    for rows in row_blocks(*args)))
+        solve(sin4_problem(make_sine_order(0.6, 0.4)), make_mesh(1.0, 96, 1.0 / 0.6))
+        assert sizes == [68, 28]
+
+
 class TestFixedRule:
     @pytest.mark.parametrize(
         "make_order,N,r,atol",
