@@ -29,13 +29,11 @@ from .kernel import (
 )
 from .mesh import Mesh, grading_for_case, make_mesh
 from .order import (
-    OrderValidationReport,
     VariableOrder,
     make_constant_order,
     make_custom_order,
     make_linear_order,
     make_sine_order,
-    validate_assumption_a,
 )
 from .solver import (
     NewtonDivergedError,
@@ -62,7 +60,6 @@ __all__ = [
     "MittagLefflerConvergenceError",
     "NewtonDivergedError",
     "NewtonError",
-    "OrderValidationReport",
     "Problem",
     "QuadratureRule",
     "SingularJacobianError",
@@ -88,6 +85,5 @@ __all__ = [
     "singular_moments",
     "singularity_exponent",
     "solve",
-    "validate_assumption_a",
     "vie_residual",
 ]

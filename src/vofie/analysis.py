@@ -70,19 +70,22 @@ def run_convergence(
     Each solve is `solve(problem, mesh)`, so the study reads the problem,
     the regime `case` (which sets the grading) and the N levels only.
 
-    N_list needs at least two entries (a rate compares two), ref_N must be
-    an integer >= 1, and every N must be >= 1 and divide ref_N so each
-    coarse node is shared with the reference mesh (errors are exact nodal
-    comparisons, no interpolation), and none may repeat or equal ref_N (no
-    rate would be a number). All of this is checked before any solve, and
-    each error begins with the name of the argument it refuses.
+    N_list needs at least two entries (a rate compares two), ref_N and
+    every N must be integers >= 1 (a bool is not one), and every N must
+    divide ref_N so each coarse node is shared with the reference mesh
+    (errors are exact nodal comparisons, no interpolation), and none may
+    repeat or equal ref_N (no rate would be a number). All of this is
+    checked before any solve, and each error begins with the name of the
+    argument it refuses.
     """
     N_list = list(N_list)
     if len(N_list) < 2:
         raise ValueError(f"N_list needs at least two entries to fit a rate, got {N_list}")
-    if not isinstance(ref_N, numbers.Integral) or ref_N < 1:
+    if isinstance(ref_N, bool) or not isinstance(ref_N, numbers.Integral) or ref_N < 1:
         raise ValueError(f"ref_N must be an integer >= 1, got {ref_N!r}")
     for N in N_list:
+        if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+            raise ValueError(f"N_list entry N = {N!r} is not an integer")
         if N < 1:
             raise ValueError(f"N_list entry N = {N} must be >= 1")
         if ref_N % N != 0:

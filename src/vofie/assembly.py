@@ -814,6 +814,7 @@ def _gap_rows(cq: _CellQuadrature, fvals=None, incs=None):
             wl, wr = _moments(nodes[rows], nodes[far : r1 + 1], cq.alpha_t[rows])
             b = gaps[N - r1 + far : N - r0 + far + 1, : r1 - far][::-1]
             yield r0, r1, far, wl, wr, b, known[r0 - lo : r1 - lo + 1]
+            del wl, wr, b  # freed before the next block, if the consumer drops them
 
 
 def _direct_rows(cq: _CellQuadrature, fvals=None, incs=None):
@@ -828,6 +829,7 @@ def _direct_rows(cq: _CellQuadrature, fvals=None, incs=None):
             b = _cell_averages(cq, rows, far)
             wl, wr = _moments(nodes[rows], nodes[far : r1 + 1], cq.alpha_t[rows])
             yield r0, r1, far, wl, wr, b, known[r0 - lo : r1 - lo + 1]
+            del wl, wr, b  # freed before the next block, if the consumer drops them
 
 
 def coefficient_rows(order: VariableOrder, mesh: Mesh, rule: QuadratureRule | None,

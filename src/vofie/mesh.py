@@ -17,9 +17,9 @@ class Mesh:
 
     r = 1 is the uniform mesh; r > 1 clusters nodes near t = 0. Steps are
     nondecreasing for r >= 1 and max tau_i <= r T / N. T must be positive
-    and finite, N an integer >= 1 and r >= 1 and finite. Nodes and steps are
-    derived, from the closed form per index (no cumulative summation), so
-    t_0 = 0 and t_N = T exactly.
+    and finite, N an integer >= 1 (a bool is not one) and r >= 1 and
+    finite. Nodes and steps are derived, from the closed form per index (no
+    cumulative summation), so t_0 = 0 and t_N = T exactly.
     """
 
     T: float
@@ -32,7 +32,7 @@ class Mesh:
         T, N, r = self.T, self.N, self.r
         if not 0 < T < math.inf:
             raise ValueError(f"horizon T must be positive and finite, got {T}")
-        if not isinstance(N, numbers.Integral) or N < 1:
+        if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
             raise ValueError(f"N must be an integer >= 1, got {N}")
         if not 1 <= r < math.inf:
             raise ValueError(f"grading exponent r must be >= 1 and finite, got {r}")

@@ -1,12 +1,11 @@
-"""Variable fractional order alpha(t): representation, families, validation.
+"""Variable fractional order alpha(t): the admissible type and its families.
 
 An order carries alpha and its derivative alpha'. A solve reads alpha only:
 its history coefficients are cell averages of the kernel K, not of K_s,
 and so does the reference residual solver.vie_residual. alpha' is read
 only by kernel.kernel_Ks, the differentiated kernel that the acceptance
-tests' kernel suite evaluates, and by validate_assumption_a, which
-cross-checks it against differences of alpha. Evaluation callables must be
-pure and accept numpy arrays.
+tests' kernel suite evaluates. Evaluation callables must be pure and
+accept numpy arrays.
 """
 
 from __future__ import annotations
@@ -102,60 +101,10 @@ def make_custom_order(alpha: Callable, dalpha: Callable, *, T: float = 1.0) -> V
     The order is checked as every VariableOrder is: an alpha outside (0, 1]
     at a sampled t, or a T that is not positive and finite, raises
     ValueError here. The derivative is required, but no solve reads it:
-    only kernel_Ks and validate_assumption_a do (see the module docstring).
+    only kernel_Ks does (see the module docstring).
     alpha(0) is read from alpha. An affine alpha needs no declaration: on a
     uniform mesh a solve finds it from alpha's values and reads the
     gap-indexed rows.
     """
     return VariableOrder(alpha, dalpha, T=T)
 
-
-@dataclass(frozen=True)
-class OrderValidationReport:
-    """Sampled description of alpha and check of its declared derivative."""
-
-    samples: int
-    alpha_min: float
-    alpha_max: float
-    max_deriv_discrepancy: float
-    deriv_ok: bool
-    case_i_eligible: bool
-    smoothness_warning: bool  # alpha(0)=1 with alpha'(0) != 0
-    notes: tuple = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return self.deriv_ok
-
-
-def validate_assumption_a(order: VariableOrder) -> OrderValidationReport:
-    """Sample-based report on what a VariableOrder cannot check itself.
-
-    Its bounds, 0 < alpha(t) <= 1 at ALPHA_SAMPLES equispaced samples of
-    [0, T], hold for every order that was built: 1 is allowed at any t, not
-    only at t = 0 (the constant order 1 and linear orders ending at 1 are
-    in use). The report gives alpha's sampled range, cross-checks the
-    declared derivative against central differences, and reads the smooth
-    regime from alpha(0) and alpha'(0). Report-only; never raises.
-    """
-    vals = np.asarray(order.alpha(np.linspace(0.0, order.T, ALPHA_SAMPLES)), dtype=float)
-
-    h = 1e-6 * order.T
-    ti = np.linspace(h, order.T - h, 100)
-    fd = (np.asarray(order.alpha(ti + h)) - np.asarray(order.alpha(ti - h))) / (2 * h)
-    disc = float(np.max(np.abs(fd - np.asarray(order.dalpha(ti)))))
-
-    d0 = float(order.dalpha(0.0))
-    at_one = abs(order.alpha0 - 1.0) <= 1e-14
-    warn = at_one and abs(d0) > 1e-12
-    notes = ("alpha(0)=1 with alpha'(0) != 0: outside both smooth-case regimes",) if warn else ()
-    return OrderValidationReport(
-        samples=ALPHA_SAMPLES,
-        alpha_min=float(np.min(vals)),
-        alpha_max=float(np.max(vals)),
-        max_deriv_discrepancy=disc,
-        deriv_ok=disc <= 1e-6,
-        case_i_eligible=at_one and abs(d0) <= 1e-12,
-        smoothness_warning=warn,
-        notes=notes,
-    )

@@ -150,19 +150,6 @@ class Problem:
         if self.T != self.order.T:
             raise ValueError(f"horizon mismatch: problem T = {self.T}, order T = {self.order.T}")
 
-    def check_derivative(self) -> float:
-        """Max discrepancy between df_du and central differences at 25 random
-        (u, t) samples (advisory)."""
-        rng = np.random.default_rng(0)
-        us = rng.uniform(-2, 2, 25)
-        ts = rng.uniform(0, self.T, 25)
-        h = 1e-6
-        worst = 0.0
-        for u, t in zip(us, ts):
-            fd = (self.f(u + h, t) - self.f(u - h, t)) / (2 * h)
-            worst = max(worst, abs(fd - self.df_du(u, t)))
-        return worst
-
 
 @dataclass
 class Solution:
@@ -318,7 +305,8 @@ def solve(problem: Problem, mesh: Mesh) -> Solution:
                 dd1 = slope
             x1, x2, y2 = x2, mid, y
         fvals[lo : hi + 1], incs[lo : hi + 1] = solved[0::2], solved[1::2]
-        del coef  # freed before the stream builds the next block, at the peak
+        # freed before the stream builds the next block, at the peak
+        del coef, wl, wr, b, far_known
     return Solution(mesh=mesh, values=values, newton_stats=stats)
 
 

@@ -70,6 +70,9 @@ class TestRunConvergence:
             ([24, 24], 96, "N_list entry N = 24 is repeated"),
             ([24, 48, 24], 96, "N_list entry N = 24 is repeated"),
             ([24, 48], 48, "N_list entry N = 48 equals ref_N"),
+            ([24, 48.0], 96, "N_list entry N = 48.0 is not an integer"),  # else one solve, then Mesh fails
+            ([24, True], 96, "N_list entry N = True is not an integer"),  # else an N = 1 level
+            ([24, 48], True, "ref_N must be an integer >= 1, got True"),
         ],
     )
     def test_arguments_are_checked_before_any_solve(self, monkeypatch, N_list, ref_N, message):

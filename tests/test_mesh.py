@@ -47,6 +47,7 @@ class TestMakeMesh:
         "T,N,r,message",
         [
             (1.0, 16.5, 1.0, "N must be an integer"),  # else 18 nodes, t_N = 1.03 > T
+            (1.0, True, 1.0, "N must be an integer"),  # else a one-cell mesh
             (1.0, 16, np.nan, "r must be >= 1 and finite"),  # else NaN nodes
             (1.0, 16, np.inf, "r must be >= 1 and finite"),  # else zero steps
             (np.inf, 16, 1.0, "T must be positive and finite"),  # else NaN, inf nodes

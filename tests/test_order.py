@@ -14,7 +14,6 @@ from vofie.order import (
     make_custom_order,
     make_linear_order,
     make_sine_order,
-    validate_assumption_a,
 )
 from vofie.solver import Problem, solve
 
@@ -154,6 +153,13 @@ class TestVariableOrder:
         values = solve(problem, make_mesh(1.0, 64, 1.0)).values
         assert np.all(np.isfinite(values)) and values[0] == 1.0 and values[-1] > 1.0
 
+    def test_bound_violation(self):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got alpha\(t\) = 1.2 at t = 0.0"):
+            make_custom_order(
+                lambda t: 1.2 + 0.0 * np.asarray(t),
+                lambda t: 0.0 * np.asarray(t),
+            )
+
     def test_alpha0_is_read_from_alpha(self):
         order = VariableOrder(lambda t: 0.8 - 0.3 * np.asarray(t) ** 2,
                               lambda t: -0.6 * np.asarray(t))
@@ -165,38 +171,3 @@ class TestVariableOrder:
             VariableOrder(line.alpha, line.dalpha, 0.6)
         with pytest.raises(TypeError):
             VariableOrder(line.alpha, line.dalpha, alpha0=0.6)
-
-
-class TestValidation:
-    def test_sine_case_i_eligible(self):
-        report = validate_assumption_a(make_sine_order(1.0, 0.1))
-        assert report.passed
-        assert report.case_i_eligible
-        assert not report.smoothness_warning
-
-    def test_constant_half(self):
-        report = validate_assumption_a(make_constant_order(0.5))
-        assert report.passed
-        assert report.alpha_min == pytest.approx(0.5)
-        assert not report.case_i_eligible
-
-    def test_bound_violation(self):
-        # refused when built, so no report can describe it
-        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got alpha\(t\) = 1.2 at t = 0.0"):
-            make_custom_order(
-                lambda t: 1.2 + 0.0 * np.asarray(t),
-                lambda t: 0.0 * np.asarray(t),
-            )
-
-    def test_derivative_discrepancy_detected(self):
-        # declared derivative is wrong on purpose
-        lying = make_custom_order(
-            lambda t: 0.5 + 0.3 * np.asarray(t, float),
-            lambda t: 0.0 * np.asarray(t),
-        )
-        report = validate_assumption_a(lying)
-        assert not report.deriv_ok
-
-    def test_derivative_finite_difference_bound(self):
-        report = validate_assumption_a(make_sine_order(0.6, 0.1))
-        assert report.max_deriv_discrepancy <= 1e-6

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -237,6 +238,34 @@ class TestMemory:
             # the far sums add one chunk of moments or kernel points
             assert peak <= 2.5 * 2**20
 
+    @pytest.mark.parametrize(
+        "order,N,r",
+        [
+            (make_linear_order(0.9, 0.4), 1000, 1.0),  # gap rows
+            (make_sine_order(0.6, 0.4), 1440, 1.0 / 0.6),  # direct rows
+        ],
+    )
+    def test_each_block_is_freed_before_the_next(self, monkeypatch, order, N, r):
+        # neither the march nor the stream holds a block's wL, wR or B while
+        # the next block's moments are computed, once per block
+        alive, refs = [], []
+        rows, moments = solver.coefficient_rows, assembly._moments
+
+        def watched(*args):
+            for block in rows(*args):
+                refs[:] = [weakref.ref(a) for a in block[3:6]]
+                yield block
+                del block
+
+        def counted(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return moments(*args)
+
+        monkeypatch.setattr(solver, "coefficient_rows", watched)
+        monkeypatch.setattr(assembly, "_moments", counted)
+        solve(sin4_problem(order), make_mesh(1.0, N, r))
+        assert len(alive) > 2 and not any(alive)
+
 
 class TestBlockMarch:
     @pytest.mark.parametrize(
@@ -379,10 +408,11 @@ def count_far_sums(mp):
 
 def count_points(mp):
     """Kernel points (_kernel_minus_one) and moment points (_moments per
-    cell and row, _far_weight per panel node and row) of the patched calls,
-    patched in through mp."""
+    cell and row, _cell_moments per checked cell, _far_weight per panel node
+    and row) of the patched calls, patched in through mp."""
     counts = {"kernel": 0, "moment": 0}
     kernel, moments, weight = assembly._kernel_minus_one, assembly._moments, assembly._far_weight
+    cell_moments = assembly._cell_moments
 
     def counted_kernel(da, v):
         out = kernel(da, v)
@@ -399,9 +429,15 @@ def count_points(mp):
         counts["moment"] += np.size(out)
         return out
 
+    def counted_cell_moments(t, left, right, al):
+        wl, wr = cell_moments(t, left, right, al)
+        counts["moment"] += wl.size
+        return wl, wr
+
     mp.setattr(assembly, "_kernel_minus_one", counted_kernel)
     mp.setattr(assembly, "_moments", counted_moments)
     mp.setattr(assembly, "_far_weight", counted_weight)
+    mp.setattr(assembly, "_cell_moments", counted_cell_moments)
     return counts
 
 
@@ -680,16 +716,6 @@ class TestSolutionObject:
         sol.to_csv(path)
         expected = "t,U\n" + "".join(f"{t:.17g},{u:.17g}\n" for t, u in zip(sol.mesh.nodes, sol.values))
         assert path.read_bytes() == expected.encode()
-
-    def test_derivative_consistency_check(self):
-        problem = Problem(
-            f=lambda u, t: 0.5 * np.sin(u) ** 4,
-            df_du=lambda u, t: 2.0 * np.sin(u) ** 3 * np.cos(u),
-            u0=1.0,
-            T=1.0,
-            order=make_sine_order(0.6, 0.1),
-        )
-        assert problem.check_derivative() <= 1e-5
 
 
 def oscillating_order():
