@@ -97,6 +97,8 @@ def instrument(spent: dict, blocks: list):
                 return
             blocks[0] += 1
             yield block
+            # dropped before the next block is built, as the march drops it
+            del block
     solver.coefficient_rows = rows
 
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import grading_for_case, make_mesh
+from .mesh import count_fault, grading_for_case, make_mesh
 from .solver import Problem, Solution, solve
 
 
@@ -17,7 +16,8 @@ class InsufficientDataError(RuntimeError):
 
 @dataclass
 class ConvergenceReport:
-    """Errors against a fine reference and fitted rates between N levels."""
+    """Errors against a fine reference and fitted rates between N levels;
+    `case` names the regime, empty where the grading r was given as a number."""
 
     config_id: str
     case: str
@@ -36,8 +36,9 @@ class ConvergenceReport:
                 fh.write(f"{N},{self.errors[j]:.17g},{rate}\n")
 
     def format_table(self) -> str:
+        case = f"case {self.case}, " if self.case else ""
         lines = [
-            f"config: {self.config_id}   case {self.case}, r = {self.r:g}, "
+            f"config: {self.config_id}   {case}r = {self.r:g}, "
             f"reference N = {self.ref_N}, predicted rate = {self.predicted_rate:g}",
             f"{'1/N':>8} {'error':>12} {'rate':>8}",
         ]
@@ -60,7 +61,7 @@ def fit_rate(errors, Ns) -> np.ndarray:
 
 def run_convergence(
     problem: Problem,
-    case: str,
+    case,
     N_list=(48, 72, 96, 120),
     ref_N: int = 1440,
     config_id: str = "",
@@ -68,7 +69,9 @@ def run_convergence(
     """Solve at each N and at ref_N on the same grading; report nodal errors.
 
     Each solve is `solve(problem, mesh)`, so the study reads the problem,
-    the regime `case` (which sets the grading) and the N levels only.
+    the grading and the N levels only. `case` names the regime I, II or III
+    or is the grading exponent r itself (grading_for_case); the predicted
+    rate is the paper's min(2, 2 r alpha(0)), for case II exactly 2.
 
     N_list needs at least two entries (a rate compares two), ref_N and
     every N must be integers >= 1 (a bool is not one), and every N must
@@ -81,13 +84,11 @@ def run_convergence(
     N_list = list(N_list)
     if len(N_list) < 2:
         raise ValueError(f"N_list needs at least two entries to fit a rate, got {N_list}")
-    if isinstance(ref_N, bool) or not isinstance(ref_N, numbers.Integral) or ref_N < 1:
+    if count_fault(ref_N):
         raise ValueError(f"ref_N must be an integer >= 1, got {ref_N!r}")
     for N in N_list:
-        if isinstance(N, bool) or not isinstance(N, numbers.Integral):
-            raise ValueError(f"N_list entry N = {N!r} is not an integer")
-        if N < 1:
-            raise ValueError(f"N_list entry N = {N} must be >= 1")
+        if fault := count_fault(N):
+            raise ValueError(f"N_list entry N = {N!r} {fault}")
         if ref_N % N != 0:
             raise ValueError(f"N_list entry N = {N} does not divide ref_N = {ref_N}")
         if N == ref_N:
@@ -95,20 +96,19 @@ def run_convergence(
         if N_list.count(N) > 1:
             raise ValueError(f"N_list entry N = {N} is repeated")
     r = grading_for_case(problem.order, case)
+    case = case.upper() if isinstance(case, str) else ""
     coarse = [solve(problem, make_mesh(problem.T, N, r)) for N in N_list]
     ref = solve(problem, make_mesh(problem.T, ref_N, r))
 
-    errors = np.empty(len(N_list))
-    for j, (N, sol) in enumerate(zip(N_list, coarse)):
-        m = ref_N // N
-        errors[j] = np.max(np.abs(sol.values - ref.values[::m]))
+    errors = np.array([np.max(np.abs(sol.values - ref.values[:: ref_N // N]))
+                       for N, sol in zip(N_list, coarse)])
     rates = fit_rate(errors, N_list)
 
-    a0 = problem.order.alpha0
-    predicted = 2.0 * a0 if case.upper() == "III" else 2.0
+    # 2 r alpha(0) rounds below case II's 2 at some alpha(0): 0.36, 0.47, 0.72, ...
+    predicted = 2.0 if case == "II" else min(2.0, 2.0 * r * problem.order.alpha0)
     return ConvergenceReport(
         config_id=config_id,
-        case=case.upper(),
+        case=case,
         Ns=N_list,
         ref_N=ref_N,
         r=r,

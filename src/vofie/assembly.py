@@ -619,13 +619,17 @@ class _Panels:
 
     def far_sums(self, used: list[int], lo: int, hi: int) -> np.ndarray:
         """known[n - lo], row n's far sum for rows lo..hi over the panels
-        `used` (from _read(lo))."""
-        rows = slice(lo, hi + 1)
-        t, al = self.cq.mesh.nodes[rows, None], self.cq.alpha_t[rows, None]
-        v, q = t - self.s[used].ravel(), self.q[used].reshape(-1, self.q.shape[2])
-        known = _far_weight(v, al) @ q[:, 0]
-        if self.incs is not None:
-            known -= _kernel_minus_one(al - self.alpha_s[used].ravel(), v) @ q[:, 1]
+        `used` (from _read(lo)), in runs of rows whose far-weight and kernel
+        arrays stay within HISTORY_BLOCK_POINTS points; a row that alone
+        exceeds it is a run of its own, as in _row_blocks."""
+        s, q = self.s[used].ravel(), self.q[used].reshape(-1, self.q.shape[2])
+        t, al = self.cq.mesh.nodes[lo : hi + 1, None], self.cq.alpha_t[lo : hi + 1, None]
+        known, step = np.empty(hi - lo + 1), max(1, HISTORY_BLOCK_POINTS // len(s))
+        for rows in (slice(a, a + step) for a in range(0, len(known), step)):
+            v = t[rows] - s
+            known[rows] = _far_weight(v, al[rows]) @ q[:, 0]
+            if self.incs is not None:
+                known[rows] -= _kernel_minus_one(al[rows] - self.alpha_s[used].ravel(), v) @ q[:, 1]
         return known
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import run_convergence
 from .assembly import assemble, translation_invariant
-from .mesh import grading_for_case, make_mesh
+from .mesh import count_fault, grading_for_case, make_mesh
 from .order import make_constant_order, make_linear_order, make_sine_order
 from .solver import NewtonError, Problem, solve
 
@@ -74,7 +74,7 @@ _ORDERS = {
 
 
 # the kinds of config value, each as an error names what a value must be
-_COUNT, _NUMBER, _STRING, _COUNTS = "an integer", "a finite number", "a string", "a list of integers"
+_COUNT, _NUMBER, _STRING, _COUNTS = "an integer >= 1", "a finite number", "a string", "a list of integers"
 
 
 def _keys(families: dict) -> dict:
@@ -95,8 +95,8 @@ def _read(spec, schema: dict, where: str = "") -> dict:
     """The config object `spec` read against `schema`, section by section,
     each value as its kind: an int for a count, a finite float for a
     number. A key the schema does not list, or a value not of its kind (a
-    bool, NaN, Infinity, a fraction for a count, an integer too large for a
-    float), raises ConfigError naming it as section.key."""
+    bool, NaN, Infinity, a fraction or 0 for a count, an integer too large
+    for a float), raises ConfigError naming it as section.key."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{where or 'config'} must be a JSON object")
     unknown = set(spec) - set(schema)
@@ -113,7 +113,7 @@ def _value(value, kind: str, name: str):
     if kind == _STRING and isinstance(value, str):
         return value
     if kind == _COUNTS and isinstance(value, list):
-        return [_value(n, _COUNT, name) for n in value]
+        return [_value(n, _COUNT, f"{name} entry N = {n!r}") for n in value]
     if kind in (_COUNT, _NUMBER) and isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             finite = math.isfinite(value)
@@ -121,7 +121,8 @@ def _value(value, kind: str, name: str):
             finite = False
         if finite and kind == _NUMBER:
             return float(value)
-        if finite and value == int(value):
+        # an integral JSON number such as 120.0 is a count too
+        if finite and value == int(value) and not count_fault(int(value)):
             return int(value)
     raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
@@ -147,10 +148,11 @@ def build_run(config: dict):
     """Resolve a config dict to (problem, mesh, conv_spec).
 
     mesh is None without mesh.N, which only solve and coeffs require.
-    conv_spec holds the mesh's case (None without one), its grading r and
-    the run_convergence arguments the config sets. Keys a config leaves out
-    take the defaults of the library function that reads them. Nothing else
-    is configurable: a solve reads only the problem and the mesh."""
+    conv_spec holds the run_convergence arguments the config sets: the
+    grading as `case`, mesh.case or mesh.r as given (r = 1 without either),
+    and the convergence keys. Keys a config leaves out take the defaults of
+    the library function that reads them. Nothing else is configurable: a
+    solve reads only the problem and the mesh."""
     config = _read(config, SCHEMA)
     pspec, mspec = config.get("problem", {}), config.get("mesh", {})
     T = pspec.get("T", 1.0)
@@ -158,15 +160,12 @@ def build_run(config: dict):
     order = _build(config.get("order", {}), "order", "family", _ORDERS, "order family", T)
     problem = Problem(f=f, df_du=df, u0=pspec.get("u0", 1.0), T=T, order=order)
 
-    grading = {key: mspec[key] for key in ("N", "r") if key in mspec}
-    case = mspec.get("case")
-    if case is not None:
-        if "r" in mspec:
-            raise ConfigError("mesh takes case or r, not both: case sets the grading")
-        grading["r"] = grading_for_case(problem.order, case)
-    mesh = make_mesh(T, **grading) if "N" in grading else None
-
-    conv = {"case": case, "r": grading.get("r", 1.0), **config.get("convergence", {})}
+    if "case" in mspec and "r" in mspec:
+        raise ConfigError("mesh takes case or r, not both: case sets the grading")
+    grading = mspec.get("case", mspec.get("r", 1.0))
+    r = grading_for_case(order, grading) if "case" in mspec else grading
+    mesh = make_mesh(T, mspec["N"], r) if "N" in mspec else None
+    conv = {"case": grading, **config.get("convergence", {})}
     return problem, mesh, conv
 
 
@@ -204,20 +203,16 @@ PRESETS = {
 def load_config(args) -> dict:
     if args.preset:
         if args.preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}"
-            )
-        config = PRESETS[args.preset]
-    elif args.config:
-        try:
-            config = json.loads(Path(args.config).read_text())
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {args.config}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {args.config}: {exc}") from exc
-    else:
+            raise ConfigError(f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}")
+        return PRESETS[args.preset]
+    if not args.config:
         raise ConfigError("one of --config or --preset is required")
-    return config
+    try:
+        return json.loads(Path(args.config).read_text())
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {args.config}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {args.config}: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
@@ -256,19 +251,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    config = load_config(args)
-    problem, _, conv = build_run(config)
-    case, r = conv.pop("case"), conv.pop("r")
-    if case is None:
-        # infer the regime from the grading actually configured
-        if r == 1.0:
-            case = "I" if problem.order.alpha0 == 1.0 else "III"
-        else:
-            case = "II"
-        if r != (r_case := grading_for_case(problem.order, case)):
-            raise ConfigError(f"mesh.r = {r!r} is not the grading of case {case}, r = {r_case!r}")
+    problem, _, conv = build_run(load_config(args))
     try:
-        report = run_convergence(problem, case, config_id=args.preset or args.config or "", **conv)
+        report = run_convergence(problem, config_id=args.preset or args.config or "", **conv)
     except ValueError as exc:
         # run_convergence names an argument it refuses first, and the
         # convergence keys are its arguments

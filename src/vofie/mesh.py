@@ -32,7 +32,7 @@ class Mesh:
         T, N, r = self.T, self.N, self.r
         if not 0 < T < math.inf:
             raise ValueError(f"horizon T must be positive and finite, got {T}")
-        if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 1:
+        if count_fault(N):
             raise ValueError(f"N must be an integer >= 1, got {N}")
         if not 1 <= r < math.inf:
             raise ValueError(f"grading exponent r must be >= 1 and finite, got {r}")
@@ -51,17 +51,27 @@ def make_mesh(T: float, N: int, r: float = 1.0) -> Mesh:
     return Mesh(T, N, r)
 
 
-def grading_for_case(order: VariableOrder, case: str) -> float:
-    """Mesh grading exponent for the three convergence regimes.
+def count_fault(value) -> str:
+    """Why `value` is not a count, an integer >= 1 (a bool is not one): "is
+    not an integer" or "must be >= 1"; empty if it is one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        return "is not an integer"
+    return "must be >= 1" if value < 1 else ""
+
+
+def grading_for_case(order: VariableOrder, case) -> float:
+    """Mesh grading exponent r of a convergence study. `case` names one of
+    the three regimes, or is r itself, a number >= 1 (finite, not a bool).
 
     (I)   alpha(0) = 1, uniform mesh, r = 1;
     (II)  alpha(0) < 1, graded mesh, r = 1/alpha(0);
     (III) alpha(0) < 1, uniform mesh, r = 1 (sub-optimal rate regime).
     """
-    case = case.upper()
-    if case not in ("I", "II", "III"):
-        raise ValueError(f"case must be one of I, II, III, got {case!r}")
-    a0 = order.alpha0
+    if isinstance(case, numbers.Real) and not isinstance(case, bool) and 1 <= case < math.inf:
+        return float(case)
+    if not isinstance(case, str) or case.upper() not in ("I", "II", "III"):
+        raise ValueError(f"case must be I, II, III or a finite grading r >= 1, not a bool, got {case!r}")
+    case, a0 = case.upper(), order.alpha0
     if case == "I":
         if a0 != 1.0:
             raise ValueError(f"case I requires alpha(0) = 1, got alpha(0) = {a0}")

@@ -48,6 +48,12 @@ class TestConfigResolution:
         assert rc == 1
         assert "flavor" in capsys.readouterr().err
 
+    def test_integral_number_is_a_count(self):
+        config = {**zero_config(N=16.0), "convergence": {"N_list": [24.0, 48], "ref_N": 96.0}}
+        _, mesh, conv = build_run(config)
+        assert (mesh.N, conv["N_list"], conv["ref_N"]) == (16, [24, 48], 96)
+        assert all(type(n) is int for n in (mesh.N, *conv["N_list"], conv["ref_N"]))
+
     def test_invalid_grading_names_precondition(self, tmp_path, capsys):
         config = zero_config(r=0.5)
         rc = main(["solve", "--config", write_config(tmp_path, config), "--out", str(tmp_path)])
@@ -74,6 +80,7 @@ class TestConfigResolution:
             pytest.param(None, "problem", {"f": "sin4", "c": 7.0, "u0": 1.0}, "problem.c",
                          id="sin4-with-problem-c"),
             ("order", "value", 0.9, "order.value"),
+            ("mesh", "N", 0, "mesh.N must be an integer >= 1, got 0"),
         ],
     )
     def test_bad_config_value_is_refused_by_key(self, tmp_path, capsys, monkeypatch, section, key, value, named):
@@ -356,24 +363,17 @@ class TestCmdConverge:
         rate = float(lines[2].split(",")[2])
         assert rate == pytest.approx(2.0, abs=0.3)
 
-    @pytest.mark.parametrize(
-        "mesh,message",
-        [
-            ({"N": 48, "r": 3.0}, "grading of case II"),
-            ({"N": 48, "case": "II", "r": 1.0 / 0.6}, "case or r"),
-        ],
-    )
-    def test_grading_other_than_the_case_is_a_config_error(self, tmp_path, capsys, mesh, message):
+    def test_case_and_r_together_is_a_config_error(self, tmp_path, capsys):
         config = {
             "problem": {"f": "sin4", "u0": 1.0, "T": 1.0},
             "order": {"family": "sine", "a0": 0.6, "a1": 0.4},
-            "mesh": mesh,
+            "mesh": {"N": 48, "case": "II", "r": 1.0 / 0.6},
             "convergence": {"N_list": [24, 48], "ref_N": 240},
         }
         out = tmp_path / "out"
         rc = main(["converge", "--config", write_config(tmp_path, config), "--out", str(out)])
         assert rc == 1
-        assert message in capsys.readouterr().err
+        assert "case or r" in capsys.readouterr().err
         assert not (out / "convergence.csv").exists()
 
     def test_configured_grading_of_case_ii_runs(self, tmp_path, capsys):
@@ -385,7 +385,35 @@ class TestCmdConverge:
         }
         rc = main(["converge", "--config", write_config(tmp_path, config), "--out", str(tmp_path)])
         assert rc == 0
-        assert "case II, r = 1.66667" in capsys.readouterr().out
+        assert "   r = 1.66667, reference N = 240" in capsys.readouterr().out
+
+    def test_grading_between_the_cases_runs(self, tmp_path, capsys):
+        # mesh.r is the study's grading as given, whichever case it is near
+        config = {
+            "problem": {"f": "sin4", "u0": 1.0, "T": 1.0},
+            "order": {"family": "sine", "a0": 0.6, "a1": 0.4},
+            "mesh": {"r": 1.25},
+            "convergence": {"N_list": [24, 48], "ref_N": 240},
+        }
+        rc = main(["converge", "--config", write_config(tmp_path, config), "--out", str(tmp_path)])
+        assert rc == 0
+        header = capsys.readouterr().out.splitlines()[0].split("   ", 1)[1]
+        assert header == "r = 1.25, reference N = 240, predicted rate = 1.5"
+
+    def test_grading_below_one_is_refused_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(analysis, "solve", lambda *args: solves.append(args))
+        config = {
+            "problem": {"f": "sin4", "u0": 1.0, "T": 1.0},
+            "order": {"family": "sine", "a0": 0.6, "a1": 0.4},
+            "mesh": {"r": 0.5},
+            "convergence": {"N_list": [24, 48], "ref_N": 240},
+        }
+        out = tmp_path / "out"
+        rc = main(["converge", "--config", write_config(tmp_path, config), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists() and solves == []
 
     def test_non_nesting_n_list(self, tmp_path, capsys):
         config = {

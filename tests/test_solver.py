@@ -281,14 +281,25 @@ class TestBlockMarch:
         # history products and its in-block dots, so only rounding
         problem, mesh = sin4_problem(order), make_mesh(1.0, N, r)
         default = solve(problem, mesh)
-        sizes = []
-        row_blocks = assembly._row_blocks
+        sizes, far = [], []
+        row_blocks, far_sums, far_weight = assembly._row_blocks, assembly._Panels.far_sums, assembly._far_weight
+
+        def watched_far_sums(*args):
+            # the shape of each far-weight array, which the kernel array shares
+            with pytest.MonkeyPatch.context() as inner:
+                inner.setattr(assembly, "_far_weight", lambda v, al: far.append(v.shape) or far_weight(v, al))
+                return far_sums(*args)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(assembly, "HISTORY_BLOCK_POINTS", 2**8)
             mp.setattr(assembly, "_row_blocks", lambda *args: (sizes.append(len(rows)) or rows
                                                                for rows in row_blocks(*args)))
+            mp.setattr(assembly._Panels, "far_sums", watched_far_sums)
             small = solve(problem, mesh)
         assert len(sizes) > N / 8 and max(sizes) < 64
+        # no far-sum array exceeds the cap, unless it is a single row
+        assert all(rows == 1 or rows * cols <= 2**8 for rows, cols in far)
+        assert (len(far) > 0) == (N > 96)
         np.testing.assert_allclose(small.values, default.values, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(small.newton_stats, default.newton_stats)
 
