@@ -17,6 +17,8 @@ src/ knows of it:
 * stream: time spent inside the coefficient_rows generator, and march: the
   rest of solve, which is the Newton march;
 * cell_averages, moments: assembly._cell_averages and assembly._moments;
+* kernel: assembly._kernel_minus_one, the K - 1 arithmetic, summed over
+  the layers that call it (cell averages, panels_check, far_sums);
 * panels_make, panels_check, far_sums: the _Panels methods of the same
   names (panels_make includes panels_check).
 
@@ -47,7 +49,8 @@ BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
 CASES = [("sine", 96, 51), ("sine", 1440, 9), ("sine", 5760, 5),
          ("affine", 4000, 9), ("affine", 20000, 3)]
 QUICK_CASES = [("sine", 96, 1), ("affine", 1000, 1)]
-LAYERS = ("stream", "march", "cell_averages", "moments", "panels_make", "panels_check", "far_sums")
+LAYERS = ("stream", "march", "cell_averages", "moments", "kernel", "panels_make", "panels_check",
+          "far_sums")
 
 
 def host() -> dict:
@@ -82,6 +85,7 @@ def instrument(spent: dict, blocks: list):
 
     timed(assembly, "_cell_averages", "cell_averages")
     timed(assembly, "_moments", "moments")
+    timed(assembly, "_kernel_minus_one", "kernel")
     timed(assembly._Panels, "_make", "panels_make")
     timed(assembly._Panels, "_check", "panels_check")
     timed(assembly._Panels, "far_sums", "far_sums")

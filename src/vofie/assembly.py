@@ -299,11 +299,11 @@ class _CellQuadrature:
     """Row-independent quadrature data of the mesh's cells for the history
     rows.
 
-    Cell j = [t_{j-1}, t_j] is row j-1 of `s`/`alpha_s`: the rule's points
-    there and alpha at them, evaluated once per assembly. The diagonal cell
-    of a row gets the fixed diagonal rule instead, whatever the rule: cell n
-    of row n has its points at t_{n-1} + tau_n DIAG_NODES, and DIAG_WEIGHTS,
-    which sum to one, give its average.
+    Cell j = [t_{j-1}, t_j] is column j-1 of `s`/`alpha_s`, one row per rule
+    point: the rule's points there and alpha at them, evaluated once per
+    assembly. The diagonal cell of a row gets the fixed diagonal rule
+    instead, whatever the rule: cell n of row n has its points at t_{n-1} +
+    tau_n DIAG_NODES, and DIAG_WEIGHTS, which sum to one, give its average.
     """
 
     order: VariableOrder
@@ -317,7 +317,7 @@ class _CellQuadrature:
 def _cell_quadrature(order: VariableOrder, mesh: Mesh, rule: QuadratureRule):
     """_CellQuadrature for rows 1..N (cells 1..N-1 off the diagonal)."""
     cells = mesh.N - 1
-    s = mesh.nodes[:cells, None] + mesh.steps[:cells, None] * rule.nodes
+    s = mesh.nodes[:cells] + mesh.steps[:cells] * rule.nodes[:, None]
     return _CellQuadrature(
         order=order,
         mesh=mesh,
@@ -333,34 +333,40 @@ def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
 
 
+# (row k, cell c < k) pairs of _cell_averages' in-block triangles: R (C0 + R)
+# moments within the cap keep R <= isqrt(cap), so each triangle is a prefix
+_TRIANGLE = np.tril_indices(math.isqrt(HISTORY_BLOCK_POINTS), -1)
+_TRIANGLE[0].flags.writeable = _TRIANGLE[1].flags.writeable = False
+
+
 def _cell_averages(cq: _CellQuadrature, rows: np.ndarray, first: int = 0) -> np.ndarray:
     """B[k, c] = (1/tau_j) int_{cell j} K(t_n, s) ds - 1 for n = rows[k] and
     cell j = first + 1 + c, over the cells first+1..rows[-1]; columns past
-    n are zero. The rows are consecutive. The cells first+1..rows[0]-1 are
-    off the diagonal of every row, one broadcast rectangle of the rule's
-    points; the later off-diagonal cells, a triangle, are gathered point by
-    point; the diagonal cell gets the fixed rule graded into the v ln v
-    corner at s = t_n (DIAG_NODES), alpha sampled at its points row by row.
+    n are zero. The rows are a _row_blocks block. The cells first+1..rows[0]-1,
+    off the diagonal of every row, are one (point, row, cell) broadcast of
+    slices of s/alpha_s reduced by one product with the weights; the later
+    off-diagonal cells, a triangle, are 1-D takes along the cell axis of a
+    prefix of _TRIANGLE's pairs; the diagonal cell gets the fixed rule
+    graded into the v ln v corner at s = t_n (DIAG_NODES), alpha sampled at
+    its points row by row.
     """
     nodes, w = cq.mesh.nodes, cq.rule.weights
     tn, an = nodes[rows], cq.alpha_t[rows]
-    out = np.zeros((len(rows), rows[-1] - first))
+    R, c0 = len(rows), int(rows[0]) - 1 - first
+    out = np.zeros((R, rows[-1] - first))
 
-    counts = rows - 1 - first
-    near = slice(first, first + counts[0])
-    rect = _kernel_minus_one(an[:, None, None] - cq.alpha_s[near], tn[:, None, None] - cq.s[near])
-    out[:, : counts[0]] = (rect.reshape(-1, len(w)) @ w).reshape(len(rows), -1)
+    near = slice(first, first + c0)
+    rect = _kernel_minus_one(an[:, None] - cq.alpha_s[:, None, near], tn[:, None] - cq.s[:, None, near])
+    out[:, :c0] = (w @ rect.reshape(len(w), -1)).reshape(R, c0)
     del rect  # each kernel array is freed once reduced, before the next
 
-    rest = counts - counts[0]
-    k = np.repeat(np.arange(len(rows)), rest)
-    c = _runs(np.full_like(rest, counts[0]), rest)
-    j = first + c
-    out[k, c] = _kernel_minus_one(an[k, None] - cq.alpha_s[j], tn[k, None] - cq.s[j]) @ w
+    k, c = (pattern[: R * (R - 1) // 2] for pattern in _TRIANGLE)
+    j = c + (first + c0)
+    out[:, c0:][k, c] = w @ _kernel_minus_one(an.take(k) - cq.alpha_s.take(j, 1), tn.take(k) - cq.s.take(j, 1))
 
     s = nodes[rows - 1, None] + cq.mesh.steps[rows - 1, None] * DIAG_NODES
     da = an[:, None] - np.asarray(cq.order.alpha(s), dtype=float)
-    out[np.arange(len(rows)), counts] = _kernel_minus_one(da, tn[:, None] - s) @ DIAG_WEIGHTS
+    out[np.arange(R), rows - 1 - first] = _kernel_minus_one(da, tn[:, None] - s) @ DIAG_WEIGHTS
     return out
 
 
@@ -580,7 +586,7 @@ class _Panels:
             f0, f1 = self.fvals[c], self.fvals[c + 1]
             parts = [wl * f0 + wr * f1, wl * np.abs(f0) + wr * np.abs(f1)]
             if self.incs is not None:
-                avg = _kernel_minus_one(al[o, None] - cq.alpha_s[c], t[o, None] - cq.s[c]) @ cq.rule.weights
+                avg = cq.rule.weights @ _kernel_minus_one(al[o] - cq.alpha_s.take(c, 1), t[o] - cq.s.take(c, 1))
                 d = self.incs[c + 1]
                 parts += [avg * d, np.abs(1.0 + avg) * np.abs(d)]
             sums += [np.bincount(o, part, len(ids)) for part in parts]
@@ -782,12 +788,12 @@ def translation_invariant(order: VariableOrder, mesh: Mesh,
 
 def _chord_gap(cq: _CellQuadrature) -> tuple[float, float]:
     """(gap, t): the largest departure of alpha from its chord
-    alpha(0) + (alpha(T) - alpha(0)) t / T at the nodes of cq, and where it
-    is; where the nodes stay within AFFINE_TOL, the same at the rule points
-    of cq. Most non-affine orders are thus refused on N + 1 values."""
+    alpha(0) + (alpha(T) - alpha(0)) t / T at the nodes of cq, and the first
+    t with it; where the nodes stay within AFFINE_TOL, the same at the rule
+    points. Most non-affine orders are thus refused on N + 1 values."""
     a, T = cq.alpha_t, cq.mesh.T
     worst, where = 0.0, 0.0
-    for t, alpha in ((cq.mesh.nodes, a), (cq.s, cq.alpha_s)):
+    for t, alpha in ((cq.mesh.nodes, a), (cq.s.T, cq.alpha_s.T)):
         if not t.size:
             continue
         gap = np.abs(alpha - (a[0] + (a[-1] - a[0]) * (t / T)))

@@ -163,7 +163,11 @@ def build_run(config: dict):
     if "case" in mspec and "r" in mspec:
         raise ConfigError("mesh takes case or r, not both: case sets the grading")
     grading = mspec.get("case", mspec.get("r", 1.0))
-    r = grading_for_case(order, grading) if "case" in mspec else grading
+    try:
+        r = grading_for_case(order, grading)
+    except ValueError as exc:  # a finite mesh.r can only be below 1
+        why = f"mesh.case: {exc}" if "case" in mspec else f"mesh.r must be >= 1, got {grading:g}"
+        raise ConfigError(why) from exc
     mesh = make_mesh(T, mspec["N"], r) if "N" in mspec else None
     conv = {"case": grading, **config.get("convergence", {})}
     return problem, mesh, conv

@@ -605,6 +605,36 @@ class TestDiagonalRule:
         assert rows == mesh.N
 
 
+def per_cell_averages(cq, rows, first):
+    """B[k, c] of _cell_averages written plainly, row by row and cell by
+    cell: the rule's weights against kernel_K at its points in t off the
+    diagonal, DIAG_WEIGHTS at t_{n-1} + tau_n DIAG_NODES on it, minus one,
+    and zero past the diagonal."""
+    t, tau = cq.mesh.nodes, cq.mesh.steps
+    out = np.zeros((len(rows), rows[-1] - first))
+    for k, n in enumerate(rows):
+        for j in range(first + 1, n + 1):
+            x, w = (assembly.DIAG_NODES, assembly.DIAG_WEIGHTS) if j == n else (cq.rule.nodes, cq.rule.weights)
+            out[k, j - first - 1] = kernel_K(cq.order, t[n], t[j - 1] + tau[j - 1] * x) @ w - 1.0
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(first=st.integers(1, 60), gap=st.integers(1, 40), span=st.integers(0, 40),
+       r=st.sampled_from([1.0, 1.0 / 0.6]),
+       rule=st.sampled_from([gauss_nodes(1), gauss_nodes(3), gauss_nodes(), SKEWED_RULE]))
+def test_cell_averages_match_the_scheme_cell_by_cell(first, gap, span, r, rule):
+    # the first block the direct rows build from cell first + 1 on, against
+    # the scheme's averages taken one cell at a time, within 4 eps of K = 1 + B
+    lo = first + gap
+    cq = assembly._cell_quadrature(make_sine_order(0.6, 0.4), make_mesh(1.0, lo + span, r), rule)
+    rows = next(_row_blocks(lo, lo + span, first, rule.count))
+    expected = per_cell_averages(cq, rows, first)
+    got = assembly._cell_averages(cq, rows, first)
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= 4 * np.finfo(float).eps * np.abs(1.0 + expected))
+
+
 def sin4_problem(order):
     return Problem(f=lambda u, t: 0.5 * np.sin(u) ** 4,
                    df_du=lambda u, t: 2.0 * np.sin(u) ** 3 * np.cos(u),

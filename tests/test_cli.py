@@ -415,6 +415,29 @@ class TestCmdConverge:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists() and solves == []
 
+    @pytest.mark.parametrize("command", ["solve", "converge"])
+    @pytest.mark.parametrize("mesh,message", [
+        ({"r": 0.5}, "config error: mesh.r must be >= 1, got 0.5"),
+        ({"case": "IV"}, "config error: mesh.case: case must be I, II, III"),
+    ], ids=["r", "case"])
+    def test_bad_grading_names_its_key(self, tmp_path, capsys, monkeypatch, command, mesh, message):
+        # build_run checks the grading for every command, with or without
+        # mesh.N, and names the key it came from
+        solves = []
+        for module in (cli, analysis):
+            monkeypatch.setattr(module, "solve", lambda *args: solves.append(args))
+        config = {
+            "problem": {"f": "sin4", "u0": 1.0, "T": 1.0},
+            "order": {"family": "sine", "a0": 0.6, "a1": 0.4},
+            "mesh": {**mesh, "N": 48} if command == "solve" else mesh,
+            "convergence": {"N_list": [24, 48], "ref_N": 240},
+        }
+        out = tmp_path / "out"
+        rc = main([command, "--config", write_config(tmp_path, config), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists() and solves == []
+
     def test_non_nesting_n_list(self, tmp_path, capsys):
         config = {
             "problem": {"f": "sin4", "u0": 1.0, "T": 1.0},
