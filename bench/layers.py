@@ -1,15 +1,20 @@
 """Where a solve's time and memory go, layer by layer, written to
 BENCH_<label>.json.
 
-    python3 bench/layers.py --label after [--src SRC] [--out DIR] [--quick]
+    python3 bench/layers.py --label after [--src SRC] [--before SRC] [--out DIR] [--quick]
 
 Each case is f = 0.5 sin^4(u), u0 = 1, T = 1, solved in a fresh worker
 process (so ru_maxrss is the case's own) with one BLAS thread: graded sine
 (0.6, 0.4) at r = 1/0.6 and affine (0.9, 0.4) on a uniform mesh, the gap
 rows. --quick runs two small cases once each, as a smoke test of the
 harness. --src names the source tree to import vofie from (default: this
-checkout's src/), so one harness measures two checkouts; --out is the
-directory of the file (default: bench/).
+checkout's src/); --out is the directory of the file (default: bench/).
+
+--before SRC measures a second source tree in the same run, case by case:
+its workers and those of --src alternate (before, after, after, before),
+so host drift between them reads as spread, not as a layer change. It
+writes BENCH_before.json beside BENCH_<label>.json, each side taken over
+its own two workers.
 
 The harness wraps vofie's layer functions at run time, so nothing under
 src/ knows of it:
@@ -22,10 +27,12 @@ src/ knows of it:
 * panels_make, panels_check, far_sums: the _Panels methods of the same
   names (panels_make includes panels_check).
 
-Per case it records the median of each layer over the timed solves (one
-untimed solve first), the blocks the stream yields per solve, the minor
-page faults per timed solve, the worker's ru_maxrss after them, the
-tracemalloc peak of one more solve, and once per file the host line.
+Per case it records the median of each layer over the timed solves of
+its workers (one untimed solve first in each), and each worker's own
+median; the blocks the stream yields per solve, the minor page faults per
+timed solve (the mean over workers), the largest worker ru_maxrss after
+them and the largest tracemalloc peak of one more solve; and once per file
+the host line.
 """
 
 from __future__ import annotations
@@ -136,19 +143,43 @@ def worker(kind: str, N: int, repeats: int) -> dict:
     solve(problem, mesh)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return {"order": kind, "N": N, "repeats": repeats,
-            "median_s": {layer: statistics.median(s) for layer, s in samples.items()},
-            "blocks_per_solve": per_solve,
+    return {"samples_s": samples, "blocks_per_solve": per_solve,
             "minor_faults_per_solve": faults / repeats,
             "tracemalloc_peak_mb": peak / 2**20,
             "ru_maxrss_mb": maxrss}
+
+
+def measure(src: str, kind: str, N: int, repeats: int) -> dict:
+    """One worker process's results for a case, with vofie from src."""
+    proc = subprocess.run([sys.executable, __file__, "--worker", kind, str(N), str(repeats)],
+                          stdout=subprocess.PIPE, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
+    return json.loads(proc.stdout)
+
+
+def case_record(kind: str, N: int, repeats: int, runs: list[dict]) -> dict:
+    """A case's record from the workers of one source tree."""
+    blocks = {run["blocks_per_solve"] for run in runs}
+    assert len(blocks) == 1, f"the workers of one tree disagree on blocks per solve: {blocks}"
+    layers = runs[0]["samples_s"]
+    return {"order": kind, "N": N, "repeats": repeats, "workers": len(runs),
+            "median_s": {layer: statistics.median(s for run in runs for s in run["samples_s"][layer])
+                         for layer in layers},
+            "worker_median_s": {layer: [statistics.median(run["samples_s"][layer]) for run in runs]
+                                for layer in layers},
+            "blocks_per_solve": blocks.pop(),
+            "minor_faults_per_solve": statistics.mean(run["minor_faults_per_solve"] for run in runs),
+            "tracemalloc_peak_mb": max(run["tracemalloc_peak_mb"] for run in runs),
+            "ru_maxrss_mb": max(run["ru_maxrss_mb"] for run in runs)}
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="layers", help="writes BENCH_<label>.json")
     parser.add_argument("--src", default=str(ROOT / "src"), help="source tree to import vofie from")
-    parser.add_argument("--out", default=str(Path(__file__).parent), help="directory of the JSON file")
+    parser.add_argument("--before", metavar="SRC",
+                        help="a second source tree, alternated with --src and written to BENCH_before.json")
+    parser.add_argument("--out", default=str(Path(__file__).parent), help="directory of the JSON files")
     parser.add_argument("--quick", action="store_true", help="two small cases, one solve each")
     parser.add_argument("--worker", nargs=3, metavar=("ORDER", "N", "REPEATS"), help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -156,20 +187,28 @@ def main():
         kind, N, repeats = args.worker
         print(json.dumps(worker(kind, int(N), int(repeats))))
         return
-    os.environ.update({var: "1" for var in BLAS_THREAD_VARS}, PYTHONPATH=os.path.abspath(args.src))
-    cases = []
+    if args.before is not None and args.label == "before":
+        parser.error("--before writes BENCH_before.json, so --label must be another name")
+    os.environ.update({var: "1" for var in BLAS_THREAD_VARS})
+    srcs = {args.label: args.src} if args.before is None else {"before": args.before, args.label: args.src}
+    # each tree's workers, in the order they run
+    turns = [args.label] if args.before is None else ["before", args.label, args.label, "before"]
+    cases = {label: [] for label in srcs}
     for kind, N, repeats in QUICK_CASES if args.quick else CASES:
-        proc = subprocess.run([sys.executable, __file__, "--worker", kind, str(N), str(repeats)],
-                              stdout=subprocess.PIPE, text=True, check=True)
-        case = json.loads(proc.stdout)
-        cases.append(case)
-        layers = case["median_s"]
-        print(f"{kind:6} N={N:<6} solve {1e3 * layers['solve']:9.3f} ms  stream "
-              f"{1e3 * layers['stream']:9.3f} ms  march {1e3 * layers['march']:8.3f} ms  "
-              f"blocks {case['blocks_per_solve']:5}  maxrss {case['ru_maxrss_mb']:.1f} MB")
-    path = Path(args.out) / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps({"label": args.label, "host": host(), "cases": cases}, indent=1) + "\n")
-    print(f"wrote {path}")
+        runs = {label: [] for label in srcs}
+        for label in turns:
+            runs[label].append(measure(srcs[label], kind, N, repeats))
+        for label in srcs:
+            case = case_record(kind, N, repeats, runs[label])
+            cases[label].append(case)
+            layers = case["median_s"]
+            print(f"{label:8} {kind:6} N={N:<6} solve {1e3 * layers['solve']:9.3f} ms  stream "
+                  f"{1e3 * layers['stream']:9.3f} ms  march {1e3 * layers['march']:8.3f} ms  "
+                  f"blocks {case['blocks_per_solve']:5}  maxrss {case['ru_maxrss_mb']:.1f} MB")
+    for label in srcs:
+        path = Path(args.out) / f"BENCH_{label}.json"
+        path.write_text(json.dumps({"label": label, "host": host(), "cases": cases[label]}, indent=1) + "\n")
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ import numpy as np
 
 from vofie import assembly, solver
 from vofie.mesh import make_mesh
-from vofie.order import make_custom_order, make_linear_order, make_sine_order
+from vofie.order import VariableOrder, make_linear_order, make_sine_order
 from vofie.solver import Problem, solve
 
 PROBLEMS = 90
@@ -48,8 +48,8 @@ def draw_order(rng, family):
     a0 = rng.uniform(0.3, 0.8)
     amp = rng.uniform(0.0, min(a0 - 0.1, 1.0 - a0))
     c = rng.uniform(5.0, 60.0)
-    order = make_custom_order(lambda t: a0 + amp * np.sin(c * np.asarray(t, dtype=float)),
-                              lambda t: amp * c * np.cos(c * np.asarray(t, dtype=float)))
+    order = VariableOrder(lambda t: a0 + amp * np.sin(c * np.asarray(t, dtype=float)),
+                          lambda t: amp * c * np.cos(c * np.asarray(t, dtype=float)))
     return order, f"{a0:.3f} + {amp:.3f} sin({c:.1f} t)"
 
 

@@ -31,7 +31,6 @@ from .mesh import Mesh, grading_for_case, make_mesh
 from .order import (
     VariableOrder,
     make_constant_order,
-    make_custom_order,
     make_linear_order,
     make_sine_order,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "kernel_K",
     "kernel_Ks",
     "make_constant_order",
-    "make_custom_order",
     "make_linear_order",
     "make_mesh",
     "make_sine_order",

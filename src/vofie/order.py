@@ -93,18 +93,3 @@ def make_linear_order(start: float, end: float, T: float = 1.0) -> VariableOrder
         return np.full_like(np.asarray(t, dtype=float), (end - start) / T)
 
     return VariableOrder(alpha, dalpha, T=T)
-
-
-def make_custom_order(alpha: Callable, dalpha: Callable, *, T: float = 1.0) -> VariableOrder:
-    """Wrap user-supplied (alpha, alpha') callables on [0, T].
-
-    The order is checked as every VariableOrder is: an alpha outside (0, 1]
-    at a sampled t, or a T that is not positive and finite, raises
-    ValueError here. The derivative is required, but no solve reads it:
-    only kernel_Ks does (see the module docstring).
-    alpha(0) is read from alpha. An affine alpha needs no declaration: on a
-    uniform mesh a solve finds it from alpha's values and reads the
-    gap-indexed rows.
-    """
-    return VariableOrder(alpha, dalpha, T=T)
-

@@ -16,7 +16,8 @@ class MittagLefflerConvergenceError(RuntimeError):
     """Raised when the Mittag-Leffler series fails to meet tolerance."""
 
 
-ML_MAX_TERMS = 10_000
+# The series' stopping tolerance and term cap (see mittag_leffler)
+ML_TOL, ML_MAX_TERMS = 1e-12, 10_000
 
 
 @dataclass(frozen=True)
@@ -25,24 +26,22 @@ class MLParams:
 
     p: float
     q: float = 1.0
-    tol: float = 1e-12
 
     def __post_init__(self):
         if self.p <= 0:
             raise ValueError(f"MLParams.p must be positive, got {self.p}")
-        if self.tol <= 0:
-            raise ValueError(f"MLParams.tol must be positive, got {self.tol}")
 
 
 def mittag_leffler(params: MLParams, z: float) -> float:
     """Evaluate E_{p,q}(z) = sum_k z^k / Gamma(p k + q) by direct summation.
 
     Terms are accumulated until the next one falls below
-    tol * (1 + |partial sum|). Intended for |z| <= 50, where the series is
-    usable at double precision. Reciprocal gamma handles the poles of
+    ML_TOL * (1 + |partial sum|), for at most ML_MAX_TERMS terms; both are
+    read at each call. Intended for |z| <= 50, where the series is usable
+    at double precision. Reciprocal gamma handles the poles of
     Gamma(p k + q) (those terms vanish).
     """
-    p, q, tol = params.p, params.q, params.tol
+    p, q = params.p, params.q
     total = 0.0
     zk = 1.0
     for k in range(ML_MAX_TERMS):
@@ -52,7 +51,7 @@ def mittag_leffler(params: MLParams, z: float) -> float:
             raise MittagLefflerConvergenceError(
                 f"Mittag-Leffler series overflowed at term {k} (p={p}, q={q}, z={z})"
             )
-        if abs(term) <= tol * (1.0 + abs(total)) and k > 0:
+        if abs(term) <= ML_TOL * (1.0 + abs(total)) and k > 0:
             return total
         zk *= z
     raise MittagLefflerConvergenceError(

@@ -22,8 +22,8 @@ from vofie.assembly import (
 from vofie.kernel import kernel_K, kernel_Ks
 from vofie.mesh import make_mesh
 from vofie.order import (
+    VariableOrder,
     make_constant_order,
-    make_custom_order,
     make_linear_order,
     make_sine_order,
 )
@@ -306,10 +306,6 @@ def test_names_the_benchmark_traces_resolve(name):
     assert callable(pkgutil.resolve_name(name))
 
 
-def custom_order(alpha, dalpha, T=1.0):
-    return make_custom_order(alpha, dalpha, T=T)
-
-
 class TestTranslationInvariant:
     """Gap rows follow from alpha's values; nothing is declared."""
 
@@ -317,8 +313,8 @@ class TestTranslationInvariant:
         "order",
         [
             make_linear_order(0.7, 0.3, T=2.0),
-            custom_order(lambda t: 0.2 * np.asarray(t) / 0.7 + 0.8 * (1 - np.asarray(t) / 0.7),
-                         lambda t: np.full_like(np.asarray(t, dtype=float), -0.6 / 0.7), T=0.7),
+            VariableOrder(lambda t: 0.2 * np.asarray(t) / 0.7 + 0.8 * (1 - np.asarray(t) / 0.7),
+                          lambda t: np.full_like(np.asarray(t, dtype=float), -0.6 / 0.7), T=0.7),
         ],
     )
     def test_affine_orders_qualify(self, order):
@@ -328,7 +324,7 @@ class TestTranslationInvariant:
         translation_invariant(order, mesh, gauss_nodes(20))
 
     def test_quadratic_order_names_its_largest_departure(self):
-        order = custom_order(lambda t: 0.6 - 0.3 * np.asarray(t) ** 2, lambda t: -0.6 * np.asarray(t))
+        order = VariableOrder(lambda t: 0.6 - 0.3 * np.asarray(t) ** 2, lambda t: -0.6 * np.asarray(t))
         mesh = make_mesh(1.0, 8, 1.0)
         with pytest.raises(ValueError, match="chord"):
             translation_invariant(make_sine_order(0.6, 0.4), mesh)
@@ -338,8 +334,8 @@ class TestTranslationInvariant:
 
     def test_rule_points_are_checked_between_affine_nodes(self):
         # on the chord at every node of N = 16, off it inside each cell
-        order = custom_order(lambda t: 0.6 - 0.3 * np.asarray(t) + 1e-3 * np.sin(32 * np.pi * np.asarray(t)),
-                             lambda t: -0.3 + 32e-3 * np.pi * np.cos(32 * np.pi * np.asarray(t)))
+        order = VariableOrder(lambda t: 0.6 - 0.3 * np.asarray(t) + 1e-3 * np.sin(32 * np.pi * np.asarray(t)),
+                              lambda t: -0.3 + 32e-3 * np.pi * np.cos(32 * np.pi * np.asarray(t)))
         mesh = make_mesh(1.0, 16, 1.0)
         with pytest.raises(ValueError) as exc:
             translation_invariant(order, mesh)
@@ -349,7 +345,7 @@ class TestTranslationInvariant:
     def test_graded_mesh_is_refused_before_sampling(self):
         calls = []
         line = make_linear_order(0.9, 0.4)
-        order = custom_order(lambda t: calls.append(1) or line.alpha(t), line.dalpha)
+        order = VariableOrder(lambda t: calls.append(1) or line.alpha(t), line.dalpha)
         calls.clear()
         with pytest.raises(ValueError, match="uniform"):
             translation_invariant(order, make_mesh(1.0, 16, 2.0))
@@ -693,8 +689,8 @@ def panel_checks(mp):
 
 def fast_order():
     """alpha = 0.5 + 0.3 sin(40 t): it varies on the scale of wide panels."""
-    return make_custom_order(lambda t: 0.5 + 0.3 * np.sin(40.0 * np.asarray(t)),
-                             lambda t: 12.0 * np.cos(40.0 * np.asarray(t)))
+    return VariableOrder(lambda t: 0.5 + 0.3 * np.sin(40.0 * np.asarray(t)),
+                         lambda t: 12.0 * np.cos(40.0 * np.asarray(t)))
 
 
 def bump_order(centre=0.25, width=0.05):
@@ -710,7 +706,7 @@ def bump_order(centre=0.25, width=0.05):
         t = np.asarray(t)
         return 0.3 * bump(t) * (400.0 * np.cos(400.0 * t) - np.sin(400.0 * t) * 2.0 * (t - centre) / width**2)
 
-    return make_custom_order(alpha, dalpha)
+    return VariableOrder(alpha, dalpha)
 
 
 class TestFarField:
@@ -899,6 +895,24 @@ class TestFarField:
             expected = basis.T @ np.stack((1.0 + 2.0 * s, np.full_like(s, 3.0)), axis=1)
             np.testing.assert_allclose(panels.q[i], expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
+    def test_a_second_read_at_the_same_row_makes_nothing(self, monkeypatch):
+        # every panel ready by row lo is made by the first _read(lo), so the
+        # second finds none new: it computes no charges, runs no check and
+        # walks to the same panels
+        order, mesh = make_sine_order(0.6, 0.4), make_mesh(1.0, 256, 1.0)
+        t = mesh.nodes
+        cq = assembly._cell_quadrature(order, mesh, gauss_nodes())
+        panels = assembly._Panels(cq, 1.0 + 2.0 * t, np.diff(3.0 * t, prepend=np.nan))
+        first = panels._read(200)
+        assert first[0] > 0 and sum(panels.made) > 0
+        made, q, passed = list(panels.made), panels.q.copy(), panels.passed.copy()
+        for name in ("_leaf_charges", "_parent_charges", "_check"):
+            monkeypatch.setattr(panels, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+        assert panels._read(200) == first
+        assert panels.made == made
+        np.testing.assert_array_equal(panels.q, q)
+        np.testing.assert_array_equal(panels.passed, passed)
+
     def test_lagrange_takes_the_unit_row_on_a_node(self):
         # one batch of two panels: a point of the first lies exactly on its
         # node 5, and no point of the second on any of its nodes. The hit
@@ -1016,11 +1030,11 @@ def test_custom_orders_far_field_matches_direct(a, b, c, shape, grading, N):
     # a + b (1 - exp(-c t)), kept inside (0, 1]
     b = min(b, 1.0 - a)
     if shape == "square":
-        order = make_custom_order(lambda t: a + b * np.asarray(t) ** 2,
-                                  lambda t: 2.0 * b * np.asarray(t))
+        order = VariableOrder(lambda t: a + b * np.asarray(t) ** 2,
+                              lambda t: 2.0 * b * np.asarray(t))
     else:
-        order = make_custom_order(lambda t: a + b * -np.expm1(-c * np.asarray(t)),
-                                  lambda t: b * c * np.exp(-c * np.asarray(t)))
+        order = VariableOrder(lambda t: a + b * -np.expm1(-c * np.asarray(t)),
+                              lambda t: b * c * np.exp(-c * np.asarray(t)))
     mesh, rule = make_mesh(1.0, N, 1.0 + grading * (1.0 / a - 1.0)), gauss_nodes()
     far, known, direct = far_sums(order, mesh, rule)
     assert far.any()

@@ -10,7 +10,7 @@ from vofie import analysis, cli, solver
 from vofie.assembly import DIAG_NODES, gauss_nodes
 from vofie.cli import PRESETS, build_run, main
 from vofie.mesh import make_mesh
-from vofie.order import make_custom_order, make_linear_order, make_sine_order
+from vofie.order import VariableOrder, make_linear_order, make_sine_order
 from vofie.solver import Problem, solve
 
 
@@ -274,8 +274,8 @@ class TestCmdSolve:
         N, rule = 64, gauss_nodes()
         line = make_linear_order(0.9, 0.4)
         points = []
-        order = make_custom_order(lambda t: points.append(np.ravel(t)) or line.alpha(t),
-                                  line.dalpha)
+        order = VariableOrder(lambda t: points.append(np.ravel(t)) or line.alpha(t),
+                              line.dalpha)
         points.clear()
 
         def counted_run(config):

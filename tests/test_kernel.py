@@ -10,12 +10,12 @@ from vofie.kernel import (
     kernel_K,
     kernel_Ks,
 )
-from vofie.order import make_constant_order, make_custom_order, make_sine_order
+from vofie.order import VariableOrder, make_constant_order, make_sine_order
 
 
 def ramp_order():
     # alpha(t) = (1 + t)/2 on [0, 1]; handy because alpha(t) - alpha(s) = (t - s)/2
-    return make_custom_order(
+    return VariableOrder(
         lambda t: (1.0 + np.asarray(t, dtype=float)) / 2,
         lambda t: np.full_like(np.asarray(t, dtype=float), 0.5),
     )

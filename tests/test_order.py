@@ -11,7 +11,6 @@ from vofie.order import (
     ALPHA_SAMPLES,
     VariableOrder,
     make_constant_order,
-    make_custom_order,
     make_linear_order,
     make_sine_order,
 )
@@ -75,11 +74,11 @@ class TestOtherFamilies:
             make(*args)
 
     def test_custom_reads_alpha0_and_takes_T_by_keyword(self):
-        order = make_custom_order(lambda t: 0.7 - 0.2 * np.asarray(t),
-                                  lambda t: -0.2 + 0.0 * np.asarray(t), T=2.0)
+        order = VariableOrder(lambda t: 0.7 - 0.2 * np.asarray(t),
+                              lambda t: -0.2 + 0.0 * np.asarray(t), T=2.0)
         assert order.alpha0 == 0.7 and order.T == 2.0
         with pytest.raises(TypeError):
-            make_custom_order(order.alpha, order.dalpha, 0.7)
+            VariableOrder(order.alpha, order.dalpha, 0.7)
 
     @pytest.mark.parametrize("value,T", [(0.5, 1.0), (1.0, 2.0), (0.3, 0.7)])
     def test_constant_is_flat(self, value, T):
@@ -125,7 +124,7 @@ class TestVariableOrder:
             return np.where(t == ts[k], bad, line.alpha(t))
 
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]") as refused:
-            make_custom_order(alpha, line.dalpha, T=T)
+            VariableOrder(alpha, line.dalpha, T=T)
         assert str(refused.value).endswith(f"at t = {float(ts[k])!r}")
         assert f"alpha(t) = {bad!r}" in str(refused.value)
 
@@ -135,7 +134,7 @@ class TestVariableOrder:
             raise AssertionError("alpha called")
 
         with pytest.raises(ValueError, match="horizon T must be positive and finite"):
-            make_custom_order(alpha, alpha, T=T)
+            VariableOrder(alpha, alpha, T=T)
         with pytest.raises(ValueError, match="horizon T must be positive and finite"):
             make_linear_order(0.9, 0.4, T)
 
@@ -155,7 +154,7 @@ class TestVariableOrder:
 
     def test_bound_violation(self):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\], got alpha\(t\) = 1.2 at t = 0.0"):
-            make_custom_order(
+            VariableOrder(
                 lambda t: 1.2 + 0.0 * np.asarray(t),
                 lambda t: 0.0 * np.asarray(t),
             )

@@ -13,8 +13,8 @@ from vofie.assembly import _moments, gauss_nodes, singular_moments
 from vofie.kernel import initial_coefficient, kernel_Ks
 from vofie.mesh import make_mesh
 from vofie.order import (
+    VariableOrder,
     make_constant_order,
-    make_custom_order,
     make_linear_order,
     make_sine_order,
 )
@@ -115,10 +115,10 @@ class TestFastPath:
             (make_constant_order(0.5), 1.0, True),
             (make_linear_order(0.9, 0.4), 2.0, False),
             # alpha on no line: reading gap rows moved the values by 1.5e-2
-            (make_custom_order(lambda t: 0.6 - 0.3 * np.asarray(t) ** 2,
-                               lambda t: -0.6 * np.asarray(t)), 1.0, False),
-            (make_custom_order(lambda t: 0.9 - 0.5 * np.asarray(t),
-                               lambda t: np.full_like(np.asarray(t, dtype=float), -0.5)),
+            (VariableOrder(lambda t: 0.6 - 0.3 * np.asarray(t) ** 2,
+                           lambda t: -0.6 * np.asarray(t)), 1.0, False),
+            (VariableOrder(lambda t: 0.9 - 0.5 * np.asarray(t),
+                           lambda t: np.full_like(np.asarray(t, dtype=float), -0.5)),
              1.0, True),
         ],
     )
@@ -200,7 +200,7 @@ def test_affine_orders_fast_equals_dense(start, frac, N, grading):
 def test_custom_affine_orders_take_gap_rows(start, frac, T, N):
     # an affine order written as a user might, with nothing declared
     end = 0.1 + frac * (start - 0.1)
-    order = make_custom_order(
+    order = VariableOrder(
         lambda t: end * np.asarray(t) / T + start * (1.0 - np.asarray(t) / T),
         lambda t: np.full_like(np.asarray(t, dtype=float), (end - start) / T),
         T=T,
@@ -375,8 +375,8 @@ class TestFarField:
     def test_fast_varying_order_matches_direct_solve(self, monkeypatch):
         # alpha = 0.5 + 0.3 sin(40 t) varies on the scale of the wide panels:
         # they fail their check and the rows read their children instead
-        order = make_custom_order(lambda t: 0.5 + 0.3 * np.sin(40.0 * np.asarray(t)),
-                                  lambda t: 12.0 * np.cos(40.0 * np.asarray(t)))
+        order = VariableOrder(lambda t: 0.5 + 0.3 * np.sin(40.0 * np.asarray(t)),
+                              lambda t: 12.0 * np.cos(40.0 * np.asarray(t)))
         problem, mesh = sin4_problem(order), make_mesh(1.0, 1440, 1.0)
         passed = []
         check = assembly._Panels._check
@@ -467,6 +467,26 @@ class TestComplexity:
         # N log N would be 5.07 times with 8-cell leaves
         assert points[1]["kernel"] <= 5 * points[0]["kernel"]
         assert sum(points[1].values()) <= 5 * sum(points[0].values())
+
+    @pytest.mark.parametrize(
+        "make_order,N,r,kernel,moment,blocks",
+        [
+            (lambda: make_sine_order(0.6, 0.4), 1440, 1.0 / 0.6, 825_024, 328_893, 28),
+            (lambda: make_linear_order(0.9, 0.4), 4000, 1.0, 28_013, 1_160_800, 62),  # gap rows
+        ],
+        ids=["sine-0.6-0.4-graded", "linear-0.9-0.4"],
+    )
+    def test_work_per_solve_is_pinned(self, monkeypatch, make_order, N, r, kernel, moment, blocks):
+        # the work a solve does, in numbers no host can move: a change to
+        # the scheme's cost shows here, and updates these figures
+        counts = count_points(monkeypatch)
+        seen = []
+        rows = solver.coefficient_rows
+        monkeypatch.setattr(solver, "coefficient_rows",
+                            lambda *args: (seen.append(None) or block for block in rows(*args)))
+        solve(sin4_problem(make_order()), make_mesh(1.0, N, r))
+        assert counts == {"kernel": kernel, "moment": moment}
+        assert len(seen) == blocks
 
 
 class TestAnalyticOracles:
@@ -730,8 +750,8 @@ class TestSolutionObject:
 
 
 def oscillating_order():
-    return make_custom_order(lambda t: 0.5 + 0.3 * np.sin(40.0 * np.asarray(t, dtype=float)),
-                             lambda t: 12.0 * np.cos(40.0 * np.asarray(t, dtype=float)))
+    return VariableOrder(lambda t: 0.5 + 0.3 * np.sin(40.0 * np.asarray(t, dtype=float)),
+                         lambda t: 12.0 * np.cos(40.0 * np.asarray(t, dtype=float)))
 
 
 def paper_form_residual(problem, sol, t):
