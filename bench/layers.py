@@ -8,13 +8,14 @@ process (so ru_maxrss is the case's own) with one BLAS thread: graded sine
 (0.6, 0.4) at r = 1/0.6 and affine (0.9, 0.4) on a uniform mesh, the gap
 rows. --quick runs two small cases once each, as a smoke test of the
 harness. --src names the source tree to import vofie from (default: this
-checkout's src/); --out is the directory of the file (default: bench/).
+checkout's src/); --out is the directory of the file (default: bench/),
+made first if it is missing.
 
 --before SRC measures a second source tree in the same run, case by case:
-its workers and those of --src alternate (before, after, after, before),
-so host drift between them reads as spread, not as a layer change. It
-writes BENCH_before.json beside BENCH_<label>.json, each side taken over
-its own two workers.
+its workers and those of --src alternate (before, after, after, before,
+twice over), so host drift between them reads as spread, not as a layer
+change. It writes BENCH_before.json beside BENCH_<label>.json, each side
+taken over its own four workers.
 
 The harness wraps vofie's layer functions at run time, so nothing under
 src/ knows of it:
@@ -190,9 +191,11 @@ def main():
     if args.before is not None and args.label == "before":
         parser.error("--before writes BENCH_before.json, so --label must be another name")
     os.environ.update({var: "1" for var in BLAS_THREAD_VARS})
+    # made before any case runs, so a missing directory cannot fail a finished run
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     srcs = {args.label: args.src} if args.before is None else {"before": args.before, args.label: args.src}
     # each tree's workers, in the order they run
-    turns = [args.label] if args.before is None else ["before", args.label, args.label, "before"]
+    turns = [args.label] if args.before is None else ["before", args.label, args.label, "before"] * 2
     cases = {label: [] for label in srcs}
     for kind, N, repeats in QUICK_CASES if args.quick else CASES:
         runs = {label: [] for label in srcs}

@@ -19,10 +19,8 @@ from .assembly import (
     assemble,
     gauss_nodes,
     history_weights,
-    singular_moments,
 )
 from .kernel import (
-    initial_coefficient,
     inversion_identity_check,
     kernel_K,
     kernel_Ks,
@@ -70,7 +68,6 @@ __all__ = [
     "gauss_nodes",
     "grading_for_case",
     "history_weights",
-    "initial_coefficient",
     "inversion_identity_check",
     "kernel_K",
     "kernel_Ks",
@@ -80,7 +77,6 @@ __all__ = [
     "make_sine_order",
     "mittag_leffler",
     "run_convergence",
-    "singular_moments",
     "singularity_exponent",
     "solve",
     "vie_residual",

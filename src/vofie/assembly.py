@@ -265,15 +265,6 @@ def _split_masses(q, m, al):
     return theta, m
 
 
-def singular_moments(order: VariableOrder, mesh: Mesh, n: int, i: int):
-    """Closed-form (wL, wR) for cell i of row n; see _moments."""
-    if not (1 <= i <= n <= mesh.N):
-        raise IndexError(f"need 1 <= i <= n <= N, got i={i}, n={n}, N={mesh.N}")
-    t = mesh.nodes[n : n + 1]
-    wl, wr = _moments(t, mesh.nodes[: n + 1], np.asarray(order.alpha(t), dtype=float))
-    return float(wl[0, i - 1]), float(wr[0, i - 1])
-
-
 def _kernel_minus_one(da, v):
     """K - 1 from the order gap da = alpha(t) - alpha(s) and v = t - s > 0.
 

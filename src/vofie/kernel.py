@@ -35,8 +35,11 @@ def kernel_Ks(order: VariableOrder, t, s):
     K_s = K * (alpha'(s) psi(1 + da) - alpha'(s) ln(t-s) - da/(t-s)).
     Identically zero for constant order. Has a logarithmic singularity at
     s = t for genuinely variable order; callers place quadrature nodes in
-    the open interval.
+    the open interval. It reads the order's dalpha, so it refuses an order
+    built without one (ValueError).
     """
+    if order.dalpha is None:
+        raise ValueError("kernel_Ks needs alpha': build the VariableOrder with dalpha")
     _check_ts(t, s)
     s = np.asarray(s, dtype=float)
     da = order.alpha(t) - order.alpha(s)
@@ -44,22 +47,6 @@ def kernel_Ks(order: VariableOrder, t, s):
     logterm = np.log(t - s)
     K = np.exp(da * logterm) / special.gamma(1.0 + da)
     val = K * (ds_alpha * special.psi(1.0 + da) - ds_alpha * logterm - da / (t - s))
-    return float(val) if val.ndim == 0 else val
-
-
-def initial_coefficient(order: VariableOrder, t, u0: float):
-    """Initial-data term u0 t^{alpha(t)-alpha(0)} / Gamma(1 + alpha(t)-alpha(0)).
-
-    At t = 0 the integral equation degenerates to the identity, so the value
-    is u0 itself.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("initial_coefficient requires t >= 0")
-    da = np.asarray(order.alpha(t_arr), dtype=float) - order.alpha0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = u0 * np.exp(da * np.log(t_arr)) / special.gamma(1.0 + da)
-    val = np.where(t_arr == 0.0, u0, val)
     return float(val) if val.ndim == 0 else val
 
 

@@ -1,11 +1,11 @@
 """Variable fractional order alpha(t): the admissible type and its families.
 
-An order carries alpha and its derivative alpha'. A solve reads alpha only:
-its history coefficients are cell averages of the kernel K, not of K_s,
-and so does the reference residual solver.vie_residual. alpha' is read
-only by kernel.kernel_Ks, the differentiated kernel that the acceptance
-tests' kernel suite evaluates. Evaluation callables must be pure and
-accept numpy arrays.
+An order carries alpha and, optionally, its derivative alpha'. A solve
+reads alpha only: its history coefficients are cell averages of the kernel
+K, not of K_s, and so does the reference residual solver.vie_residual.
+alpha' is read only by kernel.kernel_Ks, the differentiated kernel that the
+acceptance tests' kernel suite evaluates. Evaluation callables must be pure
+and map a numpy array of times to an array of the same shape.
 """
 
 from __future__ import annotations
@@ -24,20 +24,23 @@ ALPHA_SAMPLES, ALPHA_SLACK = 1001, 1e-12
 
 @dataclass(frozen=True)
 class VariableOrder:
-    """The order function alpha(t) on [0, T] with its derivative.
+    """The order function alpha(t) on [0, T], with its derivative dalpha if
+    given.
 
     An order is admissible or is not built: T must be positive and finite,
-    and alpha must lie in (0, 1] at ALPHA_SAMPLES equispaced points of
-    [0, T] (NaN fails), else a ValueError names the first t that fails.
-    alpha0 = alpha(0) is read from alpha, never given, so the grading
-    r = 1/alpha(0) and the regime cannot disagree with alpha. Nothing is
-    declared about the shape of alpha: whether a solve may read gap-indexed
-    coefficient rows is worked out from alpha's values
-    (assembly.translation_invariant).
+    alpha must map an array of times to an array of that shape, and alpha
+    must lie in (0, 1] at ALPHA_SAMPLES equispaced points of [0, T] (NaN
+    fails), else a ValueError says what failed, naming the first t for a
+    bound. alpha0 = alpha(0) is read from alpha, never given, so the
+    grading r = 1/alpha(0) and the regime cannot disagree with alpha.
+    Nothing is declared about the shape of alpha: whether a solve may read
+    gap-indexed coefficient rows is worked out from alpha's values
+    (assembly.translation_invariant). dalpha may be None, since no solve
+    reads it; kernel.kernel_Ks refuses such an order.
     """
 
     alpha: Callable
-    dalpha: Callable
+    dalpha: Callable | None = None
     T: float = field(default=1.0, kw_only=True)
     alpha0: float = field(init=False)
 
@@ -45,7 +48,13 @@ class VariableOrder:
         if not 0 < self.T < math.inf:
             raise ValueError(f"horizon T must be positive and finite, got {self.T}")
         ts = np.linspace(0.0, self.T, ALPHA_SAMPLES)
-        vals = np.asarray(self.alpha(ts), dtype=float)
+        contract = "alpha must take a numpy array of times and return an array of the same shape"
+        try:
+            vals = np.asarray(self.alpha(ts), dtype=float)
+        except TypeError as err:
+            raise ValueError(f"{contract}: {err}") from err
+        if vals.shape != ts.shape:
+            raise ValueError(f"{contract}, got shape {vals.shape} for times of shape {ts.shape}")
         bad = ~((vals > 0) & (vals <= 1 + ALPHA_SLACK))
         if np.any(bad):
             k = int(np.argmax(bad))

@@ -12,11 +12,11 @@ from scipy.integrate import quad
 from vofie import assembly
 from vofie.assembly import (
     QuadratureRule,
+    _moments,
     _row_blocks,
     assemble,
     gauss_nodes,
     history_weights,
-    singular_moments,
     translation_invariant,
 )
 from vofie.kernel import kernel_K, kernel_Ks
@@ -73,13 +73,21 @@ class TestGaussNodes:
                 values *= 2.0
 
 
+def hat_moments(order, mesh, n, i):
+    """Closed-form (wL, wR) of cell i of row n: entry i - 1 of _moments at
+    t_n, one row rather than assemble's (N+1)^2 tables."""
+    t = mesh.nodes[n : n + 1]
+    wl, wr = _moments(t, mesh.nodes[: n + 1], np.asarray(order.alpha(t), dtype=float))
+    return float(wl[0, i - 1]), float(wr[0, i - 1])
+
+
 class TestSingularMoments:
     def test_classical_trapezoid(self):
         # alpha = 1 reduces the weight to 1, so the hat moments are tau/2
         order = make_constant_order(1.0)
         mesh = make_mesh(1.0, 5, 1.0)
         for n, i in [(1, 1), (3, 2), (5, 5)]:
-            wl, wr = singular_moments(order, mesh, n, i)
+            wl, wr = hat_moments(order, mesh, n, i)
             assert wl == pytest.approx(0.1, rel=1e-13)
             assert wr == pytest.approx(0.1, rel=1e-13)
 
@@ -88,7 +96,7 @@ class TestSingularMoments:
         # ascending hat gets B(1/2, 2)/Gamma(1/2) = 4/(3 sqrt(pi))
         order = make_constant_order(0.5)
         mesh = make_mesh(1.0, 1, 1.0)
-        wl, wr = singular_moments(order, mesh, 1, 1)
+        wl, wr = hat_moments(order, mesh, 1, 1)
         assert wl + wr == pytest.approx(2 / math.sqrt(math.pi), rel=1e-13)
         assert wr == pytest.approx(4 / (3 * math.sqrt(math.pi)), rel=1e-13)
 
@@ -98,7 +106,7 @@ class TestSingularMoments:
         for n in (3, 8, 12):
             al = float(order.alpha(mesh.nodes[n]))
             for i in range(1, n + 1):
-                wl, wr = singular_moments(order, mesh, n, i)
+                wl, wr = hat_moments(order, mesh, n, i)
                 a = mesh.nodes[n] - mesh.nodes[i]
                 b = mesh.nodes[n] - mesh.nodes[i - 1]
                 direct = (b**al - a**al) / (al * math.gamma(al))
@@ -109,7 +117,7 @@ class TestSingularMoments:
         mesh = make_mesh(1.0, 20, 2.5)
         for n in range(1, 21):
             for i in range(1, n + 1):
-                wl, wr = singular_moments(order, mesh, n, i)
+                wl, wr = hat_moments(order, mesh, n, i)
                 assert wl > 0
                 assert wr > 0
 
@@ -128,7 +136,7 @@ class TestSingularMoments:
                 tau = hi - lo
                 oracle_l = mpmath.quad(lambda s: (hi - s) / tau * (tn - s) ** (al - 1) / g, [lo, hi])
                 oracle_r = mpmath.quad(lambda s: (s - lo) / tau * (tn - s) ** (al - 1) / g, [lo, hi])
-                wl, wr = singular_moments(order, mesh, n, i)
+                wl, wr = hat_moments(order, mesh, n, i)
                 assert abs(wl - float(oracle_l)) <= 1e-12, i
                 assert abs(wr - float(oracle_r)) <= 1e-12, i
 
@@ -148,17 +156,9 @@ class TestSingularMoments:
                 mass = (b**al - a**al) / (al * g)
                 oracle_l = ((b ** (al + 1) - a ** (al + 1)) / (al + 1) - a * mass * g) / ((b - a) * g)
                 oracle_r = mass - oracle_l
-                wl, wr = singular_moments(order, mesh, n, i)
+                wl, wr = hat_moments(order, mesh, n, i)
                 assert abs(wl / float(oracle_l) - 1.0) <= 1e-9, i
                 assert abs(wr / float(oracle_r) - 1.0) <= 1e-9, i
-
-    def test_index_errors(self):
-        order = make_constant_order(0.5)
-        mesh = make_mesh(1.0, 4, 1.0)
-        with pytest.raises(IndexError):
-            singular_moments(order, mesh, 2, 3)
-        with pytest.raises(IndexError):
-            singular_moments(order, mesh, 5, 1)
 
 
 class TestHistoryWeights:

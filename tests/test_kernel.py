@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from vofie.kernel import (
-    initial_coefficient,
     inversion_identity_check,
     kernel_K,
     kernel_Ks,
@@ -97,26 +96,19 @@ class TestKernelKs:
 
 
 class TestInitialCoefficient:
+    # the initial-data term u0 K(t, 0) = u0 t^{alpha(t)-alpha(0)} / Gamma(1 + alpha(t)-alpha(0))
     def test_constant_order(self):
         order = make_constant_order(0.7)
         for t in (0.2, 1.0):
-            assert initial_coefficient(order, t, 1.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_zero_initial_value(self):
-        order = make_sine_order(0.6, 0.1)
-        assert initial_coefficient(order, 0.5, 0.0) == 0.0
+            assert kernel_K(order, t, 0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_sine_order_at_one(self):
         # alpha(1) - alpha(0) = -0.5, so the value is 1/Gamma(0.5) = 1/sqrt(pi)
         order = make_sine_order(0.6, 0.1)
-        assert initial_coefficient(order, 1.0, 1.0) == pytest.approx(
+        assert kernel_K(order, 1.0, 0.0) == pytest.approx(
             1.0 / math.sqrt(math.pi), rel=1e-12
         )
         assert 1.0 / math.sqrt(math.pi) == pytest.approx(0.564190, abs=1e-6)
-
-    def test_degenerate_at_zero(self):
-        order = make_sine_order(0.6, 0.1)
-        assert initial_coefficient(order, 0.0, 3.5) == 3.5
 
 
 class TestInversionIdentity:

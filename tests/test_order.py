@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vofie.assembly import translation_invariant
+from vofie.kernel import kernel_Ks
 from vofie.mesh import make_mesh
 from vofie.order import (
     ALPHA_SAMPLES,
@@ -72,13 +74,6 @@ class TestOtherFamilies:
     def test_domain_errors(self, make, args):
         with pytest.raises(ValueError, match="must lie in"):
             make(*args)
-
-    def test_custom_reads_alpha0_and_takes_T_by_keyword(self):
-        order = VariableOrder(lambda t: 0.7 - 0.2 * np.asarray(t),
-                              lambda t: -0.2 + 0.0 * np.asarray(t), T=2.0)
-        assert order.alpha0 == 0.7 and order.T == 2.0
-        with pytest.raises(TypeError):
-            VariableOrder(order.alpha, order.dalpha, 0.7)
 
     @pytest.mark.parametrize("value,T", [(0.5, 1.0), (1.0, 2.0), (0.3, 0.7)])
     def test_constant_is_flat(self, value, T):
@@ -163,6 +158,31 @@ class TestVariableOrder:
         order = VariableOrder(lambda t: 0.8 - 0.3 * np.asarray(t) ** 2,
                               lambda t: -0.6 * np.asarray(t))
         assert order.alpha0 == 0.8 and order.T == 1.0
+        order = VariableOrder(lambda t: 0.7 - 0.2 * np.asarray(t),
+                              lambda t: -0.2 + 0.0 * np.asarray(t), T=2.0)
+        assert order.alpha0 == 0.7 and order.T == 2.0
+        # dalpha is optional: no solve reads it, and kernel_Ks refuses an order without it
+        bare = VariableOrder(order.alpha, T=2.0)
+        assert bare.dalpha is None and bare.alpha0 == 0.7
+        problems = [Problem(f=lambda u, t: 0.5 * np.sin(u) ** 4,
+                            df_du=lambda u, t: 2.0 * np.sin(u) ** 3 * np.cos(u),
+                            u0=1.0, T=2.0, order=o) for o in (order, bare)]
+        full, plain = (solve(problem, make_mesh(2.0, 64, 1.0 / 0.7)) for problem in problems)
+        assert np.array_equal(plain.values, full.values)
+        assert np.array_equal(plain.newton_stats, full.newton_stats)
+        with pytest.raises(ValueError, match="dalpha"):
+            kernel_Ks(bare, 1.0, 0.5)
+
+    def test_alpha_must_map_an_array_to_one_of_its_shape(self):
+        # a scalar alpha would build and then fail inside the solve; math.sin
+        # refuses an array
+        contract = "alpha must take a numpy array of times and return an array of the same shape"
+        for alpha, shape in [(lambda t: 0.5, "()"), (lambda t: np.full(3, 0.5), "(3,)")]:
+            with pytest.raises(ValueError, match=re.escape(f"{contract}, got shape {shape} for")):
+                VariableOrder(alpha)
+        with pytest.raises(ValueError, match=contract) as refused:
+            VariableOrder(lambda t: 0.6 + 0.1 * math.sin(t))
+        assert isinstance(refused.value.__cause__, TypeError)
 
     def test_alpha0_and_a_positional_T_are_refused(self):
         line = make_linear_order(0.6, 0.4)

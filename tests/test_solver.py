@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from vofie import assembly, solver
-from vofie.assembly import _moments, gauss_nodes, singular_moments
-from vofie.kernel import initial_coefficient, kernel_Ks
+from vofie.assembly import _moments, gauss_nodes
+from vofie.kernel import kernel_K, kernel_Ks
 from vofie.mesh import make_mesh
 from vofie.order import (
     VariableOrder,
@@ -520,9 +520,8 @@ class TestAnalyticOracles:
         )
         mesh = make_mesh(1.0, 1, 1.0)
         sol = solve(problem, mesh)
-        _, wr = singular_moments(order, mesh, 1, 1)
-        wl, _ = singular_moments(order, mesh, 1, 1)
-        const = wl * problem.f(1.0, 0.0) + initial_coefficient(order, 1.0, 1.0)
+        wl, wr = (float(w[0, 0]) for w in _moments(mesh.nodes[1:], mesh.nodes, order.alpha(mesh.nodes[1:])))
+        const = wl * problem.f(1.0, 0.0) + problem.u0 * kernel_K(order, 1.0, 0.0)
 
         def g(x):
             return x - wr * problem.f(x, 1.0) - const
@@ -581,7 +580,7 @@ class TestNewtonBehavior:
     def test_singular_jacobian(self):
         order = make_constant_order(0.5)
         mesh = make_mesh(1.0, 1, 1.0)
-        _, wr = singular_moments(order, mesh, 1, 1)
+        wr = float(_moments(mesh.nodes[1:], mesh.nodes, order.alpha(mesh.nodes[1:]))[1][0, 0])
         lam = 1.0 / wr  # makes g'(x) = 1 - wR * lam vanish identically
         problem = Problem(
             f=lambda u, t: lam * u, df_du=lambda u, t: lam + 0.0 * u,
@@ -775,7 +774,7 @@ def paper_form_residual(problem, sol, t):
     vmax = (t - nodes[m - 1]) ** alt
     sv = t - (vmax * x) ** (1.0 / alt)
     fterm = (fterm + vmax * np.sum(w * problem.f(sol(sv), sv)) / alt) / math.gamma(alt)
-    return abs(float(sol(t)) - hist - fterm - initial_coefficient(order, t, problem.u0))
+    return abs(float(sol(t)) - hist - fterm - problem.u0 * kernel_K(order, t, 0.0))
 
 
 class TestVieResidual:
