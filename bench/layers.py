@@ -15,7 +15,9 @@ made first if it is missing.
 its workers and those of --src alternate (before, after, after, before,
 twice over), so host drift between them reads as spread, not as a layer
 change. It writes BENCH_before.json beside BENCH_<label>.json, each side
-taken over its own four workers.
+taken over its own four workers, and prints every count (below) that
+differs between the two sides: host noise moves the times of one tree by
+about 10 % per layer, but it cannot move a count.
 
 The harness wraps vofie's layer functions at run time, so nothing under
 src/ knows of it:
@@ -28,12 +30,17 @@ src/ knows of it:
 * panels_make, panels_check, far_sums: the _Panels methods of the same
   names (panels_make includes panels_check).
 
+The same wrappers count a solve's work (COUNTS): kernel points (the size
+of each _kernel_minus_one result), moment points (of each _moments and
+_far_weight result, as the tests' count_points counts them), the blocks
+the stream yields, and the panels _Panels._check checks and fails.
+
 Per case it records the median of each layer over the timed solves of
 its workers (one untimed solve first in each), and each worker's own
-median; the blocks the stream yields per solve, the minor page faults per
-timed solve (the mean over workers), the largest worker ru_maxrss after
-them and the largest tracemalloc peak of one more solve; and once per file
-the host line.
+median; the counts per solve, which every solve of one tree must repeat;
+the minor page faults per timed solve (the mean over workers), the
+largest worker ru_maxrss after them and the largest tracemalloc peak of
+one more solve; and once per file the host line.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ CASES = [("sine", 96, 51), ("sine", 1440, 9), ("sine", 5760, 5),
 QUICK_CASES = [("sine", 96, 1), ("affine", 1000, 1)]
 LAYERS = ("stream", "march", "cell_averages", "moments", "kernel", "panels_make", "panels_check",
           "far_sums")
+COUNTS = ("kernel_points", "moment_points", "blocks", "panels_checked", "panels_failed")
 
 
 def host() -> dict:
@@ -75,28 +83,35 @@ def host() -> dict:
             "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
 
 
-def instrument(spent: dict, blocks: list):
+def instrument(spent: dict, counts: dict):
     """Wrap the layer functions; spent[layer] accumulates seconds and
-    blocks[0] counts the blocks the stream yields."""
+    counts[name] the COUNTS."""
     from vofie import assembly, solver
 
-    def timed(owner, name, layer):
+    def wrap(owner, name, layer=None, tally=None):
+        """owner.name, its time added to spent[layer] and tally(result)'s
+        counts to counts."""
         inner = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             t0 = time.perf_counter()
-            try:
-                return inner(*args, **kwargs)
-            finally:
+            out = inner(*args, **kwargs)
+            if layer:
                 spent[layer] += time.perf_counter() - t0
+            if tally:
+                for key, n in tally(out).items():
+                    counts[key] += int(n)
+            return out
         setattr(owner, name, wrapper)
 
-    timed(assembly, "_cell_averages", "cell_averages")
-    timed(assembly, "_moments", "moments")
-    timed(assembly, "_kernel_minus_one", "kernel")
-    timed(assembly._Panels, "_make", "panels_make")
-    timed(assembly._Panels, "_check", "panels_check")
-    timed(assembly._Panels, "far_sums", "far_sums")
+    wrap(assembly, "_cell_averages", "cell_averages")
+    wrap(assembly, "_moments", "moments", lambda out: {"moment_points": out[0].size})
+    wrap(assembly, "_far_weight", tally=lambda out: {"moment_points": out.size})
+    wrap(assembly, "_kernel_minus_one", "kernel", lambda out: {"kernel_points": out.size})
+    wrap(assembly._Panels, "_make", "panels_make")
+    wrap(assembly._Panels, "_check", "panels_check",
+         lambda passed: {"panels_checked": passed.size, "panels_failed": passed.size - passed.sum()})
+    wrap(assembly._Panels, "far_sums", "far_sums")
     stream = solver.coefficient_rows
 
     def rows(*args):
@@ -107,7 +122,7 @@ def instrument(spent: dict, blocks: list):
             spent["stream"] += time.perf_counter() - t0
             if block is None:
                 return
-            blocks[0] += 1
+            counts["blocks"] += 1
             yield block
             # dropped before the next block is built, as the march drops it
             del block
@@ -123,28 +138,30 @@ def worker(kind: str, N: int, repeats: int) -> dict:
                       df_du=lambda u, t: 2.0 * np.sin(u) ** 3 * np.cos(u),
                       u0=1.0, T=1.0, order=order)
     mesh = make_mesh(1.0, N, 1.0 / 0.6 if kind == "sine" else 1.0)
-    spent, blocks = defaultdict(float), [0]
-    instrument(spent, blocks)
+    spent, counts = defaultdict(float), defaultdict(int)
+    instrument(spent, counts)
     solve(problem, mesh)
-    samples = defaultdict(list)
+    samples, per_solve = defaultdict(list), []
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(repeats):
         spent.clear()
-        blocks[0] = 0
+        counts.clear()
         t0 = time.perf_counter()
         solve(problem, mesh)
         spent["solve"] = time.perf_counter() - t0
         spent["march"] = spent["solve"] - spent["stream"]
         for layer in ("solve", *LAYERS):
             samples[layer].append(spent[layer])
+        per_solve.append({name: counts[name] for name in COUNTS})
     usage = resource.getrusage(resource.RUSAGE_SELF)
     # the peak before tracemalloc, whose own bookkeeping would add to it
-    faults, maxrss, per_solve = usage.ru_minflt - faults, usage.ru_maxrss / 1024, blocks[0]
+    faults, maxrss = usage.ru_minflt - faults, usage.ru_maxrss / 1024
+    assert all(c == per_solve[0] for c in per_solve), f"the solves of one worker disagree on counts: {per_solve}"
     tracemalloc.start()
     solve(problem, mesh)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return {"samples_s": samples, "blocks_per_solve": per_solve,
+    return {"samples_s": samples, "counts_per_solve": per_solve[0],
             "minor_faults_per_solve": faults / repeats,
             "tracemalloc_peak_mb": peak / 2**20,
             "ru_maxrss_mb": maxrss}
@@ -160,15 +177,16 @@ def measure(src: str, kind: str, N: int, repeats: int) -> dict:
 
 def case_record(kind: str, N: int, repeats: int, runs: list[dict]) -> dict:
     """A case's record from the workers of one source tree."""
-    blocks = {run["blocks_per_solve"] for run in runs}
-    assert len(blocks) == 1, f"the workers of one tree disagree on blocks per solve: {blocks}"
+    counts = runs[0]["counts_per_solve"]
+    assert all(run["counts_per_solve"] == counts for run in runs), \
+        f"the workers of one tree disagree on counts per solve: {[run['counts_per_solve'] for run in runs]}"
     layers = runs[0]["samples_s"]
     return {"order": kind, "N": N, "repeats": repeats, "workers": len(runs),
             "median_s": {layer: statistics.median(s for run in runs for s in run["samples_s"][layer])
                          for layer in layers},
             "worker_median_s": {layer: [statistics.median(run["samples_s"][layer]) for run in runs]
                                 for layer in layers},
-            "blocks_per_solve": blocks.pop(),
+            "counts_per_solve": counts,
             "minor_faults_per_solve": statistics.mean(run["minor_faults_per_solve"] for run in runs),
             "tracemalloc_peak_mb": max(run["tracemalloc_peak_mb"] for run in runs),
             "ru_maxrss_mb": max(run["ru_maxrss_mb"] for run in runs)}
@@ -207,7 +225,12 @@ def main():
             layers = case["median_s"]
             print(f"{label:8} {kind:6} N={N:<6} solve {1e3 * layers['solve']:9.3f} ms  stream "
                   f"{1e3 * layers['stream']:9.3f} ms  march {1e3 * layers['march']:8.3f} ms  "
-                  f"blocks {case['blocks_per_solve']:5}  maxrss {case['ru_maxrss_mb']:.1f} MB")
+                  f"blocks {case['counts_per_solve']['blocks']:5}  maxrss {case['ru_maxrss_mb']:.1f} MB")
+        if args.before is not None:
+            before, after = (cases[label][-1]["counts_per_solve"] for label in srcs)
+            for name in COUNTS:
+                if before[name] != after[name]:
+                    print(f"count differs: {kind} N={N} {name} before {before[name]} {args.label} {after[name]}")
     for label in srcs:
         path = Path(args.out) / f"BENCH_{label}.json"
         path.write_text(json.dumps({"label": label, "host": host(), "cases": cases[label]}, indent=1) + "\n")

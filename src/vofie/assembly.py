@@ -185,8 +185,9 @@ DIAG_NODES, DIAG_WEIGHTS = _corner_rule(20)
 
 def _moments(t: np.ndarray, edges: np.ndarray, al: np.ndarray):
     """Closed-form hat moments (wL, wR) at the times t, with al = alpha(t)
-    per time, of the cells between consecutive `edges`: one row per time,
-    one column per cell. Columns of cells that start at or after t are zero.
+    per time, of the cells between consecutive `edges` (one row for all
+    times, or one row per time): one row per time, one column per cell.
+    Columns of cells that start at or after t are zero.
 
     Substituting v = t - s with a = t - t_i, b = t - t_{i-1} and writing
     G = Gamma(al), the cell's singular mass is
@@ -217,32 +218,6 @@ def _moments(t: np.ndarray, edges: np.ndarray, al: np.ndarray):
     with np.errstate(invalid="ignore"):
         q /= v[:, :-1]  # 0/0 in the zero columns past t
     del v
-    return _split_masses(q, m, al)
-
-
-def _cell_moments(t: np.ndarray, left: np.ndarray, right: np.ndarray, al: np.ndarray):
-    """(wL, wR) of _moments for one cell [left[k], right[k]] per time t[k],
-    on flat arrays: the same operations, so the same values, without a
-    two-column edge array per time. _moments on (cell, 2) edges gives the
-    same values too, but made the panel check, the one caller, 5-10 %
-    slower at graded N = 1440 and affine N = 4000, so both stay."""
-    b, a = t - left, t - right
-    np.maximum(b, 0.0, out=b)
-    np.maximum(a, 0.0, out=a)
-    m = b**al
-    m -= a**al
-    q = np.subtract(b, a)
-    with np.errstate(invalid="ignore"):
-        q /= b
-    del b, a
-    return _split_masses(q, m, al)
-
-
-def _split_masses(q, m, al):
-    """(wL, wR) of _moments from q = (b - a)/b and m = b^al - a^al, with
-    b = t - t_{i-1} and a = t - t_i clipped at zero, both of one shape (al
-    broadcast against them): m is divided by al G in place and returned as
-    wR, and q is overwritten."""
     m /= al * special.gamma(al)
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.negative(q)  # -D = expm1(al log1p(-q))
@@ -462,7 +437,10 @@ class _Panels:
     coordinates, so on a uniform mesh all leaves share one basis
     (_LEAF_BASIS) and all parents another (_PARENT_BASIS); on a graded mesh
     each panel's is taken at its points in t, those of all the parents one
-    _make adds in one _lagrange call.
+    _make adds in one _lagrange call. The fixed bases place cells and
+    children at exact fractions of the panel, which float nodes miss by
+    about eps t: leaves weigh their cells to match, parents do not, so long
+    uniform meshes fail some parents.
 
     The panels that end by t_N are held level by level in flat arrays, O(N)
     in all; level l holds the panels of size PANEL_LEAF_CELLS 2^l, each
@@ -516,7 +494,8 @@ class _Panels:
 
     def _leaf_charges(self, ids: slice):
         """Charges (q_f[, q_B]) of the leaves ids: Gauss sums per cell,
-        through the fixed _LEAF_BASIS on a uniform mesh."""
+        through the fixed _LEAF_BASIS on a uniform mesh, where each cell
+        weighs by an eighth of its leaf's width, as the basis places it."""
         x, w = _CHARGE_RULE.nodes, _CHARGE_RULE.weights
         mesh, n = self.cq.mesh, ids.stop - ids.start
         # leaf i holds cells j + 1 for PANEL_LEAF_CELLS i <= j < PANEL_LEAF_CELLS
@@ -524,17 +503,19 @@ class _Panels:
         j = slice(PANEL_LEAF_CELLS * ids.start, PANEL_LEAF_CELLS * ids.stop)
         j1 = slice(j.start + 1, j.stop + 1)
         shape = (n, PANEL_LEAF_CELLS, 1)
-        tau = mesh.steps[j].reshape(shape)
+        if mesh.is_uniform:
+            ends = mesh.nodes[j.start : j.stop + 1 : PANEL_LEAF_CELLS]
+            tau = (np.diff(ends) / PANEL_LEAF_CELLS)[:, None, None]
+            basis = _LEAF_BASIS.T
+        else:
+            tau = mesh.steps[j].reshape(shape)
+            points = (mesh.nodes[j].reshape(shape) + tau * x).reshape(n, len(_LEAF_BASIS))
+            basis = np.swapaxes(_lagrange(self.s[ids], points), 1, 2)
         f0, f1 = self.fvals[j].reshape(shape), self.fvals[j1].reshape(shape)
         values = [tau * w * (f0 * (1.0 - x) + f1 * x)]
         if self.incs is not None:
             values.append(np.broadcast_to(w * self.incs[j1].reshape(shape), values[0].shape))
         values = np.stack(values, axis=-1).reshape(n, len(_LEAF_BASIS), len(values))
-        if mesh.is_uniform:
-            basis = _LEAF_BASIS.T
-        else:
-            points = (mesh.nodes[j].reshape(shape) + tau * x).reshape(n, len(_LEAF_BASIS))
-            basis = np.swapaxes(_lagrange(self.s[ids], points), 1, 2)
         self.q[ids] = basis @ values
 
     def _parent_charges(self, new: list[tuple[int, slice]]):
@@ -562,10 +543,10 @@ class _Panels:
 
     def _check(self, ids: np.ndarray) -> np.ndarray:
         """Whether each far term of each panel of ids at its ready row is
-        within FAR_CHECK_TOL of direct quadrature (the moments and Gauss
-        cell averages of its cells, in chunks of HISTORY_BLOCK_POINTS
-        kernel points), relative to the sum of that term's absolute
-        contributions there."""
+        within FAR_CHECK_TOL of direct quadrature (the moments, from
+        _moments with one row of edges per cell, and Gauss cell averages of
+        its cells, in chunks of HISTORY_BLOCK_POINTS kernel points),
+        relative to the sum of that term's absolute contributions there."""
         cq, nodes = self.cq, self.cq.mesh.nodes
         size, ready = self.size[ids], self.ready[ids]
         t, al = nodes[ready], cq.alpha_t[ready]
@@ -575,7 +556,10 @@ class _Panels:
         step = HISTORY_BLOCK_POINTS // cq.rule.count
         for k in range(0, len(cells), step):
             c, o = cells[k : k + step], owner[k : k + step]
-            wl, wr = _cell_moments(t[o], nodes[c], nodes[c + 1], al[o])
+            # one row of edges per cell, in C order (a column-major layout was
+            # seen to move values)
+            edges = np.stack((nodes[c], nodes[c + 1]), axis=1)
+            wl, wr = (w[:, 0] for w in _moments(t[o], edges, al[o]))
             f0, f1 = self.fvals[c], self.fvals[c + 1]
             parts = [wl * f0 + wr * f1, wl * np.abs(f0) + wr * np.abs(f1)]
             if self.incs is not None:

@@ -419,11 +419,11 @@ def count_far_sums(mp):
 
 def count_points(mp):
     """Kernel points (_kernel_minus_one) and moment points (_moments per
-    cell and row, _cell_moments per checked cell, _far_weight per panel node
-    and row) of the patched calls, patched in through mp."""
+    cell and row, the panel check's one cell per time included, and
+    _far_weight per panel node and row) of the patched calls, patched in
+    through mp."""
     counts = {"kernel": 0, "moment": 0}
     kernel, moments, weight = assembly._kernel_minus_one, assembly._moments, assembly._far_weight
-    cell_moments = assembly._cell_moments
 
     def counted_kernel(da, v):
         out = kernel(da, v)
@@ -440,15 +440,9 @@ def count_points(mp):
         counts["moment"] += np.size(out)
         return out
 
-    def counted_cell_moments(t, left, right, al):
-        wl, wr = cell_moments(t, left, right, al)
-        counts["moment"] += wl.size
-        return wl, wr
-
     mp.setattr(assembly, "_kernel_minus_one", counted_kernel)
     mp.setattr(assembly, "_moments", counted_moments)
     mp.setattr(assembly, "_far_weight", counted_weight)
-    mp.setattr(assembly, "_cell_moments", counted_cell_moments)
     return counts
 
 
